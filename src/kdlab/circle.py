@@ -124,11 +124,6 @@ class NegativitySearchResult:
         }
 
 
-def _column_values(op: BandLimitedOperator, m: int, angles: np.ndarray) -> np.ndarray:
-    exps = np.arange(-op.K, op.K + 1) - m
-    return np.exp(1j * np.outer(exps, angles)).T @ op.coeffs[:, m + op.K]
-
-
 def _column_at(op: BandLimitedOperator, m: int, theta: float) -> complex:
     exps = np.arange(-op.K, op.K + 1) - m
     return complex(op.coeffs[:, m + op.K] @ np.exp(1j * exps * theta))

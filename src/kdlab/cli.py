@@ -16,7 +16,7 @@ import numpy as np
 
 from . import circle as circ
 from .classify import enumerate_kd_positive_pure, family_to_json, recognize_kd_positive_pure
-from .errors import GroupMismatchError, GroupSpecError, KdlabError
+from .errors import GroupMismatchError, GroupSpecError, KdlabError, PreconditionError
 from .fragment import (
     conv_membership,
     find_conv_gap_witness,
@@ -68,6 +68,8 @@ def _read_json(path: str) -> dict:
 def _load_operator(path: str, group: FiniteAbelianGroup) -> Operator:
     try:
         return Operator.from_json(_read_json(path), group)
+    except PreconditionError:
+        raise
     except (GroupMismatchError, ValueError, KeyError) as exc:
         raise CliConfigError(f"invalid operator in {path}: {exc}") from exc
 
@@ -77,6 +79,8 @@ def _load_table(path: str, group: FiniteAbelianGroup) -> PhaseSpaceFunction:
         if path.endswith(".csv"):
             return PhaseSpaceFunction.from_csv(group, _read_text(path))
         return PhaseSpaceFunction.from_json(_read_json(path), group)
+    except PreconditionError:
+        raise
     except (GroupMismatchError, ValueError, KeyError) as exc:
         raise CliConfigError(f"invalid table in {path}: {exc}") from exc
 
@@ -86,6 +90,8 @@ def _load_vector(path: str, group: FiniteAbelianGroup) -> GFunction:
     values = payload.get("values", payload) if isinstance(payload, dict) else payload
     try:
         return GFunction.from_json(group, values)
+    except PreconditionError:
+        raise
     except Exception as exc:
         raise CliConfigError(f"invalid vector in {path}: {exc}") from exc
 

@@ -4,12 +4,17 @@ the span or convex hull of the KD-positive pure family.
 Reality of the KD table is decided two ways that must agree: directly
 from the table, and from the support of the bare characteristic function
 (a Hermitian operator has a real KD table exactly when that support sits
-inside the set where chi(g) = 1).  Hull membership is a least-squares
-problem over the probability simplex solved by an active-set method, and
-projection onto the KD-positive states alternates, Dykstra style,
-between the spectral state set and the polyhedron of real nonnegative
-KD tables, which is a plain clamp in KD coordinates because the KD map
-is unitary.
+inside the set where chi(g) = 1).
+
+Geometry lives in KD-table coordinates, A -> KD(A).ravel() / sqrt(|G|),
+where the Euclidean dot product is the Hilbert-Schmidt inner product
+because the KD map is unitary.  Family tables are exact 0/1 rectangles
+(g + H) x (chi * ann(H)), so their Gram matrix is overlap counts / |G|.
+Hull membership is a least-squares problem over the probability simplex
+solved by an active-set method, and projection onto the KD-positive
+states alternates, Dykstra style, between the spectral state set and the
+polyhedron of real nonnegative KD tables, a plain clamp in these
+coordinates.
 """
 
 from __future__ import annotations
@@ -22,51 +27,41 @@ import numpy as np
 from .classify import enumerate_kd_positive_pure
 from .errors import NotHermitianError, NotKdPositiveError
 from .groups import SUBGROUP_ORDER_BOUND, FiniteAbelianGroup
-from .kd import _kd_kernel, _kd_table
-from .operators import Operator, check_state
+from .kd import _kd_kernel, _kd_table, char_fn, kd_inverse, symplectic_fourier
+from .operators import Operator, PhaseSpaceFunction, check_state
 from .tolerances import DEFAULT
 
 
 # ---------------------------------------------------------------------------
-# real embedding of Hermitian matrices; Frobenius dot = HS inner product
+# KD-table coordinates; Euclidean dot = HS inner product
 
 
-def _embed(matrix: np.ndarray) -> np.ndarray:
-    return np.concatenate([matrix.real.reshape(-1), matrix.imag.reshape(-1)])
+def _table_vector(group: FiniteAbelianGroup, kernel: np.ndarray) -> np.ndarray:
+    return _kd_table(group, kernel).ravel() / np.sqrt(group.order)
 
 
-def _unembed(vec: np.ndarray, d: int) -> np.ndarray:
-    half = d * d
-    return vec[:half].reshape(d, d) + 1j * vec[half:].reshape(d, d)
+def _vector_operator(group: FiniteAbelianGroup, vec: np.ndarray) -> Operator:
+    table = vec.reshape(group.order, group.order) * np.sqrt(group.order)
+    return Operator(group, _kd_kernel(group, table))
 
 
 @dataclass
 class _FragmentContext:
     group: FiniteAbelianGroup
-    family: tuple
-    projectors: np.ndarray      # (n, d, d) matrix representations
-    embed: np.ndarray           # (n, 2 d^2) real embeddings
-    span_basis: np.ndarray      # orthonormal rows spanning the family
-    span_dimension: int
-    gram: np.ndarray            # embed @ embed.T
+    tables: np.ndarray          # (n, d^2) exact 0/1 member KD tables
+    gram: np.ndarray            # HS Gram: overlap counts / |G|
 
 
 @lru_cache(maxsize=None)
 def _context(group: FiniteAbelianGroup, bound: int = SUBGROUP_ORDER_BOUND) -> _FragmentContext:
     family = enumerate_kd_positive_pure(group, bound)
-    projectors = np.stack([m.projector().matrix for m in family])
-    embed = np.stack([_embed(p) for p in projectors])
-    u, s, vt = np.linalg.svd(embed, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-10))
-    return _FragmentContext(
-        group=group,
-        family=family,
-        projectors=projectors,
-        embed=embed,
-        span_basis=vt[:rank],
-        span_dimension=rank,
-        gram=embed @ embed.T,
-    )
+    ones = np.stack([m.indicator_table().values.real.ravel() for m in family])
+    return _FragmentContext(group=group, tables=ones, gram=ones @ ones.T / group.order)
+
+
+def _columns(ctx: _FragmentContext) -> np.ndarray:
+    """Member vectors as the columns of the least-squares matrix."""
+    return ctx.tables.T / np.sqrt(ctx.group.order)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +97,6 @@ def is_kd_real(op: Operator, tol: float = DEFAULT.structural) -> KdRealResult:
         raise NotHermitianError("KD reality is only defined for Hermitian operators")
     group = op.group
     direct = float(np.max(np.abs(_kd_table(group, op.kernel).imag)))
-    from .kd import char_fn
-
     support_values = char_fn(op, "standard0").values
     off_support = group.char_phase.T != 0
     if off_support.any():
@@ -187,24 +180,22 @@ def span_membership(
     """
     if not op.is_hermitian(tol=1e-10):
         raise NotHermitianError("span membership is defined for Hermitian operators")
-    ctx = _context(op.group, bound)
-    y = _embed(op.matrix)
-    coeffs, *_ = np.linalg.lstsq(ctx.embed.T, y, rcond=None)
-    r = y - ctx.embed.T @ coeffs
+    cols = _columns(_context(op.group, bound))
+    y = _table_vector(op.group, op.kernel)
+    coeffs, _, rank, _ = np.linalg.lstsq(cols, y.real, rcond=None)
+    r = y - cols @ coeffs
     residual = float(np.linalg.norm(r))
     if residual <= tol:
-        return MembershipResult(
-            "inside", residual, weights=coeffs, span_dimension=ctx.span_dimension
-        )
+        return MembershipResult("inside", residual, weights=coeffs, span_dimension=int(rank))
     w = r / residual
-    gap = float(w @ y)
-    family_side = float(np.max(np.abs(ctx.embed @ w)))
-    witness = Operator.from_matrix(op.group, _unembed(w, op.group.order))
+    gap = float(np.vdot(w, y).real)
+    family_side = float(np.max(np.abs(w.real @ cols)))
+    witness = _vector_operator(op.group, w)
     if family_side <= max(tol, 1e-9 * max(1.0, gap)):
         return MembershipResult(
-            "outside", residual, witness=witness, gap=gap, span_dimension=ctx.span_dimension
+            "outside", residual, witness=witness, gap=gap, span_dimension=int(rank)
         )
-    return MembershipResult("inconclusive", residual, span_dimension=ctx.span_dimension)
+    return MembershipResult("inconclusive", residual, span_dimension=int(rank))
 
 
 def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None):
@@ -218,9 +209,10 @@ def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None):
     Parameters
     ----------
     gram : (n, n) precomputed A^T A
-    corr : (n,) precomputed A^T y
-    embed_cols : (m, n) the matrix A, used for direct residuals
-    y : (m,) embedded target
+    corr : (n,) precomputed A^T Re(y)
+    embed_cols : (m, n) the real matrix A, used for direct residuals
+    y : (m,) target; it may be complex, and its imaginary part, which
+        no real combination of columns reaches, stays in the residual
 
     Returns (weights, residual, converged).
     """
@@ -296,15 +288,15 @@ def conv_membership(
             f"(worst violation {probe.worst_violation:.3e})"
         )
     ctx = _context(rho.group, bound)
-    y = _embed(rho.matrix)
-    corr = ctx.embed @ y
-    lam, residual, converged = _simplex_nnls(ctx.gram, corr, ctx.embed.T, y)
+    cols = _columns(ctx)
+    y = _table_vector(rho.group, rho.kernel)
+    lam, residual, converged = _simplex_nnls(ctx.gram, y.real @ cols, cols, y)
     if residual <= tol:
         return MembershipResult("inside", residual, weights=lam)
-    r = y - ctx.embed.T @ lam
+    r = y - cols @ lam
     w = r / np.linalg.norm(r)
-    gap = float(w @ y - np.max(ctx.embed @ w))
-    witness = Operator.from_matrix(rho.group, _unembed(w, rho.group.order))
+    gap = float(np.vdot(w, y).real - np.max(w.real @ cols))
+    witness = _vector_operator(rho.group, w)
     if converged and gap > tol:
         return MembershipResult("outside", residual, witness=witness, gap=gap)
     return MembershipResult("inconclusive", residual, witness=witness, gap=gap)
@@ -422,16 +414,22 @@ class GapWitness:
         }
 
 
-def _random_direction(ctx: _FragmentContext, rng: np.random.Generator) -> np.ndarray:
-    d = ctx.group.order
+def _random_direction(group: FiniteAbelianGroup, rng: np.random.Generator) -> np.ndarray:
+    """Random Hermitian matrix projected onto the family span, HS norm one.
+
+    The span is the KD-real Hermitian operators, so the orthogonal
+    projection zeroes the bare characteristic function off chi(g) = 1.
+    """
+    d = group.order
     raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     herm = (raw + raw.conj().T) / 2.0
-    vec = _embed(herm)
-    vec = ctx.span_basis.T @ (ctx.span_basis @ vec)
-    norm = np.linalg.norm(vec)
+    values = char_fn(Operator.from_matrix(group, herm), "standard0").values
+    values[group.char_phase.T != 0] = 0.0
+    matrix = kd_inverse(symplectic_fourier(PhaseSpaceFunction(group, values))).matrix
+    norm = np.linalg.norm(matrix)
     if norm == 0.0:
-        return _random_direction(ctx, rng)
-    return vec / norm
+        return _random_direction(group, rng)
+    return matrix / norm
 
 
 def _verify_outside_candidate(ctx, matrix, gap_tol, positivity_tol, membership_tol):
@@ -450,8 +448,9 @@ def _verify_outside_candidate(ctx, matrix, gap_tol, positivity_tol, membership_t
     result = conv_membership(rho, tol=membership_tol, positivity_tol=positivity_tol)
     if result.verdict != "outside" or result.witness is None:
         return None
-    w_vec = _embed(result.witness.matrix)
-    gap = float(w_vec @ _embed(polished) - np.max(ctx.embed @ w_vec))
+    w_vec = _table_vector(group, result.witness.kernel)
+    value = np.vdot(w_vec, _table_vector(group, rho.kernel)).real
+    gap = float(value - np.max(w_vec.real @ _columns(ctx)))
     if gap <= gap_tol:
         return None
     return rho, result.witness, gap, result.residual
@@ -483,6 +482,7 @@ def find_conv_gap_witness(
     never a proof of absence.
     """
     ctx = _context(group, bound)
+    cols = _columns(ctx)
     rng = np.random.default_rng(seed)
     used = 0
     directions = 0
@@ -490,11 +490,10 @@ def find_conv_gap_witness(
     mixed = np.eye(group.order, dtype=complex) / group.order
     while used < budget:
         directions += 1
-        w_vec = _random_direction(ctx, rng)
+        w_mat = _random_direction(group, rng)
         # Ascent from the interior crosses the mid-boundary region where
         # hull gaps live; vertex starts stall on hull faces.
         current = mixed.copy()
-        w_mat = _unembed(w_vec, group.order)
         best_score = -np.inf
         best_matrix = None
         for _ in range(steps_per_direction):
@@ -503,8 +502,8 @@ def find_conv_gap_witness(
             used += 1
             stepped = current + step_size * w_mat
             current, set_gap, _ = _dykstra(group, stepped, search_proj_iters, 1e-12)
-            yv = _embed(current)
-            _, hull_residual, _ = _simplex_nnls(ctx.gram, ctx.embed @ yv, ctx.embed.T, yv)
+            yv = _table_vector(group, current * group.order)
+            _, hull_residual, _ = _simplex_nnls(ctx.gram, yv.real @ cols, cols, yv)
             score = hull_residual - 3.0 * set_gap
             if score > best_score:
                 best_score = score

@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 
+from .errors import PreconditionError
+
 
 def encode_complex(z: complex) -> dict:
     z = complex(z)
@@ -19,7 +21,15 @@ def encode_complex(z: complex) -> dict:
 def decode_complex(obj) -> complex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
         raise ValueError(f"expected a {{re, im}} pair, got {obj!r}")
-    return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+    return finite_complex(obj.get("re", 0.0), obj.get("im", 0.0))
+
+
+def finite_complex(re, im) -> complex:
+    """Complex number from two real parts, rejecting NaN and infinities."""
+    z = complex(float(re), float(im))
+    if not np.isfinite(z):
+        raise PreconditionError(f"non-finite number {z!r}")
+    return z
 
 
 def encode_array(values: np.ndarray) -> list:

@@ -96,24 +96,14 @@ def symplectic_fourier(table: PhaseSpaceFunction) -> PhaseSpaceFunction:
     """(F T)(g, chi) = (1/|G|) sum_{g', chi'} T(g', chi') chi(g') conj(chi'(g)).
 
     The opposite-sign pairing of the two legs makes this map its own
-    inverse, which `symplectic_fourier_inverse` checks by computing the
-    reverse kernel explicitly.
+    inverse, so `symplectic_fourier_inverse` is the same function.
     """
     group = table.group
     X = group.char_table
     return PhaseSpaceFunction(group, (X @ table.values @ X.conj()).T / group.order)
 
 
-def symplectic_fourier_inverse(table: PhaseSpaceFunction) -> PhaseSpaceFunction:
-    """Inverse symplectic transform, computed as the adjoint of the forward map.
-
-    The transform is unitary and self-adjoint for the weighted phase-space
-    inner product, so the adjoint kernel coincides with the forward one and
-    the map is an involution; the named inverse keeps call sites readable.
-    """
-    group = table.group
-    X = group.char_table
-    return PhaseSpaceFunction(group, (X @ table.values @ X.conj()).T / group.order)
+symplectic_fourier_inverse = symplectic_fourier
 
 
 def akd(op: Operator) -> PhaseSpaceFunction:

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatchError, NotAStateError, NotHermitianError
+from .errors import GroupMismatchError, NotAStateError
 from .groups import FiniteAbelianGroup
 from .harmonic import GFunction
-from .jsonio import decode_array, encode_array
+from .jsonio import decode_array, encode_array, finite_complex
 
 
 class Operator:
@@ -131,13 +131,10 @@ def trace_product(a: Operator, b: Operator) -> complex:
     return complex(np.sum(a.kernel * b.kernel.T) / a.group.order**2)
 
 
-def check_hermitian(a: Operator, tol: float = 1e-10) -> None:
-    if not a.is_hermitian(tol):
-        raise NotHermitianError("operator is not Hermitian within tolerance")
-
-
 def check_state(rho: Operator, tol: float = 1e-9) -> None:
     """Validate the state preconditions, naming the violated one."""
+    if not np.isfinite(rho.kernel).all():
+        raise NotAStateError("kernel has NaN or infinite entries")
     scale = max(1.0, float(np.max(np.abs(rho.kernel))) / rho.group.order)
     herm = float(np.max(np.abs(rho.kernel - rho.kernel.conj().T))) / rho.group.order
     if herm > tol * scale:
@@ -232,7 +229,7 @@ class PhaseSpaceFunction:
             gtxt, ctxt, re_, im_ = (part.strip() for part in ln.split(","))
             gi = group.index_of([int(v) for v in gtxt.split("-")])
             ci = group.index_of([int(v) for v in ctxt.split("-")])
-            values[gi, ci] = complex(float(re_), float(im_))
+            values[gi, ci] = finite_complex(re_, im_)
         if np.isnan(values).any():
             raise ValueError("duplicate or missing (g, chi) rows")
         return cls(group, values)

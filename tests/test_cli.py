@@ -113,6 +113,37 @@ def test_malformed_operator_is_config_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_non_finite_operator_is_precondition_error(tmp_path, capsys):
+    payload = Operator.identity(parse_group("Z2")).to_json()
+    payload["kernel"][1]["im"] = float("-inf")
+    path = _write(tmp_path, "op.json", payload)
+    code, out, err = _run(capsys, ["kd", "compute", "--group", "Z2", "--operator", path])
+    assert code == 2
+    assert out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_non_finite_state_is_rejected_not_judged(tmp_path, capsys, token):
+    # json.loads accepts these tokens; the state must be rejected, not
+    # reported as "not positive"
+    payload = (Operator.identity(parse_group("Z2")) * 0.5).to_json()
+    payload["kernel"][0]["re"] = float(token)
+    path = _write(tmp_path, "state.json", payload)
+    assert token in open(path).read()
+    code, out, err = _run(capsys, ["check", "kd-positive", "--group", "Z2", "--state", path])
+    assert code == 2
+    assert out == "" and "non-finite" in err
+
+
+def test_non_finite_table_csv_is_precondition_error(tmp_path, capsys):
+    lines = kd(Operator.identity(parse_group("Z2"))).to_csv().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:2] + ["inf", "0.0"])
+    path = _write(tmp_path, "table.csv", "\n".join(lines) + "\n")
+    code, out, err = _run(capsys, ["kd", "invert", "--group", "Z2", "--table", path])
+    assert code == 2
+    assert out == "" and "non-finite" in err
+
+
 def test_missing_file_is_config_error(capsys):
     code, _, _ = _run(capsys, ["kd", "compute", "--group", "Z2", "--operator", "/nonexistent.json"])
     assert code == 1

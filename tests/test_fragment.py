@@ -5,6 +5,8 @@ import scipy.optimize
 from kdlab.classify import enumerate_kd_positive_pure
 from kdlab.errors import NotAStateError, NotHermitianError, NotKdPositiveError
 from kdlab.fragment import (
+    _context,
+    _random_direction,
     _simplex_nnls,
     conv_membership,
     find_conv_gap_witness,
@@ -92,6 +94,8 @@ def test_kd_positive_examples():
     assert result.worst_violation == pytest.approx(0.169, abs=1e-3)
     with pytest.raises(NotAStateError):
         is_kd_positive_state(Operator.identity(z2))
+    with pytest.raises(NotAStateError):
+        is_kd_positive_state(Operator(z2, [[np.nan, 0.0], [0.0, 2.0]]))
 
 
 def test_kd_positive_family_and_mixtures(battery_group):
@@ -310,16 +314,89 @@ def test_project_requires_hermitian():
         project_onto_kdpos(Operator(z2, [[1.0, 1.0], [0.0, 1.0]]))
 
 
+# ---------------------------------------------------------------------------
+# reference: the projector-matrix geometry that table coordinates replaced
+
+
+def _embed(matrix):
+    return np.concatenate([matrix.real.ravel(), matrix.imag.ravel()])
+
+
+def _embedded_family(group):
+    """Family projectors as 2 d^2 reals (Euclidean dot = HS inner product)
+    and an orthonormal SVD basis of their span."""
+    embed = np.stack([_embed(m.projector().matrix) for m in enumerate_kd_positive_pure(group)])
+    _, s, vt = np.linalg.svd(embed, full_matrices=False)
+    return embed, vt[: int(np.sum(s > s[0] * 1e-10))]
+
+
+def _embedded_conv(embed, rho):
+    y = _embed(rho.matrix)
+    lam, residual, _ = _simplex_nnls(embed @ embed.T, embed @ y, embed.T, y)
+    return lam, residual
+
+
+def test_table_geometry_matches_matrix_embedding(battery_group):
+    group = battery_group
+    d = group.order
+    embed, basis = _embedded_family(group)
+    ctx = _context(group)
+    assert np.max(np.abs(ctx.gram - embed @ embed.T)) <= 1e-12
+    assert np.linalg.matrix_rank(ctx.tables) == basis.shape[0]
+
+    direction = _random_direction(group, np.random.default_rng(181))
+    rng = np.random.default_rng(181)
+    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    reference = basis.T @ (basis @ _embed((raw + raw.conj().T) / 2.0))
+    assert np.max(np.abs(_embed(direction) - reference / np.linalg.norm(reference))) <= 1e-12
+
+    # Full mixtures and the maximally mixed state have many optimal weight
+    # vectors (the family is linearly dependent), so the two solves may
+    # stop at different ones; sparse mixtures and members have one.
+    rng = np.random.default_rng(191)
+    family = enumerate_kd_positive_pure(group)
+    cases = [
+        (_family_mixture(group, rng), False),
+        (Operator.identity(group) * (1.0 / d), False),
+        (_family_mixture(group, rng, k=3), True),
+        (family[len(family) // 2].projector(), True),
+    ]
+    for rho, unique in cases:
+        result = conv_membership(rho)
+        lam, residual = _embedded_conv(embed, rho)
+        assert abs(result.residual - residual) <= 1e-10
+        if unique:
+            assert np.max(np.abs(result.weights - lam)) <= 1e-10
+
+    inside = Operator(group, sum(c * m.projector().kernel
+                                 for c, m in zip(rng.normal(size=len(family)), family)))
+    for op in (inside, random_hermitian(group, rng)):
+        result = span_membership(op)
+        y = _embed(op.matrix)
+        coeffs, *_ = np.linalg.lstsq(embed.T, y, rcond=None)
+        assert abs(result.residual - np.linalg.norm(y - embed.T @ coeffs)) <= 1e-10
+        if result.weights is not None:
+            assert np.max(np.abs(result.weights - coeffs)) <= 1e-10
+
+
+# seed-0 witnesses: (gap, iterations_used, directions_tried)
+PINNED_WITNESSES = {"Z2xZ2": (6.525240423259e-2, 100, 1), "Z6": (2.548644395291e-2, 300, 3)}
+
+
 @pytest.mark.parametrize("name", ["Z2xZ2", "Z6"])
 def test_witness_search_finds_gap(name):
     group = parse_group(name)
     w = find_conv_gap_witness(group, seed=0, budget=10000)
     assert w is not None
-    assert w.gap > 1e-6
+    gap, iterations, directions = PINNED_WITNESSES[name]
+    assert w.gap == pytest.approx(gap, abs=1e-10)
+    assert (w.iterations_used, w.directions_tried) == (iterations, directions)
     # the state is strictly feasible and sits outside the hull
     assert is_kd_positive_state(w.state).is_positive
     result = conv_membership(w.state)
     assert result.verdict == "outside"
+    _, residual = _embedded_conv(_embedded_family(group)[0], w.state)
+    assert abs(result.residual - residual) <= 1e-10
     # certificate re-verifies: direct evaluation reproduces the gap
     family = enumerate_kd_positive_pure(group)
     value = complex(w.functional.hs_inner(w.state)).real
