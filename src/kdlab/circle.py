@@ -40,6 +40,8 @@ class BandLimitedOperator:
             raise PreconditionError(
                 f"coefficient matrix must be {n}x{n}, got {c.shape}"
             )
+        if not np.isfinite(c).all():
+            raise PreconditionError("coefficients have NaN or infinite entries")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 

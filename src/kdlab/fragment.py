@@ -148,6 +148,7 @@ class MembershipResult:
     witness: Operator | None = field(default=None, repr=False)
     gap: float | None = None
     span_dimension: int | None = None
+    converged: bool | None = None      # hull solves: the active-set optimality test passed
 
     def to_json(self) -> dict:
         payload: dict = {"verdict": self.verdict, "residual": self.residual}
@@ -198,7 +199,7 @@ def span_membership(
     return MembershipResult("inconclusive", residual, span_dimension=int(rank))
 
 
-def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None):
+def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None, lam0=None):
     """Least squares over the probability simplex by active sets.
 
     Minimizes ``||y - A lam||`` subject to ``lam >= 0`` and
@@ -213,6 +214,12 @@ def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None):
     embed_cols : (m, n) the real matrix A, used for direct residuals
     y : (m,) target; it may be complex, and its imaginary part, which
         no real combination of columns reaches, stays in the residual
+    lam0 : (n,) optional feasible start (nonnegative, summing to one),
+        such as the solution for a nearby target.  Its support is the
+        initial passive set, so a good guess needs few subproblem
+        solves.  The residual reached does not depend on it; the
+        weights may, where the optimum is not unique.  Without it the
+        search starts from the single best vertex.
 
     Returns (weights, residual, converged).
     """
@@ -221,9 +228,11 @@ def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None):
         max_iter = 50 * n + 200
     scale = max(1.0, float(np.max(np.abs(corr))), float(np.max(gram)))
     start = int(np.argmax(2.0 * corr - np.diag(gram)))
-    passive = [start]
-    lam = np.zeros(n)
-    lam[start] = 1.0
+    if lam0 is None:
+        lam0 = np.zeros(n)
+        lam0[start] = 1.0
+    passive = [int(i) for i in np.flatnonzero(lam0)]
+    lam = lam0
     converged = False
     for _ in range(max_iter):
         idx = np.array(passive)
@@ -292,14 +301,13 @@ def conv_membership(
     y = _table_vector(rho.group, rho.kernel)
     lam, residual, converged = _simplex_nnls(ctx.gram, y.real @ cols, cols, y)
     if residual <= tol:
-        return MembershipResult("inside", residual, weights=lam)
+        return MembershipResult("inside", residual, weights=lam, converged=converged)
     r = y - cols @ lam
     w = r / np.linalg.norm(r)
     gap = float(np.vdot(w, y).real - np.max(w.real @ cols))
     witness = _vector_operator(rho.group, w)
-    if converged and gap > tol:
-        return MembershipResult("outside", residual, witness=witness, gap=gap)
-    return MembershipResult("inconclusive", residual, witness=witness, gap=gap)
+    verdict = "outside" if converged and gap > tol else "inconclusive"
+    return MembershipResult(verdict, residual, witness=witness, gap=gap, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +315,14 @@ def conv_membership(
 
 
 def _project_simplex(values: np.ndarray) -> np.ndarray:
-    u = np.sort(values)[::-1]
+    """Euclidean projection of ascending values onto the probability simplex."""
+    # eigh returns eigenvalues in ascending order, so reversing them is
+    # the descending sort of Wang & Carreira-Perpinan; the entries that
+    # stay positive form a prefix of that order, hence count_nonzero.
+    u = values[::-1]
     css = np.cumsum(u) - 1.0
-    ks = np.arange(1, values.size + 1)
-    k = np.max(np.nonzero(u - css / ks > 0)[0]) + 1
-    theta = css[k - 1] / k
-    return np.clip(values - theta, 0.0, None)
+    k = np.count_nonzero(u - css / np.arange(1, values.size + 1) > 0)
+    return np.maximum(values - css[k - 1] / k, 0.0)
 
 
 def _project_states(matrix: np.ndarray) -> np.ndarray:
@@ -323,10 +333,9 @@ def _project_states(matrix: np.ndarray) -> np.ndarray:
 
 
 def _project_kd_nonneg(group: FiniteAbelianGroup, matrix: np.ndarray) -> np.ndarray:
-    d = group.order
-    table = _kd_table(group, matrix * d)
-    clamped = np.clip(table.real, 0.0, None).astype(complex)
-    return _kd_kernel(group, clamped) / d
+    # Both maps are linear and the clamp is positively homogeneous, so
+    # the 1/|G| scaling of the table needs no undoing.
+    return _kd_kernel(group, np.maximum(_kd_table(group, matrix).real, 0.0))
 
 
 def _dykstra(group: FiniteAbelianGroup, m0: np.ndarray, max_iter: int, tol: float):
@@ -496,6 +505,9 @@ def find_conv_gap_witness(
         current = mixed.copy()
         best_score = -np.inf
         best_matrix = None
+        # Consecutive iterates are close, so each hull solve starts from
+        # the previous step's weights.
+        weights = None
         for _ in range(steps_per_direction):
             if used >= budget:
                 break
@@ -503,7 +515,9 @@ def find_conv_gap_witness(
             stepped = current + step_size * w_mat
             current, set_gap, _ = _dykstra(group, stepped, search_proj_iters, 1e-12)
             yv = _table_vector(group, current * group.order)
-            _, hull_residual, _ = _simplex_nnls(ctx.gram, yv.real @ cols, cols, yv)
+            weights, hull_residual, _ = _simplex_nnls(
+                ctx.gram, yv.real @ cols, cols, yv, lam0=weights
+            )
             score = hull_residual - 3.0 * set_gap
             if score > best_score:
                 best_score = score

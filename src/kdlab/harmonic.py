@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatchError
+from .errors import GroupMismatchError, PreconditionError
 from .groups import FiniteAbelianGroup, Subgroup
 from .jsonio import decode_array, encode_array
 
@@ -25,7 +25,10 @@ def _as_values(group: FiniteAbelianGroup, values) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if arr.shape != (group.order,):
         raise ValueError(f"expected {group.order} values for {group}, got shape {arr.shape}")
-    return arr.copy()
+    arr = arr.copy()
+    if not np.isfinite(arr).all():
+        raise PreconditionError("function has NaN or infinite values")
+    return arr
 
 
 @dataclass

@@ -30,9 +30,9 @@ def _kd_table(group: FiniteAbelianGroup, kernel: np.ndarray) -> np.ndarray:
 
 
 def _kd_kernel(group: FiniteAbelianGroup, table: np.ndarray) -> np.ndarray:
+    # chi(g - g') = chi(g) conj(chi(g')) splits the sum into one product.
     X = group.char_table
-    w = table @ X
-    return np.take_along_axis(w, group.diff_table, axis=1)
+    return (table * X.T) @ X.conj()
 
 
 def kd(op: Operator) -> PhaseSpaceFunction:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatchError, NotAStateError
+from .errors import GroupMismatchError, NotAStateError, PreconditionError
 from .groups import FiniteAbelianGroup
 from .harmonic import GFunction
 from .jsonio import decode_array, encode_array, finite_complex
@@ -36,6 +36,8 @@ class Operator:
             )
         self.group = group
         self.kernel = kernel.copy()
+        if not np.isfinite(self.kernel).all():
+            raise PreconditionError("kernel has NaN or infinite entries")
 
     @classmethod
     def from_matrix(cls, group: FiniteAbelianGroup, matrix) -> "Operator":
@@ -160,6 +162,8 @@ class PhaseSpaceFunction:
         if arr.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} table for {self.group}, got {arr.shape}")
         self.values = arr.copy()
+        if not np.isfinite(self.values).all():
+            raise PreconditionError("table has NaN or infinite entries")
 
     def norm(self) -> float:
         """L2 norm against (normalized counting) x (counting) measure."""

@@ -10,6 +10,7 @@ anchor states the mathematical fact being verified.
 from __future__ import annotations
 
 import datetime
+import traceback
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable
@@ -450,13 +451,14 @@ CHECKS: tuple[Check, ...] = (
 class CheckResult:
     name: str
     anchor: str
-    status: str
-    measured: float
+    status: str                    # "pass" | "fail" | "error"
+    measured: float | None         # None when the check raised
     tolerance: float
     direction: str
+    message: str | None = None     # traceback of a check that raised
 
     def to_json(self) -> dict:
-        return {
+        payload = {
             "name": self.name,
             "anchor": self.anchor,
             "status": self.status,
@@ -464,6 +466,9 @@ class CheckResult:
             "tolerance": self.tolerance,
             "direction": self.direction,
         }
+        if self.message is not None:
+            payload["message"] = self.message
+        return payload
 
 
 @dataclass
@@ -508,9 +513,22 @@ def _check_rng(seed: int, name: str) -> np.random.Generator:
 
 def run_check(check: Check, group: FiniteAbelianGroup, seed: int,
               tolerances: Tolerances = DEFAULT) -> CheckResult:
+    """Run one check; a check that raises is reported as an error row,
+    so one broken check cannot abort the rest of the report."""
     rng = _check_rng(seed, check.name)
     threshold = check.tolerance(tolerances)
-    measured = float(check.fn(group, rng, tolerances))
+    try:
+        measured = float(check.fn(group, rng, tolerances))
+    except Exception:
+        return CheckResult(
+            name=check.name,
+            anchor=check.anchor,
+            status="error",
+            measured=None,
+            tolerance=threshold,
+            direction=check.direction,
+            message=traceback.format_exc(),
+        )
     if check.direction == "le":
         ok = measured <= threshold
     else:

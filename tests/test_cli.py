@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kdlab.classify import enumerate_kd_positive_pure
+from kdlab import verify
 from kdlab.cli import main
 from kdlab.groups import parse_group
 from kdlab.harmonic import GFunction
@@ -313,6 +314,28 @@ def test_verify_all_green(capsys):
     assert payload["summary"]["failed"] == 0
     assert payload["summary"]["passed"] == payload["summary"]["total"]
     assert all(check["status"] == "pass" for check in payload["checks"])
+
+
+def test_verify_all_reports_raising_check(monkeypatch, capsys):
+    def broken(group, rng, tolerances):
+        raise RuntimeError("deliberately broken check")
+
+    raising = verify.Check("zz-broken", "a check that raises", broken, lambda t: t.exact)
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + (raising,))
+    code, out, _ = _run(capsys, ["verify", "all", "--group", "Z3", "--format", "json"])
+    assert code == 4
+    payload = json.loads(out)
+    error_rows = [check for check in payload["checks"] if check["status"] == "error"]
+    assert [row["name"] for row in error_rows] == ["zz-broken"]
+    assert error_rows[0]["measured"] is None
+    assert "Traceback" in error_rows[0]["message"]
+    assert "RuntimeError: deliberately broken check" in error_rows[0]["message"]
+    assert all("message" not in check for check in payload["checks"] if check["status"] == "pass")
+    assert payload["summary"]["failed"] == 1
+    assert payload["summary"]["passed"] == payload["summary"]["total"] - 1
+    code, out, _ = _run(capsys, ["verify", "all", "--group", "Z3"])
+    assert code == 4
+    assert "error" in out
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -5,9 +5,14 @@ import scipy.optimize
 from kdlab.classify import enumerate_kd_positive_pure
 from kdlab.errors import NotAStateError, NotHermitianError, NotKdPositiveError
 from kdlab.fragment import (
+    _columns,
     _context,
+    _dykstra,
+    _project_kd_nonneg,
+    _project_simplex,
     _random_direction,
     _simplex_nnls,
+    _table_vector,
     conv_membership,
     find_conv_gap_witness,
     is_kd_positive_state,
@@ -18,7 +23,7 @@ from kdlab.fragment import (
 )
 from kdlab.groups import parse_group
 from kdlab.harmonic import GFunction
-from kdlab.kd import multiplication_operator
+from kdlab.kd import _kd_table, multiplication_operator
 from kdlab.operators import Operator, check_state
 from kdlab.weyl import WHElement, wh_unitary
 
@@ -94,8 +99,12 @@ def test_kd_positive_examples():
     assert result.worst_violation == pytest.approx(0.169, abs=1e-3)
     with pytest.raises(NotAStateError):
         is_kd_positive_state(Operator.identity(z2))
+    # constructors reject NaN; a kernel corrupted afterwards still fails
+    # the state check
+    corrupted = Operator.identity(z2) * 0.5
+    corrupted.kernel[0, 0] = np.nan
     with pytest.raises(NotAStateError):
-        is_kd_positive_state(Operator(z2, [[np.nan, 0.0], [0.0, 2.0]]))
+        is_kd_positive_state(corrupted)
 
 
 def test_kd_positive_family_and_mixtures(battery_group):
@@ -227,6 +236,14 @@ def test_conv_membership_rejects_non_kd_positive():
         conv_membership(rho)
 
 
+def test_conv_membership_reports_convergence():
+    z2 = parse_group("Z2")
+    result = conv_membership(Operator.identity(z2) * 0.5)
+    assert result.converged is True
+    assert "converged" not in result.to_json()
+    assert span_membership(Operator.identity(z2) * 0.5).converged is None
+
+
 def test_membership_result_json_shapes():
     z2 = parse_group("Z2")
     inside = conv_membership(Operator.identity(z2) * 0.5).to_json()
@@ -261,6 +278,68 @@ def test_simplex_nnls_against_penalty_oracle():
         oracle = float(np.linalg.norm(y - a @ x))
         assert residual <= oracle + 1e-6
         assert oracle <= residual + 1e-6
+
+
+def test_simplex_nnls_warm_start_matches_cold(battery_group):
+    # targets along one ascent path, as the witness search sees them;
+    # every feasible start must reach the cold solve's hull residual
+    group = battery_group
+    d = group.order
+    ctx = _context(group)
+    cols = _columns(ctx)
+    n = cols.shape[1]
+    rng = np.random.default_rng(197)
+    direction = _random_direction(group, rng)
+    current = np.eye(d, dtype=complex) / d
+    previous = None
+    for _ in range(6):
+        current, _, _ = _dykstra(group, current + 0.25 * direction, 12, 1e-12)
+        y = _table_vector(group, current * d)
+        corr = y.real @ cols
+        lam, residual, converged = _simplex_nnls(ctx.gram, corr, cols, y)
+        assert converged
+        vertex = np.zeros(n)
+        vertex[rng.integers(n)] = 1.0
+        starts = [vertex, np.full(n, 1.0 / n)] + ([previous] if previous is not None else [])
+        for lam0 in starts:
+            warm, warm_residual, warm_converged = _simplex_nnls(ctx.gram, corr, cols, y, lam0=lam0)
+            assert warm_converged
+            assert warm.min() >= 0.0
+            assert warm.sum() == pytest.approx(1.0, abs=1e-12)
+            assert abs(warm_residual - residual) <= 1e-12
+        previous = lam
+
+
+def _reference_project_simplex(values):
+    """Sorted form of the simplex projection, for any input order."""
+    u = np.sort(values)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, values.size + 1)
+    k = np.max(np.nonzero(u - css / ks > 0)[0]) + 1
+    return np.clip(values - css[k - 1] / k, 0.0, None)
+
+
+def _reference_project_kd_nonneg(group, matrix):
+    """The clamp on the scaled table, inverted by the difference-table gather
+    K[g, g'] = w[g, g - g'] with w = T X."""
+    d = group.order
+    clamped = np.clip(_kd_table(group, matrix * d).real, 0.0, None).astype(complex)
+    w = clamped @ group.char_table
+    return np.take_along_axis(w, group.diff_table, axis=1) / d
+
+
+def test_lean_dykstra_step_matches_reference(battery_group):
+    group = battery_group
+    d = group.order
+    rng = np.random.default_rng(199)
+    for _ in range(20):
+        raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        herm = (raw + raw.conj().T) / 4.0
+        vals = np.linalg.eigvalsh(herm)
+        assert np.max(np.abs(_project_simplex(vals) - _reference_project_simplex(vals))) <= 1e-12
+        matrix = np.eye(d) / d + herm / d
+        lean = _project_kd_nonneg(group, matrix)
+        assert np.max(np.abs(lean - _reference_project_kd_nonneg(group, matrix))) <= 1e-12
 
 
 def test_project_keeps_members_fixed(battery_group):
@@ -380,10 +459,16 @@ def test_table_geometry_matches_matrix_embedding(battery_group):
 
 
 # seed-0 witnesses: (gap, iterations_used, directions_tried)
-PINNED_WITNESSES = {"Z2xZ2": (6.525240423259e-2, 100, 1), "Z6": (2.548644395291e-2, 300, 3)}
+PINNED_WITNESSES = {
+    "Z2xZ2": (6.525240423259e-2, 100, 1),
+    "Z6": (2.548644395291e-2, 300, 3),
+    "Z12": (2.073246352947543e-2, 100, 1),
+    "Z2xZ4": (3.1111023527868348e-2, 100, 1),
+    "Z2xZ2xZ2": (5.660256856057752e-2, 100, 1),
+}
 
 
-@pytest.mark.parametrize("name", ["Z2xZ2", "Z6"])
+@pytest.mark.parametrize("name", list(PINNED_WITNESSES))
 def test_witness_search_finds_gap(name):
     group = parse_group(name)
     w = find_conv_gap_witness(group, seed=0, budget=10000)
@@ -395,6 +480,7 @@ def test_witness_search_finds_gap(name):
     assert is_kd_positive_state(w.state).is_positive
     result = conv_membership(w.state)
     assert result.verdict == "outside"
+    assert result.converged
     _, residual = _embedded_conv(_embedded_family(group)[0], w.state)
     assert abs(result.residual - residual) <= 1e-10
     # certificate re-verifies: direct evaluation reproduces the gap

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kdlab.errors import NotAStateError, UnsupportedOrderError
+from kdlab.circle import BandLimitedOperator
+from kdlab.errors import NotAStateError, PreconditionError, UnsupportedOrderError
 from kdlab.groups import doubling, parse_group
 from kdlab.harmonic import DualFunction, GFunction, fourier
 from kdlab.kd import (
@@ -377,3 +378,16 @@ def test_phase_space_json_roundtrip():
     back = PhaseSpaceFunction.from_json(table.to_json())
     assert back.group == z6
     assert np.max(np.abs(back.values - table.values)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [
+    lambda z2, v: Operator(z2, [[v, 0.0], [0.0, 1.0]]),
+    lambda z2, v: GFunction(z2, [v, 1.0]),
+    lambda z2, v: DualFunction(z2, [1.0, complex(0.0, v)]),
+    lambda z2, v: PhaseSpaceFunction(z2, [[1.0, 0.0], [0.0, v]]),
+    lambda z2, v: BandLimitedOperator(1, np.diag([1.0, v, 1.0])),
+], ids=["Operator", "GFunction", "DualFunction", "PhaseSpaceFunction", "BandLimitedOperator"])
+def test_constructors_reject_non_finite_values(build, bad):
+    with pytest.raises(PreconditionError, match="NaN or infinite"):
+        build(parse_group("Z2"), bad)
