@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NotHermitianError, PreconditionError
 from .jsonio import decode_array, encode_array
@@ -131,14 +130,28 @@ def _column_at(op: BandLimitedOperator, m: int, theta: float) -> complex:
     return complex(op.coeffs[:, m + op.K] @ np.exp(1j * exps * theta))
 
 
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
 def _refine(fun, theta0: float, spacing: float) -> tuple[float, float]:
-    """Minimize a smooth 2pi-periodic function near a grid minimizer."""
-    res = minimize_scalar(
-        fun, bounds=(theta0 - spacing, theta0 + spacing), method="bounded",
-        options={"xatol": 1e-14},
-    )
-    theta = float(res.x)
-    value = float(res.fun)
+    """Minimize a smooth 2pi-periodic function near a grid minimizer.
+
+    Golden-section search on [theta0 - spacing, theta0 + spacing] down to
+    a bracket of 1e-14; the grid point wins when it is lower.
+    """
+    a, b = theta0 - spacing, theta0 + spacing
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > 1e-14:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = fun(d)
+    theta, value = (float(c), float(fc)) if fc < fd else (float(d), float(fd))
     grid_value = float(fun(theta0))
     if grid_value < value:
         return theta0, grid_value

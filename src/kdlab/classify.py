@@ -23,7 +23,6 @@ from .groups import (
     Character,
     Element,
     FiniteAbelianGroup,
-    SUBGROUP_ORDER_BOUND,
     Subgroup,
     annihilator,
     coset_reps,
@@ -105,27 +104,24 @@ def make_subgroup_state(subgroup: Subgroup, g: Element, chi: Character) -> KdPur
 
 
 @lru_cache(maxsize=None)
-def enumerate_kd_positive_pure(
-    group: FiniteAbelianGroup, bound: int = SUBGROUP_ORDER_BOUND
-) -> tuple[KdPureState, ...]:
+def enumerate_kd_positive_pure(group: FiniteAbelianGroup) -> tuple[KdPureState, ...]:
     """All KD-positive pure states: |G| * (number of subgroups) members.
 
     Deterministic order: subgroups by (order, index tuple), then coset
     representatives by element index, then character cosets by label index.
     """
     members: list[KdPureState] = []
-    for subgroup in enumerate_subgroups(group, bound):
+    for subgroup in enumerate_subgroups(group):
         ann = annihilator(group, subgroup)
+        chis = [group.character_by_index(c.index) for c in coset_reps(group, ann)]
         for g in coset_reps(group, subgroup):
-            for chi_rep_el in coset_reps(group, ann):
-                chi = group.character_by_index(chi_rep_el.index)
-                members.append(make_subgroup_state(subgroup, g, chi))
+            members.extend(make_subgroup_state(subgroup, g, chi) for chi in chis)
     return tuple(members)
 
 
 @lru_cache(maxsize=None)
-def _family_vectors(group: FiniteAbelianGroup, bound: int) -> np.ndarray:
-    family = enumerate_kd_positive_pure(group, bound)
+def _family_vectors(group: FiniteAbelianGroup) -> np.ndarray:
+    family = enumerate_kd_positive_pure(group)
     return np.stack([m.vector.values for m in family])
 
 
@@ -133,7 +129,6 @@ def recognize_kd_positive_pure(
     psi: GFunction,
     tol: float = 1e-7,
     norm_tol: float = 1e-6,
-    bound: int = SUBGROUP_ORDER_BOUND,
 ) -> KdPureState | None:
     """Match a unit vector against the family, up to global phase.
 
@@ -144,11 +139,11 @@ def recognize_kd_positive_pure(
     """
     if abs(psi.norm() - 1.0) > norm_tol:
         raise PreconditionError(f"input vector norm {psi.norm():.12g} is not 1 within {norm_tol}")
-    vectors = _family_vectors(psi.group, bound)
+    vectors = _family_vectors(psi.group)
     overlaps = np.abs(vectors.conj() @ psi.values) / psi.group.order
     best = int(np.argmax(overlaps))
     if overlaps[best] > 1.0 - tol:
-        return enumerate_kd_positive_pure(psi.group, bound)[best]
+        return enumerate_kd_positive_pure(psi.group)[best]
     return None
 
 

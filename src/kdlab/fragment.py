@@ -26,7 +26,7 @@ import numpy as np
 
 from .classify import enumerate_kd_positive_pure
 from .errors import NotHermitianError, NotKdPositiveError
-from .groups import SUBGROUP_ORDER_BOUND, FiniteAbelianGroup
+from .groups import FiniteAbelianGroup
 from .kd import _kd_kernel, _kd_table, char_fn, kd_inverse, symplectic_fourier
 from .operators import Operator, PhaseSpaceFunction, check_state
 from .tolerances import DEFAULT
@@ -48,20 +48,17 @@ def _vector_operator(group: FiniteAbelianGroup, vec: np.ndarray) -> Operator:
 @dataclass
 class _FragmentContext:
     group: FiniteAbelianGroup
-    tables: np.ndarray          # (n, d^2) exact 0/1 member KD tables
+    cols: np.ndarray            # (d^2, n) member vectors: 0/1 KD tables / sqrt(|G|)
     gram: np.ndarray            # HS Gram: overlap counts / |G|
 
 
 @lru_cache(maxsize=None)
-def _context(group: FiniteAbelianGroup, bound: int = SUBGROUP_ORDER_BOUND) -> _FragmentContext:
-    family = enumerate_kd_positive_pure(group, bound)
+def _context(group: FiniteAbelianGroup) -> _FragmentContext:
+    family = enumerate_kd_positive_pure(group)
     ones = np.stack([m.indicator_table().values.real.ravel() for m in family])
-    return _FragmentContext(group=group, tables=ones, gram=ones @ ones.T / group.order)
-
-
-def _columns(ctx: _FragmentContext) -> np.ndarray:
-    """Member vectors as the columns of the least-squares matrix."""
-    return ctx.tables.T / np.sqrt(ctx.group.order)
+    return _FragmentContext(
+        group=group, cols=ones.T / np.sqrt(group.order), gram=ones @ ones.T / group.order
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +167,7 @@ class MembershipResult:
         return payload
 
 
-def span_membership(
-    op: Operator, tol: float = DEFAULT.membership, bound: int = SUBGROUP_ORDER_BOUND
-) -> MembershipResult:
+def span_membership(op: Operator, tol: float = DEFAULT.membership) -> MembershipResult:
     """Distance from the real span of the family projectors.
 
     Inside: real coefficients reproducing the operator.  Outside: the
@@ -181,7 +176,7 @@ def span_membership(
     """
     if not op.is_hermitian(tol=1e-10):
         raise NotHermitianError("span membership is defined for Hermitian operators")
-    cols = _columns(_context(op.group, bound))
+    cols = _context(op.group).cols
     y = _table_vector(op.group, op.kernel)
     coeffs, _, rank, _ = np.linalg.lstsq(cols, y.real, rcond=None)
     r = y - cols @ coeffs
@@ -281,7 +276,6 @@ def conv_membership(
     rho: Operator,
     tol: float = DEFAULT.membership,
     positivity_tol: float = DEFAULT.positivity,
-    bound: int = SUBGROUP_ORDER_BOUND,
 ) -> MembershipResult:
     """Membership of a KD-positive state in the hull of the pure family.
 
@@ -296,8 +290,8 @@ def conv_membership(
             "hull membership asked for a state outside the KD-positive set "
             f"(worst violation {probe.worst_violation:.3e})"
         )
-    ctx = _context(rho.group, bound)
-    cols = _columns(ctx)
+    ctx = _context(rho.group)
+    cols = ctx.cols
     y = _table_vector(rho.group, rho.kernel)
     lam, residual, converged = _simplex_nnls(ctx.gram, y.real @ cols, cols, y)
     if residual <= tol:
@@ -459,7 +453,7 @@ def _verify_outside_candidate(ctx, matrix, gap_tol, positivity_tol, membership_t
         return None
     w_vec = _table_vector(group, result.witness.kernel)
     value = np.vdot(w_vec, _table_vector(group, rho.kernel)).real
-    gap = float(value - np.max(w_vec.real @ _columns(ctx)))
+    gap = float(value - np.max(w_vec.real @ ctx.cols))
     if gap <= gap_tol:
         return None
     return rho, result.witness, gap, result.residual
@@ -475,7 +469,6 @@ def find_conv_gap_witness(
     steps_per_direction: int = 100,
     step_size: float = 0.25,
     search_proj_iters: int = 12,
-    bound: int = SUBGROUP_ORDER_BOUND,
 ) -> GapWitness | None:
     """Search for a KD-positive state outside the hull of the pure family.
 
@@ -490,8 +483,8 @@ def find_conv_gap_witness(
     ascent steps; None means no verified witness within the budget,
     never a proof of absence.
     """
-    ctx = _context(group, bound)
-    cols = _columns(ctx)
+    ctx = _context(group)
+    cols = ctx.cols
     rng = np.random.default_rng(seed)
     used = 0
     directions = 0

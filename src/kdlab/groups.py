@@ -235,12 +235,8 @@ class Subgroup:
         idx = self.elements
         if not idx or idx[0] != 0 or tuple(sorted(set(idx))) != idx:
             raise ValueError("subgroup must be a sorted duplicate-free index tuple containing 0")
-        add = self.group.add_table
-        members = set(idx)
-        for a in idx:
-            for b in idx:
-                if int(add[a, b]) not in members:
-                    raise ValueError("index set is not closed under the group operation")
+        if not self.mask()[self.group.add_table[np.ix_(idx, idx)]].all():
+            raise ValueError("index set is not closed under the group operation")
 
     @property
     def order(self) -> int:
@@ -261,28 +257,13 @@ class Subgroup:
 
     @classmethod
     def from_generators(cls, group: FiniteAbelianGroup, generators: Iterable[Element | int]) -> "Subgroup":
-        gens = [g.index if isinstance(g, Element) else int(g) for g in generators]
-        return cls(group, _closure(group, gens))
+        members: tuple[int, ...] = (0,)
+        for g in generators:
+            members = _extend_subgroup(group, members, g.index if isinstance(g, Element) else int(g))
+        return cls(group, members)
 
     def __repr__(self) -> str:
         return f"Subgroup{list(self.elements)} of {self.group}"
-
-
-def _closure(group: FiniteAbelianGroup, generators: Sequence[int]) -> tuple[int, ...]:
-    add = group.add_table
-    members = {0}
-    frontier = [0]
-    gens = sorted({int(g) for g in generators})
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                s = int(add[a, g])
-                if s not in members:
-                    members.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return tuple(sorted(members))
 
 
 def _extend_subgroup(group: FiniteAbelianGroup, base: tuple[int, ...], g: int) -> tuple[int, ...]:
@@ -329,6 +310,7 @@ def enumerate_subgroups(group: FiniteAbelianGroup, bound: int = SUBGROUP_ORDER_B
     return tuple(Subgroup(group, t) for t in ordered)
 
 
+@lru_cache(maxsize=None)
 def annihilator(group: FiniteAbelianGroup, subgroup: Subgroup) -> Subgroup:
     """Characters trivial on the subgroup, as a subgroup of label indices.
 
@@ -346,14 +328,8 @@ def coset_reps(group: FiniteAbelianGroup, subgroup: Subgroup) -> list[Element]:
     """Minimal-index representative of every coset, in index order."""
     if subgroup.group != group:
         raise GroupMismatchError("subgroup belongs to a different group")
-    covered = np.zeros(group.order, dtype=bool)
-    reps = []
-    members = list(subgroup.elements)
-    for i in range(group.order):
-        if not covered[i]:
-            reps.append(group.element_by_index(i))
-            covered[group.add_table[i, members]] = True
-    return reps
+    smallest = group.add_table[:, list(subgroup.elements)].min(axis=1)
+    return [group.element_by_index(int(i)) for i in np.unique(smallest)]
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,13 @@ plain loops and cmath, so they share no code path with the library.
 """
 import cmath
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kdlab
 from kdlab.groups import FiniteAbelianGroup, parse_group
 from kdlab.operators import Operator
 
@@ -16,6 +19,19 @@ BATTERY = [
     "Z2", "Z3", "Z4", "Z2xZ2", "Z6", "Z8", "Z9",
     "Z2xZ4", "Z3xZ3", "Z12", "Z2xZ2xZ2",
 ]
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports this checkout's kdlab.
+
+    Pytest's ``pythonpath`` setting reaches only this process, so the
+    ``src`` directory holding the imported package is put first on the
+    child's ``PYTHONPATH``.
+    """
+    src = str(Path(kdlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(params=BATTERY)

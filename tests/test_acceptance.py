@@ -27,7 +27,7 @@ from kdlab.circle import (
     geometric_hs_norm_sq,
 )
 
-from conftest import BATTERY, random_hermitian, random_operator, random_state
+from conftest import BATTERY, child_env, random_hermitian, random_operator, random_state
 
 GROUPS = [parse_group(name) for name in BATTERY]
 
@@ -264,7 +264,7 @@ def test_criterion_09_half_order_parity():
 def test_criterion_10_reproducibility():
     argv = [sys.executable, "-m", "kdlab", "verify", "all",
             "--group", "Z2xZ2", "--seed", "0", "--format", "json"]
-    runs = [subprocess.run(argv, capture_output=True, text=True) for _ in range(2)]
+    runs = [subprocess.run(argv, capture_output=True, text=True, env=child_env()) for _ in range(2)]
     codes_ok = all(proc.returncode == 0 for proc in runs)
     texts = []
     for proc in runs:

@@ -1,8 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from kdlab.circle import (
     BandLimitedOperator,
+    _refine,
     circle_is_classical,
     circle_kd_eval,
     circle_negativity_search,
@@ -11,6 +15,8 @@ from kdlab.circle import (
     geometric_weights,
 )
 from kdlab.errors import NotHermitianError, PreconditionError
+
+from conftest import child_env
 
 
 def _random_band_state(K, rng):
@@ -207,3 +213,44 @@ def test_search_report_locations():
     assert z["re"] ** 2 + z["im"] ** 2 == pytest.approx(1.0, abs=1e-12)
     assert blob["violation"] == pytest.approx(0.5, abs=1e-9)
     assert blob["grid_size"] == 64
+
+
+def test_refine_reaches_minimum_between_grid_points():
+    # -cos(u) + 0.3 cos(2u) with u = t - 0.1 has its minima -43/60 at
+    # cos(u) = 5/6, which no point of the 24-point grid hits
+    def fun(t):
+        u = t - 0.1
+        return -np.cos(u) + 0.3 * np.cos(2.0 * u)
+
+    grid = 2.0 * np.pi * np.arange(24) / 24
+    theta0 = float(grid[np.argmin(fun(grid))])
+    theta, value = _refine(fun, theta0, 2.0 * np.pi / 24)
+    assert value == pytest.approx(-43.0 / 60.0, abs=1e-12)
+    assert value == fun(theta) < fun(theta0)
+    u = np.angle(np.exp(1j * (theta - 0.1)))
+    assert abs(abs(u) - np.arccos(5.0 / 6.0)) <= 1e-7
+
+
+def test_refine_never_returns_above_the_grid_point():
+    # a minimum exactly at the grid point, and a narrow well at the grid
+    # point beside a wide shallow one that the bracket search runs into
+    h = 0.1
+
+    def exact(t):
+        return 1.0 - np.cos(t - 1.0)
+
+    assert _refine(exact, 1.0, h)[1] <= exact(1.0) == 0.0
+
+    def wells(t):
+        return -np.exp(-((t / (0.05 * h)) ** 2)) - 0.5 * np.exp(-(((t - 0.7 * h) / (0.2 * h)) ** 2))
+
+    assert _refine(wells, 0.0, h) == (0.0, wells(0.0))
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kdlab; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -14,6 +14,7 @@ from kdlab.jsonio import dumps, encode_array
 from kdlab.kd import kd
 from kdlab.operators import Operator
 
+from conftest import child_env
 from test_circle import _two_mode_plus, _vacuum
 from test_fragment import _off_support_op
 
@@ -359,7 +360,7 @@ def test_csv_unsupported_for_scalar_reports(tmp_path, capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "kdlab", "group", "info", "--group", "Z2", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 2

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from kdlab.classify import enumerate_kd_positive_pure
+from kdlab.classify import _family_vectors, enumerate_kd_positive_pure, recognize_kd_positive_pure
 from kdlab.errors import NotAStateError, NotHermitianError, NotKdPositiveError
 from kdlab.fragment import (
-    _columns,
     _context,
     _dykstra,
     _project_kd_nonneg,
@@ -21,10 +20,11 @@ from kdlab.fragment import (
     project_onto_kdpos,
     span_membership,
 )
-from kdlab.groups import parse_group
+from kdlab.groups import enumerate_subgroups, parse_group
 from kdlab.harmonic import GFunction
 from kdlab.kd import _kd_table, multiplication_operator
 from kdlab.operators import Operator, check_state
+from kdlab.verify import verify_group
 from kdlab.weyl import WHElement, wh_unitary
 
 from conftest import random_hermitian, random_state
@@ -244,6 +244,20 @@ def test_conv_membership_reports_convergence():
     assert span_membership(Operator.identity(z2) * 0.5).converged is None
 
 
+def test_one_lattice_and_one_family_per_group():
+    # earlier tests may have built Z6 already, so count from empty caches
+    group = parse_group("Z6")
+    for cached in (enumerate_subgroups, enumerate_kd_positive_pure, _family_vectors, _context):
+        cached.cache_clear()
+    family = enumerate_kd_positive_pure(group)
+    conv_membership(Operator.identity(group) * (1.0 / group.order))
+    span_membership(random_hermitian(group, np.random.default_rng(223)))
+    assert recognize_kd_positive_pure(family[7].vector) == family[7]
+    verify_group(group)
+    assert enumerate_kd_positive_pure.cache_info().misses == 1
+    assert enumerate_subgroups.cache_info().misses == 1
+
+
 def test_membership_result_json_shapes():
     z2 = parse_group("Z2")
     inside = conv_membership(Operator.identity(z2) * 0.5).to_json()
@@ -286,7 +300,7 @@ def test_simplex_nnls_warm_start_matches_cold(battery_group):
     group = battery_group
     d = group.order
     ctx = _context(group)
-    cols = _columns(ctx)
+    cols = ctx.cols
     n = cols.shape[1]
     rng = np.random.default_rng(197)
     direction = _random_direction(group, rng)
@@ -421,7 +435,7 @@ def test_table_geometry_matches_matrix_embedding(battery_group):
     embed, basis = _embedded_family(group)
     ctx = _context(group)
     assert np.max(np.abs(ctx.gram - embed @ embed.T)) <= 1e-12
-    assert np.linalg.matrix_rank(ctx.tables) == basis.shape[0]
+    assert np.linalg.matrix_rank(ctx.cols) == basis.shape[0]
 
     direction = _random_direction(group, np.random.default_rng(181))
     rng = np.random.default_rng(181)

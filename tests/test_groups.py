@@ -165,6 +165,32 @@ def test_subgroup_from_generators():
     assert sub.elements == (0, 4, 8)
 
 
+def _closure_oracle(group, generators):
+    """Sums of generators by residue arithmetic until nothing new appears."""
+    gens = [group.residues_of(g) for g in generators]
+    members = {(0,) * len(group.factors)}
+    while True:
+        grown = members | {
+            tuple((a + b) % n for a, b, n in zip(m, g, group.factors)) for m in members for g in gens
+        }
+        if grown == members:
+            return tuple(sorted(group.index_of(m) for m in members))
+        members = grown
+
+
+def test_subgroup_from_several_generators(battery_group):
+    group = battery_group
+    rng = np.random.default_rng(211)
+    for _ in range(8):
+        picks = [int(i) for i in rng.integers(group.order, size=rng.integers(1, 4))]
+        picks += [picks[0], 0]
+        rng.shuffle(picks)
+        generators = [group.element_by_index(i) if k % 2 else i for k, i in enumerate(picks)]
+        sub = Subgroup.from_generators(group, generators)
+        assert sub.elements == _closure_oracle(group, picks)
+    assert Subgroup.from_generators(group, []).elements == (0,)
+
+
 def test_enumeration_bound_enforced():
     with pytest.raises(SubgroupBoundError):
         enumerate_subgroups(parse_group("Z6"), bound=5)
