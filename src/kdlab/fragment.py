@@ -146,6 +146,7 @@ class MembershipResult:
     gap: float | None = None
     span_dimension: int | None = None
     converged: bool | None = None      # hull solves: the active-set optimality test passed
+    iterations: int | None = None      # hull solves: active-set iterations used
 
     def to_json(self) -> dict:
         payload: dict = {"verdict": self.verdict, "residual": self.residual}
@@ -216,7 +217,8 @@ def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None, lam0=
         weights may, where the optimum is not unique.  Without it the
         search starts from the single best vertex.
 
-    Returns (weights, residual, converged).
+    Returns (weights, residual, converged, iterations), where iterations
+    counts the subproblem solves, at most ``max_iter``.
     """
     n = gram.shape[0]
     if max_iter is None:
@@ -229,7 +231,8 @@ def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None, lam0=
     passive = [int(i) for i in np.flatnonzero(lam0)]
     lam = lam0
     converged = False
-    for _ in range(max_iter):
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
         idx = np.array(passive)
         k = idx.size
         kkt = np.zeros((k + 1, k + 1))
@@ -269,7 +272,7 @@ def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None, lam0=
     if total > 0:
         lam = lam / total
     residual = float(np.linalg.norm(y - embed_cols @ lam))
-    return lam, residual, converged
+    return lam, residual, converged, iterations
 
 
 def conv_membership(
@@ -293,15 +296,19 @@ def conv_membership(
     ctx = _context(rho.group)
     cols = ctx.cols
     y = _table_vector(rho.group, rho.kernel)
-    lam, residual, converged = _simplex_nnls(ctx.gram, y.real @ cols, cols, y)
+    lam, residual, converged, iterations = _simplex_nnls(ctx.gram, y.real @ cols, cols, y)
     if residual <= tol:
-        return MembershipResult("inside", residual, weights=lam, converged=converged)
+        return MembershipResult(
+            "inside", residual, weights=lam, converged=converged, iterations=iterations
+        )
     r = y - cols @ lam
     w = r / np.linalg.norm(r)
     gap = float(np.vdot(w, y).real - np.max(w.real @ cols))
     witness = _vector_operator(rho.group, w)
     verdict = "outside" if converged and gap > tol else "inconclusive"
-    return MembershipResult(verdict, residual, witness=witness, gap=gap, converged=converged)
+    return MembershipResult(
+        verdict, residual, witness=witness, gap=gap, converged=converged, iterations=iterations
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +515,7 @@ def find_conv_gap_witness(
             stepped = current + step_size * w_mat
             current, set_gap, _ = _dykstra(group, stepped, search_proj_iters, 1e-12)
             yv = _table_vector(group, current * group.order)
-            weights, hull_residual, _ = _simplex_nnls(
+            weights, hull_residual, _, _ = _simplex_nnls(
                 ctx.gram, yv.real @ cols, cols, yv, lam0=weights
             )
             score = hull_residual - 3.0 * set_gap

@@ -28,6 +28,10 @@ from .errors import (
 
 SUBGROUP_ORDER_BOUND = 512
 
+# From this cyclic factor size on, a transform over the factor axes runs
+# faster as an FFT than as a product with the |G| x |G| character table.
+LARGE_FACTOR = 64
+
 
 class FiniteAbelianGroup:
     """Product of cyclic groups ``Z_n``, immutable after construction."""
@@ -52,6 +56,11 @@ class FiniteAbelianGroup:
 
     def __repr__(self) -> str:
         return "x".join(f"Z{n}" for n in self.factors)
+
+    @cached_property
+    def has_large_factor(self) -> bool:
+        """Whether some cyclic factor has at least ``LARGE_FACTOR`` elements."""
+        return max(self.factors) >= LARGE_FACTOR
 
     @cached_property
     def residues(self) -> np.ndarray:
@@ -235,6 +244,8 @@ class Subgroup:
         idx = self.elements
         if not idx or idx[0] != 0 or tuple(sorted(set(idx))) != idx:
             raise ValueError("subgroup must be a sorted duplicate-free index tuple containing 0")
+        if idx[-1] >= self.group.order:
+            raise ValueError(f"element index {idx[-1]} out of range for {self.group}")
         if not self.mask()[self.group.add_table[np.ix_(idx, idx)]].all():
             raise ValueError("index set is not closed under the group operation")
 
@@ -259,7 +270,15 @@ class Subgroup:
     def from_generators(cls, group: FiniteAbelianGroup, generators: Iterable[Element | int]) -> "Subgroup":
         members: tuple[int, ...] = (0,)
         for g in generators:
-            members = _extend_subgroup(group, members, g.index if isinstance(g, Element) else int(g))
+            if isinstance(g, Element):
+                if g.group != group:
+                    raise GroupMismatchError(f"generator {g} belongs to {g.group}, not {group}")
+                index = g.index
+            else:
+                index = int(g)
+                if not 0 <= index < group.order:
+                    raise ValueError(f"generator index {index} out of range for {group}")
+            members = _extend_subgroup(group, members, index)
         return cls(group, members)
 
     def __repr__(self) -> str:

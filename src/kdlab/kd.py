@@ -9,6 +9,20 @@ inverted by K[g, g'] = sum_chi KD_A(g, chi) * chi(g - g').  The same
 table is reached by the symplectic Fourier transform of the
 characteristic function trace(A U(g, chi, 1)) in symmetric ordering,
 which is how the two routes cross-check each other in the test suite.
+
+The inner sum is the group's inverse DFT of each kernel row, so the
+table and its inverse are evaluated one of two ways, fixed per group:
+
+- a dense product with the |G| x |G| character table, or
+- on groups with a cyclic factor of at least ``groups.LARGE_FACTOR``
+  (64) elements, ``numpy.fft.ifftn`` / ``fftn`` over the factor axes of the
+  kernel reshaped to ``(|G|, *factors)``.
+
+Both give the same numbers up to rounding: the character table is the
+tensor product of the per-factor DFT matrices, laid out in the same
+C-order ravel as the element indices.  Below the threshold the per-axis
+FFT overhead outweighs the saving over the O(|G|^3) product, so those
+groups keep the dense route.
 """
 
 from __future__ import annotations
@@ -24,14 +38,32 @@ from .weyl import WHElement, wh_unitary
 ORDERINGS = ("standard0", "standard1", "half")
 
 
+# Two routes, fixed per group by `has_large_factor` (a cyclic factor of at
+# least 64): FFTs over the factor axes, or the dense character-table
+# product.  They agree because X[c, g] = chi_c(g) is the Kronecker product
+# of the per-factor DFT matrices: K @ X.T / |G| is the inverse DFT of each
+# kernel row over the factor axes, and M @ X.conj() the forward DFT of
+# each row of M.  The FFT route multiplies by X, not X.T: the pairing is
+# symmetric, so they are the same array, and the strided read of X.T
+# would cost more than the FFT itself.
+
+
 def _kd_table(group: FiniteAbelianGroup, kernel: np.ndarray) -> np.ndarray:
     X = group.char_table
+    if group.has_large_factor:
+        rows = kernel.reshape(group.order, *group.factors)
+        inner = np.fft.ifftn(rows, axes=tuple(range(1, rows.ndim))).reshape(kernel.shape)
+        inner *= X.conj()
+        return inner
     return X.conj().T * ((kernel @ X.T) / group.order)
 
 
 def _kd_kernel(group: FiniteAbelianGroup, table: np.ndarray) -> np.ndarray:
     # chi(g - g') = chi(g) conj(chi(g')) splits the sum into one product.
     X = group.char_table
+    if group.has_large_factor:
+        rows = (table * X).reshape(group.order, *group.factors)
+        return np.fft.fftn(rows, axes=tuple(range(1, rows.ndim))).reshape(table.shape)
     return (table * X.T) @ X.conj()
 
 

@@ -244,6 +244,20 @@ def test_conv_membership_reports_convergence():
     assert span_membership(Operator.identity(z2) * 0.5).converged is None
 
 
+def test_conv_membership_reports_iterations(battery_group):
+    # the mixed state sits inside the hull; the active-set solve reaches it
+    # from the best vertex in a positive count below its iteration cap
+    group = battery_group
+    rho = Operator.identity(group) * (1.0 / group.order)
+    result = conv_membership(rho)
+    n = len(enumerate_kd_positive_pure(group))
+    assert result.verdict == "inside"
+    assert result.converged is True
+    assert 0 < result.iterations < 50 * n + 200
+    assert "iterations" not in result.to_json()
+    assert span_membership(rho).iterations is None
+
+
 def test_one_lattice_and_one_family_per_group():
     # earlier tests may have built Z6 already, so count from empty caches
     group = parse_group("Z6")
@@ -280,7 +294,7 @@ def test_simplex_nnls_against_penalty_oracle():
             y = a @ rng.dirichlet(np.ones(n)) + 0.01 * rng.normal(size=m)
         else:
             y = rng.normal(size=m)
-        lam, residual, converged = _simplex_nnls(a.T @ a, a.T @ y, a, y)
+        lam, residual, converged, _ = _simplex_nnls(a.T @ a, a.T @ y, a, y)
         assert converged
         assert lam.min() >= 0.0
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
@@ -310,13 +324,13 @@ def test_simplex_nnls_warm_start_matches_cold(battery_group):
         current, _, _ = _dykstra(group, current + 0.25 * direction, 12, 1e-12)
         y = _table_vector(group, current * d)
         corr = y.real @ cols
-        lam, residual, converged = _simplex_nnls(ctx.gram, corr, cols, y)
+        lam, residual, converged, _ = _simplex_nnls(ctx.gram, corr, cols, y)
         assert converged
         vertex = np.zeros(n)
         vertex[rng.integers(n)] = 1.0
         starts = [vertex, np.full(n, 1.0 / n)] + ([previous] if previous is not None else [])
         for lam0 in starts:
-            warm, warm_residual, warm_converged = _simplex_nnls(ctx.gram, corr, cols, y, lam0=lam0)
+            warm, warm_residual, warm_converged, _ = _simplex_nnls(ctx.gram, corr, cols, y, lam0=lam0)
             assert warm_converged
             assert warm.min() >= 0.0
             assert warm.sum() == pytest.approx(1.0, abs=1e-12)
@@ -425,7 +439,7 @@ def _embedded_family(group):
 
 def _embedded_conv(embed, rho):
     y = _embed(rho.matrix)
-    lam, residual, _ = _simplex_nnls(embed @ embed.T, embed @ y, embed.T, y)
+    lam, residual, _, _ = _simplex_nnls(embed @ embed.T, embed @ y, embed.T, y)
     return lam, residual
 
 

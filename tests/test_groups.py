@@ -165,6 +165,28 @@ def test_subgroup_from_generators():
     assert sub.elements == (0, 4, 8)
 
 
+def test_subgroup_from_generators_rejects_negative_index():
+    # -1 used to index the addition table from the end and return all of Z4
+    with pytest.raises(ValueError, match="out of range"):
+        Subgroup.from_generators(parse_group("Z4"), [-1])
+
+
+def test_subgroup_from_generators_rejects_index_past_order():
+    with pytest.raises(ValueError, match="out of range"):
+        Subgroup.from_generators(parse_group("Z4"), [7])
+
+
+def test_subgroup_from_generators_rejects_foreign_element():
+    foreign = parse_group("Z2xZ2").element([1, 1])
+    with pytest.raises(GroupMismatchError):
+        Subgroup.from_generators(parse_group("Z4"), [foreign])
+
+
+def test_subgroup_rejects_index_past_order():
+    with pytest.raises(ValueError, match="out of range"):
+        Subgroup(parse_group("Z4"), (0, 2, 5))
+
+
 def _closure_oracle(group, generators):
     """Sums of generators by residue arithmetic until nothing new appears."""
     gens = [group.residues_of(g) for g in generators]

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,8 @@ from kdlab.errors import NotAStateError, PreconditionError, UnsupportedOrderErro
 from kdlab.groups import doubling, parse_group
 from kdlab.harmonic import DualFunction, GFunction, fourier
 from kdlab.kd import (
+    _kd_kernel,
+    _kd_table,
     akd,
     char_fn,
     char_fn_point,
@@ -20,9 +25,23 @@ from kdlab.kd import (
     symplectic_fourier_inverse,
 )
 from kdlab.operators import Operator, PhaseSpaceFunction
+from kdlab.verify import CHECKS, run_check
 from kdlab.weyl import WHElement
 
-from conftest import kd_oracle, random_hermitian, random_operator, random_state
+from conftest import BATTERY, child_env, kd_oracle, random_hermitian, random_operator, random_state
+
+# Groups whose largest cyclic factor sends the KD transform through the FFT route.
+LARGE_FACTOR_GROUPS = ["Z64", "Z128", "Z2xZ64", "Z4xZ64", "Z512"]
+
+
+def _dense_table(group, kernel):
+    X = group.char_table
+    return X.conj().T * ((kernel @ X.T) / group.order)
+
+
+def _dense_kernel(group, table):
+    X = group.char_table
+    return (table * X.T) @ X.conj()
 
 
 def test_kd_matches_defining_sum(battery_group):
@@ -391,3 +410,71 @@ def test_phase_space_json_roundtrip():
 def test_constructors_reject_non_finite_values(build, bad):
     with pytest.raises(PreconditionError, match="NaN or infinite"):
         build(parse_group("Z2"), bad)
+
+
+@pytest.mark.parametrize("name", LARGE_FACTOR_GROUPS)
+def test_fft_route_matches_dense_products(name):
+    group = parse_group(name)
+    assert group.has_large_factor
+    assert np.array_equal(group.char_table, group.char_table.T)
+    rng = np.random.default_rng(109)
+    op = random_operator(group, rng)
+    table = _kd_table(group, op.kernel)
+    scale = float(np.max(np.abs(op.kernel)))
+    assert np.max(np.abs(table - _dense_table(group, op.kernel))) <= 1e-12 * scale
+    back = _kd_kernel(group, table)
+    assert np.max(np.abs(back - _dense_kernel(group, table))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", LARGE_FACTOR_GROUPS)
+def test_fft_route_roundtrip_and_unitarity(name):
+    group = parse_group(name)
+    rng = np.random.default_rng(113)
+    a = random_operator(group, rng)
+    b = random_operator(group, rng)
+    ta, tb = kd(a), kd(b)
+    assert kd_inverse(ta).hs_distance(a) <= 1e-10
+    assert ta.inner(tb) == pytest.approx(a.hs_inner(b), abs=1e-10)
+    assert abs(ta.norm() - a.hs_norm()) <= 1e-10
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_small_groups_keep_dense_products_bit_for_bit(name):
+    # the pinned seed-0 witnesses depend on these exact bits
+    group = parse_group(name)
+    assert not group.has_large_factor
+    rng = np.random.default_rng(127)
+    kernel = random_operator(group, rng).kernel
+    table = _kd_table(group, kernel)
+    assert np.array_equal(table, _dense_table(group, kernel))
+    assert np.array_equal(_kd_kernel(group, table), _dense_kernel(group, table))
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kdlab; print('numpy.fft' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", ["Z64", "Z128"])
+def test_fft_route_passes_transform_checks(name):
+    # these checks cross the FFT table against the dense char_fn and
+    # symplectic_fourier route, and the family tables against exact indicators
+    group = parse_group(name)
+    picked = [
+        check for check in CHECKS
+        if check.applies(group) and (
+            check.name.startswith(("kd-", "weyl-"))
+            or check.name in ("pure-family-indicator", "pure-family-positivity")
+        )
+    ]
+    assert len(picked) == 13
+    failures = [
+        (result.name, result.status, result.measured)
+        for result in (run_check(check, group, seed=0) for check in picked)
+        if result.status != "pass"
+    ]
+    assert failures == []
