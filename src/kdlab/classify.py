@@ -25,7 +25,7 @@ from .groups import (
     FiniteAbelianGroup,
     Subgroup,
     annihilator,
-    coset_reps,
+    coset_labels,
     enumerate_subgroups,
 )
 from .harmonic import GFunction
@@ -96,11 +96,40 @@ def make_subgroup_state(subgroup: Subgroup, g: Element, chi: Character) -> KdPur
     g_rep = group.element_by_index(int(np.min(group.add_table[g.index, members])))
     ann = annihilator(group, subgroup)
     chi_rep = group.character_by_index(int(np.min(group.add_table[chi.index, list(ann.elements)])))
-    support = group.add_table[g_rep.index, members]
-    density = subgroup.order / group.order
-    values = np.zeros(group.order, dtype=complex)
-    values[support] = group.char_table[chi_rep.index, support] / np.sqrt(density)
+    values = _coset_vectors(subgroup, g_rep.index, [chi_rep.index])[0]
     return KdPureState(subgroup, g_rep, chi_rep, GFunction(group, values))
+
+
+def _coset_vectors(subgroup: Subgroup, g: int, chi_reps) -> np.ndarray:
+    """Vectors of the members on the coset g + H, one row per character rep.
+
+    Row i is chi_i(g') on g + H and 0 elsewhere, scaled by 1 / sqrt(|H| / |G|);
+    g and the chi_i must be canonical representatives.
+    """
+    group = subgroup.group
+    support = group.add_table[g, list(subgroup.elements)]
+    vectors = np.zeros((len(chi_reps), group.order), dtype=complex)
+    density = subgroup.order / group.order
+    vectors[:, support] = group.char_table[np.ix_(chi_reps, support)] / np.sqrt(density)
+    return vectors
+
+
+@lru_cache(maxsize=None)
+def _coset_labels(group: FiniteAbelianGroup) -> tuple[tuple[Subgroup, np.ndarray, np.ndarray], ...]:
+    """Per subgroup H, in lattice order: the coset labels of G/H and of dual(G)/ann(H).
+
+    The family and the fragment context both read these, so member order
+    and coset indicators agree by construction.  The labels are the
+    canonical (minimal-index) representatives.
+    """
+    out = []
+    for subgroup in enumerate_subgroups(group):
+        g_labels = coset_labels(group, subgroup)
+        chi_labels = coset_labels(group, annihilator(group, subgroup))
+        g_labels.setflags(write=False)
+        chi_labels.setflags(write=False)
+        out.append((subgroup, g_labels, chi_labels))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -109,13 +138,21 @@ def enumerate_kd_positive_pure(group: FiniteAbelianGroup) -> tuple[KdPureState, 
 
     Deterministic order: subgroups by (order, index tuple), then coset
     representatives by element index, then character cosets by label index.
+    Built one subgroup at a time from its coset labels: the representatives
+    are the distinct labels, already canonical, so each element coset and
+    each character coset gets one shared `Element` / `Character`, and each
+    element coset its member vectors from one gather of the character table.
     """
     members: list[KdPureState] = []
-    for subgroup in enumerate_subgroups(group):
-        ann = annihilator(group, subgroup)
-        chis = [group.character_by_index(c.index) for c in coset_reps(group, ann)]
-        for g in coset_reps(group, subgroup):
-            members.extend(make_subgroup_state(subgroup, g, chi) for chi in chis)
+    for subgroup, g_labels, chi_labels in _coset_labels(group):
+        chi_reps = np.unique(chi_labels)
+        chis = [group.character_by_index(int(c)) for c in chi_reps]
+        for g in np.unique(g_labels).tolist():
+            g_rep = group.element_by_index(g)
+            vectors = _coset_vectors(subgroup, g, chi_reps)
+            members.extend(
+                KdPureState(subgroup, g_rep, chi, GFunction(group, v)) for chi, v in zip(chis, vectors)
+            )
     return tuple(members)
 
 

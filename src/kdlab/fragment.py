@@ -9,7 +9,16 @@ inside the set where chi(g) = 1).
 Geometry lives in KD-table coordinates, A -> KD(A).ravel() / sqrt(|G|),
 where the Euclidean dot product is the Hilbert-Schmidt inner product
 because the KD map is unitary.  Family tables are exact 0/1 rectangles
-(g + H) x (chi * ann(H)), so their Gram matrix is overlap counts / |G|.
+(g + H) x (chi * ann(H)), the rank-one products row (x) col of a coset
+indicator on each side.  Two rectangles overlap in the product of their
+row overlap and their column overlap, so with the indicators stacked as
+R and C (one row per member) the Gram matrix is
+
+    (R R^T) * (C C^T) / |G|    (elementwise product),
+
+exact overlap counts / |G|, at a cost of n^2 |G| for n members instead
+of the n^2 |G|^2 of a product of the flattened tables.
+
 Hull membership is a least-squares problem over the probability simplex
 solved by an active-set method, and projection onto the KD-positive
 states alternates, Dykstra style, between the spectral state set and the
@@ -24,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .classify import enumerate_kd_positive_pure
+from .classify import _coset_labels
 from .errors import NotHermitianError, NotKdPositiveError
 from .groups import FiniteAbelianGroup
 from .kd import _kd_kernel, _kd_table, char_fn, kd_inverse, symplectic_fourier
@@ -54,10 +63,23 @@ class _FragmentContext:
 
 @lru_cache(maxsize=None)
 def _context(group: FiniteAbelianGroup) -> _FragmentContext:
-    family = enumerate_kd_positive_pure(group)
-    ones = np.stack([m.indicator_table().values.real.ravel() for m in family])
+    # Member (H, g, chi) has table row (x) col, with row the 0/1 indicator
+    # of g + H and col that of chi * ann(H), in family order: subgroup,
+    # then element coset, then character coset.  cols is the transpose of
+    # the C-ordered (n, d^2) stack, so the BLAS products that read it see
+    # the same operands, and so the same bits, as with a stack of tables.
+    d = group.order
+    row_sets, col_sets = [], []
+    for _, g_labels, chi_labels in _coset_labels(group):
+        g_cosets = np.unique(g_labels)[:, None] == g_labels
+        chi_cosets = np.unique(chi_labels)[:, None] == chi_labels
+        row_sets.append(np.repeat(g_cosets, len(chi_cosets), axis=0))
+        col_sets.append(np.tile(chi_cosets, (len(g_cosets), 1)))
+    R = np.concatenate(row_sets).astype(float)
+    C = np.concatenate(col_sets).astype(float)
+    tables = (R / np.sqrt(d))[:, :, None] * C[:, None, :]
     return _FragmentContext(
-        group=group, cols=ones.T / np.sqrt(group.order), gram=ones @ ones.T / group.order
+        group=group, cols=tables.reshape(len(R), d * d).T, gram=(R @ R.T) * (C @ C.T) / d
     )
 
 
@@ -319,11 +341,19 @@ def _project_simplex(values: np.ndarray) -> np.ndarray:
     """Euclidean projection of ascending values onto the probability simplex."""
     # eigh returns eigenvalues in ascending order, so reversing them is
     # the descending sort of Wang & Carreira-Perpinan; the entries that
-    # stay positive form a prefix of that order, hence count_nonzero.
-    u = values[::-1]
-    css = np.cumsum(u) - 1.0
-    k = np.count_nonzero(u - css / np.arange(1, values.size + 1) > 0)
-    return np.maximum(values - css[k - 1] / k, 0.0)
+    # stay positive form a prefix of that order, and k counts them.  The
+    # running sum adds in the same sequence as a cumsum, so the shift is
+    # the same float; on a handful of eigenvalues plain floats beat the
+    # per-call cost of array operations.
+    total = 0.0
+    shifts = []
+    k = 0
+    for i, v in enumerate(reversed(values.tolist()), 1):
+        total += v
+        shift = (total - 1.0) / i
+        shifts.append(shift)
+        k += v > shift
+    return np.maximum(values - shifts[k - 1], 0.0)
 
 
 def _project_states(matrix: np.ndarray) -> np.ndarray:
@@ -352,10 +382,12 @@ def _dykstra(group: FiniteAbelianGroup, m0: np.ndarray, max_iter: int, tol: floa
     gap = np.inf
     its = 0
     for its in range(1, max_iter + 1):
-        y = _project_states(x + p)
-        p = x + p - y
-        x = _project_kd_nonneg(group, y + q)
-        q = y + q - x
+        xp = x + p
+        y = _project_states(xp)
+        p = xp - y
+        yq = y + q
+        x = _project_kd_nonneg(group, yq)
+        q = yq - x
         gap = float(np.linalg.norm(y - x))
         if gap <= tol:
             break

@@ -343,12 +343,21 @@ def annihilator(group: FiniteAbelianGroup, subgroup: Subgroup) -> Subgroup:
     return Subgroup(group, tuple(int(c) for c in labels))
 
 
-def coset_reps(group: FiniteAbelianGroup, subgroup: Subgroup) -> list[Element]:
-    """Minimal-index representative of every coset, in index order."""
+def coset_labels(group: FiniteAbelianGroup, subgroup: Subgroup) -> np.ndarray:
+    """Label of every element's coset: the smallest index in ``g + H``.
+
+    Two elements share a coset exactly when their labels agree, and the
+    labels are the minimal-index representatives.  Read on the dual, with
+    ``subgroup`` a subgroup of label indices, it labels character cosets.
+    """
     if subgroup.group != group:
         raise GroupMismatchError("subgroup belongs to a different group")
-    smallest = group.add_table[:, list(subgroup.elements)].min(axis=1)
-    return [group.element_by_index(int(i)) for i in np.unique(smallest)]
+    return group.add_table[:, list(subgroup.elements)].min(axis=1)
+
+
+def coset_reps(group: FiniteAbelianGroup, subgroup: Subgroup) -> list[Element]:
+    """Minimal-index representative of every coset, in index order."""
+    return [group.element_by_index(int(i)) for i in np.unique(coset_labels(group, subgroup))]
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,10 @@ ORDERINGS = ("standard0", "standard1", "half")
 # product.  They agree because X[c, g] = chi_c(g) is the Kronecker product
 # of the per-factor DFT matrices: K @ X.T / |G| is the inverse DFT of each
 # kernel row over the factor axes, and M @ X.conj() the forward DFT of
-# each row of M.  The FFT route multiplies by X, not X.T: the pairing is
-# symmetric, so they are the same array, and the strided read of X.T
-# would cost more than the FFT itself.
+# each row of M.  The phase conj(chi(g)) at table entry [g, c] is read
+# from X.conj(), not X.conj().T: the pairing is symmetric, so they are
+# the same array, and the strided read of the transpose would cost more
+# than the FFT itself.  kd_pure and char_fn read their phases the same way.
 
 
 def _kd_table(group: FiniteAbelianGroup, kernel: np.ndarray) -> np.ndarray:
@@ -55,7 +56,7 @@ def _kd_table(group: FiniteAbelianGroup, kernel: np.ndarray) -> np.ndarray:
         inner = np.fft.ifftn(rows, axes=tuple(range(1, rows.ndim))).reshape(kernel.shape)
         inner *= X.conj()
         return inner
-    return X.conj().T * ((kernel @ X.T) / group.order)
+    return X.conj() * ((kernel @ X.T) / group.order)
 
 
 def _kd_kernel(group: FiniteAbelianGroup, table: np.ndarray) -> np.ndarray:
@@ -85,7 +86,7 @@ def kd_pure(psi: GFunction, psi_hat: DualFunction | None = None) -> PhaseSpaceFu
     if psi_hat is None:
         psi_hat = fourier(psi)
     X = group.char_table
-    table = X.conj().T * np.outer(psi.values, psi_hat.values.conj())
+    table = X.conj() * np.outer(psi.values, psi_hat.values.conj())
     return PhaseSpaceFunction(group, table)
 
 
@@ -108,14 +109,14 @@ def char_fn(op: Operator, ordering: str) -> PhaseSpaceFunction:
     if ordering == "standard0":
         values = base
     elif ordering == "standard1":
-        values = base * group.char_table.conj().T
+        values = base * group.char_table.conj()
     else:
         dbl = doubling(group)
         if not dbl.invertible:
             raise UnsupportedOrderError(
                 f"half ordering needs an invertible doubling map; {group} has an even factor"
             )
-        values = base * group.char_table[:, dbl.halve_table].conj().T
+        values = base * group.char_table[dbl.halve_table].conj()
     return PhaseSpaceFunction(group, values)
 
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from kdlab.classify import _family_vectors, enumerate_kd_positive_pure, recognize_kd_positive_pure
+from kdlab.classify import (
+    _coset_labels,
+    _family_vectors,
+    enumerate_kd_positive_pure,
+    make_subgroup_state,
+    recognize_kd_positive_pure,
+)
 from kdlab.errors import NotAStateError, NotHermitianError, NotKdPositiveError
 from kdlab.fragment import (
     _context,
@@ -20,14 +26,14 @@ from kdlab.fragment import (
     project_onto_kdpos,
     span_membership,
 )
-from kdlab.groups import enumerate_subgroups, parse_group
+from kdlab.groups import annihilator, coset_reps, enumerate_subgroups, parse_group
 from kdlab.harmonic import GFunction
 from kdlab.kd import _kd_table, multiplication_operator
 from kdlab.operators import Operator, check_state
 from kdlab.verify import verify_group
 from kdlab.weyl import WHElement, wh_unitary
 
-from conftest import random_hermitian, random_state
+from conftest import BATTERY, random_hermitian, random_state
 
 
 def _family_mixture(group, rng, k=None):
@@ -261,7 +267,7 @@ def test_conv_membership_reports_iterations(battery_group):
 def test_one_lattice_and_one_family_per_group():
     # earlier tests may have built Z6 already, so count from empty caches
     group = parse_group("Z6")
-    for cached in (enumerate_subgroups, enumerate_kd_positive_pure, _family_vectors, _context):
+    for cached in (enumerate_subgroups, _coset_labels, enumerate_kd_positive_pure, _family_vectors, _context):
         cached.cache_clear()
     family = enumerate_kd_positive_pure(group)
     conv_membership(Operator.identity(group) * (1.0 / group.order))
@@ -270,6 +276,44 @@ def test_one_lattice_and_one_family_per_group():
     verify_group(group)
     assert enumerate_kd_positive_pure.cache_info().misses == 1
     assert enumerate_subgroups.cache_info().misses == 1
+    assert _coset_labels.cache_info().misses == 1
+
+
+def _member_vector(member):
+    """One member's vector, built on its own from its coset data."""
+    group = member.group
+    support = group.add_table[member.g_rep.index, list(member.subgroup.elements)]
+    density = member.subgroup.order / group.order
+    values = np.zeros(group.order, dtype=complex)
+    values[support] = group.char_table[member.chi_rep.index, support] / np.sqrt(density)
+    return values
+
+
+@pytest.mark.parametrize("name", BATTERY + ["Z64", "Z4xZ4", "Z6xZ6"])
+def test_family_and_context_match_member_by_member_construction(name):
+    # the per-subgroup build must reproduce, bit for bit, one canonicalizing
+    # constructor call per coset pair, one vector per member, and a stack
+    # of per-member KD tables
+    group = parse_group(name)
+    d = group.order
+    reference = []
+    for subgroup in enumerate_subgroups(group):
+        chis = [group.character_by_index(c.index) for c in coset_reps(group, annihilator(group, subgroup))]
+        for g in coset_reps(group, subgroup):
+            reference.extend(make_subgroup_state(subgroup, g, chi) for chi in chis)
+    family = enumerate_kd_positive_pure(group)
+    assert [m.key for m in family] == [m.key for m in reference]
+    for member, expected in zip(family, reference):
+        assert (member.g_rep, member.chi_rep) == (expected.g_rep, expected.chi_rep)
+        assert np.array_equal(member.vector.values, expected.vector.values)
+        assert np.array_equal(member.vector.values, _member_vector(expected))
+    ones = np.stack([m.indicator_table().values.real.ravel() for m in reference])
+    ctx = _context(group)
+    cols = ones.T / np.sqrt(d)
+    assert np.array_equal(ctx.cols, cols)
+    # the same memory layout, so BLAS products with cols see the same operands
+    assert ctx.cols.strides == cols.strides
+    assert np.array_equal(ctx.gram, ones @ ones.T / d)
 
 
 def test_membership_result_json_shapes():
@@ -347,6 +391,30 @@ def _reference_project_simplex(values):
     return np.clip(values - css[k - 1] / k, 0.0, None)
 
 
+def _cumsum_project_simplex(values):
+    """The array form of the simplex shift on ascending values."""
+    u = values[::-1]
+    css = np.cumsum(u) - 1.0
+    k = np.count_nonzero(u - css / np.arange(1, values.size + 1) > 0)
+    return np.maximum(values - css[k - 1] / k, 0.0)
+
+
+SIMPLEX_INPUTS = {
+    "ties": [-0.5, 0.25, 0.25, 0.25, 0.75, 0.75],
+    "all-equal": [0.3] * 7,
+    "one-positive": [-2.0, -1.0, -0.5, 0.4],
+    "on-simplex": [0.0, 0.1, 0.2, 0.3, 0.4],
+    "all-negative": [-3.0, -2.5, -1.0, -0.25],
+    "length-1": [0.7],
+}
+
+
+@pytest.mark.parametrize("values", list(SIMPLEX_INPUTS.values()), ids=list(SIMPLEX_INPUTS))
+def test_project_simplex_matches_cumsum_form_exactly(values):
+    values = np.array(values)
+    assert np.array_equal(_project_simplex(values), _cumsum_project_simplex(values))
+
+
 def _reference_project_kd_nonneg(group, matrix):
     """The clamp on the scaled table, inverted by the difference-table gather
     K[g, g'] = w[g, g - g'] with w = T X."""
@@ -365,6 +433,7 @@ def test_lean_dykstra_step_matches_reference(battery_group):
         herm = (raw + raw.conj().T) / 4.0
         vals = np.linalg.eigvalsh(herm)
         assert np.max(np.abs(_project_simplex(vals) - _reference_project_simplex(vals))) <= 1e-12
+        assert np.array_equal(_project_simplex(vals), _cumsum_project_simplex(vals))
         matrix = np.eye(d) / d + herm / d
         lean = _project_kd_nonneg(group, matrix)
         assert np.max(np.abs(lean - _reference_project_kd_nonneg(group, matrix))) <= 1e-12
