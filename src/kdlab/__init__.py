@@ -29,7 +29,7 @@ from .groups import (
     parse_group,
 )
 from .harmonic import DualFunction, GFunction, fourier, haar_density, inverse_fourier
-from .operators import Operator, PhaseSpaceFunction, check_state, trace_product
+from .operators import Operator, PhaseSpaceFunction, check_state
 from .weyl import WHElement, wh_conjugate, wh_identity, wh_inv, wh_mul, wh_unitary
 from .kd import (
     ORDERINGS,
@@ -44,7 +44,6 @@ from .kd import (
     marginals,
     multiplication_operator,
     symplectic_fourier,
-    symplectic_fourier_inverse,
 )
 from .classify import (
     KdPureState,

@@ -6,18 +6,21 @@ from the table, and from the support of the bare characteristic function
 (a Hermitian operator has a real KD table exactly when that support sits
 inside the set where chi(g) = 1).
 
-Geometry lives in KD-table coordinates, A -> KD(A).ravel() / sqrt(|G|),
-where the Euclidean dot product is the Hilbert-Schmidt inner product
-because the KD map is unitary.  Family tables are exact 0/1 rectangles
-(g + H) x (chi * ann(H)), the rank-one products row (x) col of a coset
-indicator on each side.  Two rectangles overlap in the product of their
-row overlap and their column overlap, so with the indicators stacked as
-R and C (one row per member) the Gram matrix is
+Geometry lives in KD-table coordinates: the KD map is unitary, so the
+Hilbert-Schmidt inner product of A and B is sum(conj(KD_A) KD_B) / |G|.
+Family tables are exact 0/1 rectangles (g + H) x (chi * ann(H)), the
+product row (x) col of a coset indicator on each side, so the family is
+held as two stacks of indicators, R and C (one row per member), and never
+as a stack of |G|^2-entry tables.  A member's pairing with a real table T
+is the sum of T over its rectangle, ((R T) * C).sum(1) / |G|; the table of
+a combination lam is (R^T diag(lam)) C; and two rectangles overlap in the
+product of their row and column overlaps, so the Gram matrix is
 
     (R R^T) * (C C^T) / |G|    (elementwise product),
 
 exact overlap counts / |G|, at a cost of n^2 |G| for n members instead
-of the n^2 |G|^2 of a product of the flattened tables.
+of the n^2 |G|^2 of a product of the flattened tables.  Only the dense
+span solve and one verify check stack the tables, for one call.
 
 Hull membership is a least-squares problem over the probability simplex
 solved by an active-set method, and projection onto the KD-positive
@@ -34,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classify import _coset_labels
-from .errors import NotHermitianError, NotKdPositiveError
+from .errors import NotHermitianError, NotKdPositiveError, PreconditionError
 from .groups import FiniteAbelianGroup
 from .kd import _kd_kernel, _kd_table, char_fn, kd_inverse, symplectic_fourier
 from .operators import Operator, PhaseSpaceFunction, check_state
@@ -42,33 +45,35 @@ from .tolerances import DEFAULT
 
 
 # ---------------------------------------------------------------------------
-# KD-table coordinates; Euclidean dot = HS inner product
-
-
-def _table_vector(group: FiniteAbelianGroup, kernel: np.ndarray) -> np.ndarray:
-    return _kd_table(group, kernel).ravel() / np.sqrt(group.order)
-
-
-def _vector_operator(group: FiniteAbelianGroup, vec: np.ndarray) -> Operator:
-    table = vec.reshape(group.order, group.order) * np.sqrt(group.order)
-    return Operator(group, _kd_kernel(group, table))
+# the family as coset indicators
 
 
 @dataclass
 class _FragmentContext:
     group: FiniteAbelianGroup
-    cols: np.ndarray            # (d^2, n) member vectors: 0/1 KD tables / sqrt(|G|)
+    R: np.ndarray               # (n, |G|) 0/1 indicators of g + H, family order
+    C: np.ndarray               # (n, |G|) 0/1 indicators of chi * ann(H)
     gram: np.ndarray            # HS Gram: overlap counts / |G|
+
+    def pair(self, table: np.ndarray) -> np.ndarray:
+        """HS inner products <Pi_i, A> of every member with A, from A's real KD table."""
+        return ((self.R @ table) * self.C).sum(1) / self.group.order
+
+    def combine(self, lam: np.ndarray) -> np.ndarray:
+        """KD table of sum_i lam_i Pi_i."""
+        return (self.R.T * lam) @ self.C
+
+    def tables(self) -> np.ndarray:
+        """The (n, |G|^2) stack of ravelled member tables, for dense solvers."""
+        n, d = self.R.shape
+        return (self.R[:, :, None] * self.C[:, None, :]).reshape(n, d * d)
 
 
 @lru_cache(maxsize=None)
 def _context(group: FiniteAbelianGroup) -> _FragmentContext:
     # Member (H, g, chi) has table row (x) col, with row the 0/1 indicator
     # of g + H and col that of chi * ann(H), in family order: subgroup,
-    # then element coset, then character coset.  cols is the transpose of
-    # the C-ordered (n, d^2) stack, so the BLAS products that read it see
-    # the same operands, and so the same bits, as with a stack of tables.
-    d = group.order
+    # then element coset, then character coset.
     row_sets, col_sets = [], []
     for _, g_labels, chi_labels in _coset_labels(group):
         g_cosets = np.unique(g_labels)[:, None] == g_labels
@@ -77,10 +82,7 @@ def _context(group: FiniteAbelianGroup) -> _FragmentContext:
         col_sets.append(np.tile(chi_cosets, (len(g_cosets), 1)))
     R = np.concatenate(row_sets).astype(float)
     C = np.concatenate(col_sets).astype(float)
-    tables = (R / np.sqrt(d))[:, :, None] * C[:, None, :]
-    return _FragmentContext(
-        group=group, cols=tables.reshape(len(R), d * d).T, gram=(R @ R.T) * (C @ C.T) / d
-    )
+    return _FragmentContext(group=group, R=R, C=C, gram=(R @ R.T) * (C @ C.T) / group.order)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +201,18 @@ def span_membership(op: Operator, tol: float = DEFAULT.membership) -> Membership
     """
     if not op.is_hermitian(tol=1e-10):
         raise NotHermitianError("span membership is defined for Hermitian operators")
-    cols = _context(op.group).cols
-    y = _table_vector(op.group, op.kernel)
-    coeffs, _, rank, _ = np.linalg.lstsq(cols, y.real, rcond=None)
-    r = y - cols @ coeffs
-    residual = float(np.linalg.norm(r))
+    group = op.group
+    ctx = _context(group)
+    table = _kd_table(group, op.kernel)
+    coeffs, _, rank, _ = np.linalg.lstsq(ctx.tables().T, table.real.ravel(), rcond=None)
+    r = table - ctx.combine(coeffs)
+    residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
     if residual <= tol:
         return MembershipResult("inside", residual, weights=coeffs, span_dimension=int(rank))
-    w = r / residual
-    gap = float(np.vdot(w, y).real)
-    family_side = float(np.max(np.abs(w.real @ cols)))
-    witness = _vector_operator(op.group, w)
+    w = r / residual                    # the KD table of a unit-norm operator
+    gap = float(np.vdot(w, table).real) / group.order
+    family_side = float(np.max(np.abs(ctx.pair(w.real))))
+    witness = Operator(group, _kd_kernel(group, w))
     if family_side <= max(tol, 1e-9 * max(1.0, gap)):
         return MembershipResult(
             "outside", residual, witness=witness, gap=gap, span_dimension=int(rank)
@@ -217,21 +220,19 @@ def span_membership(op: Operator, tol: float = DEFAULT.membership) -> Membership
     return MembershipResult("inconclusive", residual, span_dimension=int(rank))
 
 
-def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None, lam0=None):
+def _simplex_nnls(gram, corr, lam0=None):
     """Least squares over the probability simplex by active sets.
 
     Minimizes ``||y - A lam||`` subject to ``lam >= 0`` and
-    ``sum(lam) = 1``.  The passive-set subproblem keeps the equality
-    constraint in its KKT system; negative subproblem solutions trigger
-    the usual interpolation step back to the feasible region.
+    ``sum(lam) = 1``, given only ``A^T A`` and ``A^T Re(y)``.  The
+    passive-set subproblem keeps the equality constraint in its KKT
+    system; negative subproblem solutions trigger the usual interpolation
+    step back to the feasible region.
 
     Parameters
     ----------
     gram : (n, n) precomputed A^T A
     corr : (n,) precomputed A^T Re(y)
-    embed_cols : (m, n) the real matrix A, used for direct residuals
-    y : (m,) target; it may be complex, and its imaginary part, which
-        no real combination of columns reaches, stays in the residual
     lam0 : (n,) optional feasible start (nonnegative, summing to one),
         such as the solution for a nearby target.  Its support is the
         initial passive set, so a good guess needs few subproblem
@@ -239,12 +240,11 @@ def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None, lam0=
         weights may, where the optimum is not unique.  Without it the
         search starts from the single best vertex.
 
-    Returns (weights, residual, converged, iterations), where iterations
-    counts the subproblem solves, at most ``max_iter``.
+    Returns (weights, converged, iterations), where iterations counts
+    the subproblem solves, at most 50 n + 200.  Callers form the residual
+    from the weights.
     """
     n = gram.shape[0]
-    if max_iter is None:
-        max_iter = 50 * n + 200
     scale = max(1.0, float(np.max(np.abs(corr))), float(np.max(gram)))
     start = int(np.argmax(2.0 * corr - np.diag(gram)))
     if lam0 is None:
@@ -254,7 +254,7 @@ def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None, lam0=
     lam = lam0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 50 * n + 201):
         idx = np.array(passive)
         k = idx.size
         kkt = np.zeros((k + 1, k + 1))
@@ -272,7 +272,7 @@ def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None, lam0=
             slack = grad - nu
             slack[idx] = -np.inf
             j = int(np.argmax(slack))
-            if slack[j] <= opt_tol * scale:
+            if slack[j] <= 1e-12 * scale:
                 converged = True
                 break
             passive.append(j)
@@ -293,8 +293,7 @@ def _simplex_nnls(gram, corr, embed_cols, y, opt_tol=1e-12, max_iter=None, lam0=
     total = lam.sum()
     if total > 0:
         lam = lam / total
-    residual = float(np.linalg.norm(y - embed_cols @ lam))
-    return lam, residual, converged, iterations
+    return lam, converged, iterations
 
 
 def conv_membership(
@@ -315,18 +314,20 @@ def conv_membership(
             "hull membership asked for a state outside the KD-positive set "
             f"(worst violation {probe.worst_violation:.3e})"
         )
-    ctx = _context(rho.group)
-    cols = ctx.cols
-    y = _table_vector(rho.group, rho.kernel)
-    lam, residual, converged, iterations = _simplex_nnls(ctx.gram, y.real @ cols, cols, y)
+    group = rho.group
+    ctx = _context(group)
+    table = _kd_table(group, rho.kernel)
+    lam, converged, iterations = _simplex_nnls(ctx.gram, ctx.pair(table.real))
+    # the imaginary part, which no real combination reaches, stays in r
+    r = table - ctx.combine(lam)
+    residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
     if residual <= tol:
         return MembershipResult(
             "inside", residual, weights=lam, converged=converged, iterations=iterations
         )
-    r = y - cols @ lam
-    w = r / np.linalg.norm(r)
-    gap = float(np.vdot(w, y).real - np.max(w.real @ cols))
-    witness = _vector_operator(rho.group, w)
+    w = r / residual                    # the KD table of a unit-norm operator
+    gap = float(np.vdot(w, table).real) / group.order - float(np.max(ctx.pair(w.real)))
+    witness = Operator(group, _kd_kernel(group, w))
     verdict = "outside" if converged and gap > tol else "inconclusive"
     return MembershipResult(
         verdict, residual, witness=witness, gap=gap, converged=converged, iterations=iterations
@@ -413,8 +414,10 @@ def project_onto_kdpos(
     so the limit is the metric projection onto the intersection.  The
     returned state is exactly positive with unit trace; `residual`
     reports its remaining KD violation and `converged` whether the two
-    sets met within tol.
+    sets met within tol.  At least one iteration is required.
     """
+    if max_iter < 1:
+        raise PreconditionError(f"projection needs at least one iteration, got max_iter={max_iter}")
     if not rho0.is_hermitian(tol=1e-10):
         raise NotHermitianError("projection input must be Hermitian")
     group = rho0.group
@@ -474,6 +477,14 @@ def _random_direction(group: FiniteAbelianGroup, rng: np.random.Generator) -> np
     return matrix / norm
 
 
+# Ascent schedule of the witness search: steps per random direction, the
+# step length in HS norm, and the Dykstra iterations of each step's light
+# projection.
+STEPS_PER_DIRECTION = 100
+STEP_SIZE = 0.25
+SEARCH_PROJ_ITERS = 12
+
+
 def _verify_outside_candidate(ctx, matrix, gap_tol, positivity_tol, membership_tol):
     """Polish a raw candidate and certify it independently, or reject it.
 
@@ -490,9 +501,9 @@ def _verify_outside_candidate(ctx, matrix, gap_tol, positivity_tol, membership_t
     result = conv_membership(rho, tol=membership_tol, positivity_tol=positivity_tol)
     if result.verdict != "outside" or result.witness is None:
         return None
-    w_vec = _table_vector(group, result.witness.kernel)
-    value = np.vdot(w_vec, _table_vector(group, rho.kernel)).real
-    gap = float(value - np.max(w_vec.real @ ctx.cols))
+    w = _kd_table(group, result.witness.kernel)
+    value = float(np.vdot(w, _kd_table(group, rho.kernel)).real) / group.order
+    gap = value - float(np.max(ctx.pair(w.real)))
     if gap <= gap_tol:
         return None
     return rho, result.witness, gap, result.residual
@@ -505,9 +516,6 @@ def find_conv_gap_witness(
     gap_tol: float = DEFAULT.witness_gap,
     positivity_tol: float = DEFAULT.positivity,
     membership_tol: float = DEFAULT.membership,
-    steps_per_direction: int = 100,
-    step_size: float = 0.25,
-    search_proj_iters: int = 12,
 ) -> GapWitness | None:
     """Search for a KD-positive state outside the hull of the pure family.
 
@@ -519,11 +527,13 @@ def find_conv_gap_witness(
     polished tightly and certified by an independent verification
     (strict feasibility, fresh hull solve, direct re-evaluation of the
     separating gap against all family members).  The budget counts
-    ascent steps; None means no verified witness within the budget,
-    never a proof of absence.
+    ascent steps and may not be negative; None means no verified witness
+    within the budget, never a proof of absence.
     """
+    if budget < 0:
+        raise PreconditionError(f"witness search budget must be nonnegative, got {budget}")
     ctx = _context(group)
-    cols = ctx.cols
+    root_d = np.sqrt(group.order)
     rng = np.random.default_rng(seed)
     used = 0
     directions = 0
@@ -540,16 +550,15 @@ def find_conv_gap_witness(
         # Consecutive iterates are close, so each hull solve starts from
         # the previous step's weights.
         weights = None
-        for _ in range(steps_per_direction):
+        for _ in range(STEPS_PER_DIRECTION):
             if used >= budget:
                 break
             used += 1
-            stepped = current + step_size * w_mat
-            current, set_gap, _ = _dykstra(group, stepped, search_proj_iters, 1e-12)
-            yv = _table_vector(group, current * group.order)
-            weights, hull_residual, _, _ = _simplex_nnls(
-                ctx.gram, yv.real @ cols, cols, yv, lam0=weights
-            )
+            stepped = current + STEP_SIZE * w_mat
+            current, set_gap, _ = _dykstra(group, stepped, SEARCH_PROJ_ITERS, 1e-12)
+            table = _kd_table(group, current * group.order)
+            weights, _, _ = _simplex_nnls(ctx.gram, ctx.pair(table.real), lam0=weights)
+            hull_residual = float(np.linalg.norm(table - ctx.combine(weights))) / root_d
             score = hull_residual - 3.0 * set_gap
             if score > best_score:
                 best_score = score

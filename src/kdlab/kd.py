@@ -129,14 +129,11 @@ def symplectic_fourier(table: PhaseSpaceFunction) -> PhaseSpaceFunction:
     """(F T)(g, chi) = (1/|G|) sum_{g', chi'} T(g', chi') chi(g') conj(chi'(g)).
 
     The opposite-sign pairing of the two legs makes this map its own
-    inverse, so `symplectic_fourier_inverse` is the same function.
+    inverse.
     """
     group = table.group
     X = group.char_table
     return PhaseSpaceFunction(group, (X @ table.values @ X.conj()).T / group.order)
-
-
-symplectic_fourier_inverse = symplectic_fourier
 
 
 def akd(op: Operator) -> PhaseSpaceFunction:

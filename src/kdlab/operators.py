@@ -126,13 +126,6 @@ class Operator:
         return cls(declared, decode_array(obj["kernel"], (d, d)))
 
 
-def trace_product(a: Operator, b: Operator) -> complex:
-    """trace(A B) without forming the composed kernel."""
-    if a.group != b.group:
-        raise GroupMismatchError("operators live on different groups")
-    return complex(np.sum(a.kernel * b.kernel.T) / a.group.order**2)
-
-
 def check_state(rho: Operator, tol: float = 1e-9) -> None:
     """Validate the state preconditions, naming the violated one."""
     if not np.isfinite(rho.kernel).all():

@@ -298,7 +298,7 @@ def _check_recognition_roundtrip(group, rng, tol):
 
 
 def _check_real_dimension(group, rng, tol):
-    rank = np.linalg.matrix_rank(_context(group).cols)
+    rank = np.linalg.matrix_rank(_context(group).tables())
     return float(abs(rank - kd_real_dimension(group)))
 
 

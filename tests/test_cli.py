@@ -289,6 +289,14 @@ def test_witness_search_found_and_not_found(capsys):
     assert json.loads(out)["found"] is False
 
 
+def test_witness_search_rejects_negative_budget(capsys):
+    code, out, err = _run(capsys, ["witness", "search", "--group", "Z2xZ2", "--budget", "-5",
+                                   "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
 def test_circle_check_verdicts(tmp_path, capsys):
     flat_path = _write(tmp_path, "flat.json", _vacuum(3).to_json())
     code, out, _ = _run(capsys, ["circle", "check", "--input", flat_path, "--format", "json"])

@@ -9,7 +9,7 @@ from kdlab.classify import (
     make_subgroup_state,
     recognize_kd_positive_pure,
 )
-from kdlab.errors import NotAStateError, NotHermitianError, NotKdPositiveError
+from kdlab.errors import NotAStateError, NotHermitianError, NotKdPositiveError, PreconditionError
 from kdlab.fragment import (
     _context,
     _dykstra,
@@ -17,7 +17,6 @@ from kdlab.fragment import (
     _project_simplex,
     _random_direction,
     _simplex_nnls,
-    _table_vector,
     conv_membership,
     find_conv_gap_witness,
     is_kd_positive_state,
@@ -277,6 +276,11 @@ def test_one_lattice_and_one_family_per_group():
     assert enumerate_kd_positive_pure.cache_info().misses == 1
     assert enumerate_subgroups.cache_info().misses == 1
     assert _coset_labels.cache_info().misses == 1
+    # and one context, holding the coset indicators and the Gram matrix only
+    assert _context.cache_info().misses == 1
+    n, d = len(family), group.order
+    arrays = {name: v.shape for name, v in vars(_context(group)).items() if isinstance(v, np.ndarray)}
+    assert arrays == {"R": (n, d), "C": (n, d), "gram": (n, n)}
 
 
 def _member_vector(member):
@@ -293,7 +297,7 @@ def _member_vector(member):
 def test_family_and_context_match_member_by_member_construction(name):
     # the per-subgroup build must reproduce, bit for bit, one canonicalizing
     # constructor call per coset pair, one vector per member, and a stack
-    # of per-member KD tables
+    # of per-member KD tables as row (x) column indicators
     group = parse_group(name)
     d = group.order
     reference = []
@@ -307,13 +311,28 @@ def test_family_and_context_match_member_by_member_construction(name):
         assert (member.g_rep, member.chi_rep) == (expected.g_rep, expected.chi_rep)
         assert np.array_equal(member.vector.values, expected.vector.values)
         assert np.array_equal(member.vector.values, _member_vector(expected))
-    ones = np.stack([m.indicator_table().values.real.ravel() for m in reference])
+    ones = np.stack([m.indicator_table().values.real for m in reference])
     ctx = _context(group)
-    cols = ones.T / np.sqrt(d)
-    assert np.array_equal(ctx.cols, cols)
-    # the same memory layout, so BLAS products with cols see the same operands
-    assert ctx.cols.strides == cols.strides
+    assert np.array_equal(ctx.R[:, :, None] * ctx.C[:, None, :], ones)
+    ones = ones.reshape(len(ones), d * d)
+    assert np.array_equal(ctx.tables(), ones)
     assert np.array_equal(ctx.gram, ones @ ones.T / d)
+
+
+@pytest.mark.parametrize("name", BATTERY + ["Z2xZ2xZ2xZ2", "Z6xZ6"])
+def test_rectangle_pairing_and_combination_match_dense_stack(name):
+    # the indicator products against the stacked tables they replace
+    group = parse_group(name)
+    d = group.order
+    ctx = _context(group)
+    dense = np.stack([m.indicator_table().values.real.ravel()
+                      for m in enumerate_kd_positive_pure(group)])
+    rng = np.random.default_rng(229)
+    for _ in range(3):
+        table = rng.normal(size=(d, d))
+        lam = rng.normal(size=len(dense))
+        assert np.max(np.abs(ctx.pair(table) - dense @ table.ravel() / d)) <= 1e-13
+        assert np.max(np.abs(ctx.combine(lam).ravel() - lam @ dense)) <= 1e-13
 
 
 def test_membership_result_json_shapes():
@@ -338,7 +357,8 @@ def test_simplex_nnls_against_penalty_oracle():
             y = a @ rng.dirichlet(np.ones(n)) + 0.01 * rng.normal(size=m)
         else:
             y = rng.normal(size=m)
-        lam, residual, converged, _ = _simplex_nnls(a.T @ a, a.T @ y, a, y)
+        lam, converged, _ = _simplex_nnls(a.T @ a, a.T @ y)
+        residual = float(np.linalg.norm(y - a @ lam))
         assert converged
         assert lam.min() >= 0.0
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
@@ -358,23 +378,24 @@ def test_simplex_nnls_warm_start_matches_cold(battery_group):
     group = battery_group
     d = group.order
     ctx = _context(group)
-    cols = ctx.cols
-    n = cols.shape[1]
+    n = len(ctx.gram)
     rng = np.random.default_rng(197)
     direction = _random_direction(group, rng)
     current = np.eye(d, dtype=complex) / d
     previous = None
     for _ in range(6):
         current, _, _ = _dykstra(group, current + 0.25 * direction, 12, 1e-12)
-        y = _table_vector(group, current * d)
-        corr = y.real @ cols
-        lam, residual, converged, _ = _simplex_nnls(ctx.gram, corr, cols, y)
+        table = _kd_table(group, current * d)
+        corr = ctx.pair(table.real)
+        lam, converged, _ = _simplex_nnls(ctx.gram, corr)
+        residual = np.linalg.norm(table - ctx.combine(lam)) / np.sqrt(d)
         assert converged
         vertex = np.zeros(n)
         vertex[rng.integers(n)] = 1.0
         starts = [vertex, np.full(n, 1.0 / n)] + ([previous] if previous is not None else [])
         for lam0 in starts:
-            warm, warm_residual, warm_converged, _ = _simplex_nnls(ctx.gram, corr, cols, y, lam0=lam0)
+            warm, warm_converged, _ = _simplex_nnls(ctx.gram, corr, lam0=lam0)
+            warm_residual = np.linalg.norm(table - ctx.combine(warm)) / np.sqrt(d)
             assert warm_converged
             assert warm.min() >= 0.0
             assert warm.sum() == pytest.approx(1.0, abs=1e-12)
@@ -490,6 +511,16 @@ def test_project_requires_hermitian():
         project_onto_kdpos(Operator(z2, [[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_project_requires_an_iteration():
+    # with no step taken the input itself, not KD-positive here, would
+    # come back as the projected state
+    rho = Operator.pure_state(GFunction(parse_group("Z2"), [1.2, np.sqrt(0.56)]))
+    for max_iter in (0, -3):
+        with pytest.raises(PreconditionError):
+            project_onto_kdpos(rho, max_iter=max_iter)
+    assert project_onto_kdpos(rho, max_iter=1).iterations == 1
+
+
 # ---------------------------------------------------------------------------
 # reference: the projector-matrix geometry that table coordinates replaced
 
@@ -508,8 +539,8 @@ def _embedded_family(group):
 
 def _embedded_conv(embed, rho):
     y = _embed(rho.matrix)
-    lam, residual, _, _ = _simplex_nnls(embed @ embed.T, embed @ y, embed.T, y)
-    return lam, residual
+    lam, _, _ = _simplex_nnls(embed @ embed.T, embed @ y)
+    return lam, float(np.linalg.norm(y - embed.T @ lam))
 
 
 def test_table_geometry_matches_matrix_embedding(battery_group):
@@ -518,7 +549,7 @@ def test_table_geometry_matches_matrix_embedding(battery_group):
     embed, basis = _embedded_family(group)
     ctx = _context(group)
     assert np.max(np.abs(ctx.gram - embed @ embed.T)) <= 1e-12
-    assert np.linalg.matrix_rank(ctx.cols) == basis.shape[0]
+    assert np.linalg.matrix_rank(ctx.tables()) == basis.shape[0]
 
     direction = _random_direction(group, np.random.default_rng(181))
     rng = np.random.default_rng(181)
@@ -601,6 +632,13 @@ def test_witness_search_none_within_budget():
     # hull equality groups: a short run must come back empty-handed
     assert find_conv_gap_witness(parse_group("Z2"), seed=0, budget=300) is None
     assert find_conv_gap_witness(parse_group("Z3"), seed=0, budget=300) is None
+
+
+def test_witness_search_rejects_negative_budget():
+    group = parse_group("Z2xZ2")
+    with pytest.raises(PreconditionError):
+        find_conv_gap_witness(group, seed=0, budget=-5)
+    assert find_conv_gap_witness(group, seed=0, budget=0) is None
 
 
 def test_witness_json_shape():

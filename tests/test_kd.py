@@ -22,7 +22,6 @@ from kdlab.kd import (
     marginals,
     multiplication_operator,
     symplectic_fourier,
-    symplectic_fourier_inverse,
 )
 from kdlab.operators import Operator, PhaseSpaceFunction
 from kdlab.verify import CHECKS, run_check
@@ -202,7 +201,6 @@ def test_symplectic_fourier_unitary_involution(battery_group):
         image = symplectic_fourier(table)
         assert abs(image.norm() - table.norm()) <= 1e-10
         assert np.max(np.abs(symplectic_fourier(image).values - table.values)) <= 1e-10
-        assert np.max(np.abs(symplectic_fourier_inverse(image).values - table.values)) <= 1e-10
 
 
 def test_oconnell_identity(battery_group):
