@@ -58,8 +58,8 @@ class BandLimitedOperator:
             raise PreconditionError(f"mode ({k}, {l}) outside band [-{self.K}, {self.K}]")
         return complex(self.coeffs[k + self.K, l + self.K])
 
-    def is_hermitian(self, tol: float = DEFAULT.structural) -> bool:
-        return bool(np.max(np.abs(self.coeffs - self.coeffs.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.coeffs - self.coeffs.conj().T)) <= DEFAULT.structural)
 
     def trace(self) -> complex:
         return complex(np.trace(self.coeffs))

@@ -165,7 +165,6 @@ def _family_vectors(group: FiniteAbelianGroup) -> np.ndarray:
 def recognize_kd_positive_pure(
     psi: GFunction,
     tol: float = 1e-7,
-    norm_tol: float = 1e-6,
 ) -> KdPureState | None:
     """Match a unit vector against the family, up to global phase.
 
@@ -174,8 +173,8 @@ def recognize_kd_positive_pure(
     in overlap, so the default tol rejects 1e-3 perturbations with two
     orders of margin.
     """
-    if abs(psi.norm() - 1.0) > norm_tol:
-        raise PreconditionError(f"input vector norm {psi.norm():.12g} is not 1 within {norm_tol}")
+    if abs(psi.norm() - 1.0) > 1e-6:
+        raise PreconditionError(f"input vector norm {psi.norm():.12g} is not 1 within 1e-6")
     vectors = _family_vectors(psi.group)
     overlaps = np.abs(vectors.conj() @ psi.values) / psi.group.order
     best = int(np.argmax(overlaps))

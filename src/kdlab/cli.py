@@ -100,20 +100,14 @@ def _load_band(path: str) -> circ.BandLimitedOperator:
     return circ.BandLimitedOperator.from_json(_read_json(path))
 
 
-def _group(args) -> FiniteAbelianGroup:
-    if not getattr(args, "group", None):
-        raise CliConfigError("--group is required for this command")
-    return parse_group(args.group)
-
-
 def _tolerances(args) -> Tolerances:
+    """DEFAULT, with the --tol-* flags the subcommand declares and the user set."""
     overrides = {
-        name: getattr(args, f"tol_{name}")
-        for name in ("exact", "structural", "positivity", "membership",
-                     "witness_gap", "recognition")
-        if getattr(args, f"tol_{name}", None) is not None
+        name[len("tol_"):]: value
+        for name, value in vars(args).items()
+        if name.startswith("tol_") and value is not None
     }
-    return DEFAULT.override(**overrides) if overrides else DEFAULT
+    return DEFAULT.override(**overrides)
 
 
 def _fmt(value) -> str:
@@ -150,21 +144,21 @@ def _render_table(payload, indent: str = "") -> str:
 
 
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    fmt = getattr(args, "format", "table")
-    if fmt == "json":
+    # only the subcommands that pass csv_text offer csv as a --format choice
+    if args.format == "json":
         text = dumps(payload)
-    elif fmt == "csv":
-        if csv_text is None:
-            raise CliConfigError("csv output is not defined for this command")
+    elif args.format == "csv":
         text = csv_text
     else:
         text = _render_table(payload) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliConfigError(f"cannot write {args.out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +166,7 @@ def _emit(args, payload: dict, csv_text: str | None = None) -> None:
 
 
 def cmd_group_info(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     subgroups = enumerate_subgroups(group)
     payload = {
         "group": repr(group),
@@ -188,7 +182,7 @@ def cmd_group_info(args) -> int:
 
 
 def cmd_group_subgroups(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     rows = []
     for i, sub in enumerate(enumerate_subgroups(group)):
         ann = annihilator(group, sub)
@@ -208,7 +202,7 @@ def cmd_group_subgroups(args) -> int:
 
 
 def cmd_kd_compute(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     op = _load_operator(args.operator, group)
     table = kd(op)
     _emit(args, table.to_json(), table.to_csv())
@@ -216,14 +210,14 @@ def cmd_kd_compute(args) -> int:
 
 
 def cmd_kd_invert(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     table = _load_table(args.table, group)
     _emit(args, kd_inverse(table).to_json())
     return EXIT_OK
 
 
 def cmd_charfn(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     op = _load_operator(args.operator, group)
     table = char_fn(op, args.ordering)
     _emit(args, table.to_json(), table.to_csv())
@@ -231,7 +225,7 @@ def cmd_charfn(args) -> int:
 
 
 def cmd_wh_act(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     op = _load_operator(args.operator, group)
     element = WHElement.from_json(group, _read_json(args.element))
     _emit(args, wh_conjugate(op, element).to_json())
@@ -239,7 +233,7 @@ def cmd_wh_act(args) -> int:
 
 
 def cmd_pure_enumerate(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     family = enumerate_kd_positive_pure(group)
     payload = {"group": repr(group), "count": len(family), "members": family_to_json(family)}
     csv_lines = ["id,subgroup,g,chi"]
@@ -253,7 +247,7 @@ def cmd_pure_enumerate(args) -> int:
 
 
 def cmd_pure_recognize(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     tol = _tolerances(args)
     psi = _load_vector(args.state, group)
     member = recognize_kd_positive_pure(psi, tol=tol.recognition)
@@ -265,7 +259,7 @@ def cmd_pure_recognize(args) -> int:
 
 
 def cmd_check_kd_real(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     tol = _tolerances(args)
     op = _load_operator(args.operator, group)
     result = is_kd_real(op, tol=tol.structural)
@@ -280,7 +274,7 @@ def cmd_check_kd_real(args) -> int:
 
 
 def cmd_check_kd_positive(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     tol = _tolerances(args)
     rho = _load_operator(args.state, group)
     result = is_kd_positive_state(rho, tol=tol.positivity)
@@ -297,7 +291,7 @@ _VERDICT_EXIT = {"inside": EXIT_OK, "outside": EXIT_OUTSIDE, "inconclusive": EXI
 
 
 def cmd_member_span(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     tol = _tolerances(args)
     op = _load_operator(args.operator, group)
     result = span_membership(op, tol=tol.membership)
@@ -306,7 +300,7 @@ def cmd_member_span(args) -> int:
 
 
 def cmd_member_conv(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     tol = _tolerances(args)
     rho = _load_operator(args.state, group)
     result = conv_membership(rho, tol=tol.membership, positivity_tol=tol.positivity)
@@ -315,7 +309,7 @@ def cmd_member_conv(args) -> int:
 
 
 def cmd_witness_search(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     tol = _tolerances(args)
     witness = find_conv_gap_witness(
         group,
@@ -349,7 +343,7 @@ def cmd_circle_search(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    group = _group(args)
+    group = parse_group(args.group)
     tol = _tolerances(args)
     report = verify_group(group, seed=args.seed, tolerances=tol)
     _emit(args, report.to_json())
@@ -360,21 +354,19 @@ def cmd_verify_all(args) -> int:
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser, group: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, *tolerances: str, group: bool = True,
+                csv: bool = False, seed: bool = False) -> None:
+    """Declare only the flags a subcommand reads; csv only with a CSV rendering."""
     if group:
-        parser.add_argument("--group", help="group spec such as Z4 or Z2xZ2")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
+        parser.add_argument("--group", required=True, help="group spec such as Z4 or Z2xZ2")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    formats = ("json", "csv", "table") if csv else ("json", "table")
+    parser.add_argument("--format", choices=formats, default="table")
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    for name, flag in (
-        ("exact", "--tol-exact"),
-        ("structural", "--tol-structural"),
-        ("positivity", "--tol-positivity"),
-        ("membership", "--tol-membership"),
-        ("witness_gap", "--tol-witness-gap"),
-        ("recognition", "--tol-recognition"),
-    ):
-        parser.add_argument(flag, dest=f"tol_{name}", type=float, default=None)
+    for name in tolerances:
+        parser.add_argument("--tol-" + name.replace("_", "-"), dest=f"tol_{name}",
+                            type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,13 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_group_info)
     p = group_sub.add_parser("subgroups", help="list the subgroup lattice")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.set_defaults(fn=cmd_group_subgroups)
 
     kd_p = top.add_parser("kd", help="phase-space table of an operator")
     kd_sub = kd_p.add_subparsers(dest="subcommand", required=True)
     p = kd_sub.add_parser("compute", help="operator JSON to table")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--operator", required=True, help="operator JSON file")
     p.set_defaults(fn=cmd_kd_compute)
     p = kd_sub.add_parser("invert", help="table (JSON or CSV) to operator")
@@ -407,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_kd_invert)
 
     p = top.add_parser("charfn", help="ordered characteristic function")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--operator", required=True, help="operator JSON file")
     p.add_argument("--ordering", choices=ORDERINGS, default="standard1")
     p.set_defaults(fn=cmd_charfn)
@@ -423,46 +415,46 @@ def build_parser() -> argparse.ArgumentParser:
     pure_p = top.add_parser("pure", help="classified positive pure states")
     pure_sub = pure_p.add_subparsers(dest="subcommand", required=True)
     p = pure_sub.add_parser("enumerate", help="list the finite family")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.set_defaults(fn=cmd_pure_enumerate)
     p = pure_sub.add_parser("recognize", help="match a unit vector against the family")
-    _add_common(p)
+    _add_common(p, "recognition")
     p.add_argument("--state", required=True, help="vector JSON file")
     p.set_defaults(fn=cmd_pure_recognize)
 
     check_p = top.add_parser("check", help="reality and positivity tests")
     check_sub = check_p.add_subparsers(dest="subcommand", required=True)
     p = check_sub.add_parser("kd-real", help="is the table of a Hermitian operator real")
-    _add_common(p)
+    _add_common(p, "structural")
     p.add_argument("--operator", required=True, help="operator JSON file")
     p.set_defaults(fn=cmd_check_kd_real)
     p = check_sub.add_parser("kd-positive", help="is the table of a state nonnegative")
-    _add_common(p)
+    _add_common(p, "positivity")
     p.add_argument("--state", required=True, help="state JSON file")
     p.set_defaults(fn=cmd_check_kd_positive)
 
     member_p = top.add_parser("member", help="classical fragment membership")
     member_sub = member_p.add_subparsers(dest="subcommand", required=True)
     p = member_sub.add_parser("span", help="membership in the real span of the family")
-    _add_common(p)
+    _add_common(p, "membership")
     p.add_argument("--operator", required=True, help="Hermitian operator JSON file")
     p.set_defaults(fn=cmd_member_span)
     p = member_sub.add_parser("conv", help="membership in the hull of the family")
-    _add_common(p)
+    _add_common(p, "positivity", "membership")
     p.add_argument("--state", required=True, help="state JSON file")
     p.set_defaults(fn=cmd_member_conv)
 
     witness_p = top.add_parser("witness", help="hull gap search")
     witness_sub = witness_p.add_subparsers(dest="subcommand", required=True)
     p = witness_sub.add_parser("search", help="look for a positive state outside the hull")
-    _add_common(p)
+    _add_common(p, "witness_gap", "positivity", "membership", seed=True)
     p.add_argument("--budget", type=int, default=10000, help="ascent step budget")
     p.set_defaults(fn=cmd_witness_search)
 
     circle_p = top.add_parser("circle", help="band-limited circle operators")
     circle_sub = circle_p.add_subparsers(dest="subcommand", required=True)
     p = circle_sub.add_parser("check", help="diagonal classicality test")
-    _add_common(p, group=False)
+    _add_common(p, "positivity", group=False)
     p.add_argument("--input", required=True, help="band operator JSON file")
     p.set_defaults(fn=cmd_circle_check)
     p = circle_sub.add_parser("search", help="grid search for table violations")
@@ -474,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = top.add_parser("verify", help="named invariant suites")
     verify_sub = verify_p.add_subparsers(dest="subcommand", required=True)
     p = verify_sub.add_parser("all", help="run every applicable check for a group")
-    _add_common(p)
+    _add_common(p, "exact", "structural", "positivity", "membership", "witness_gap",
+                seed=True)
     p.set_defaults(fn=cmd_verify_all)
 
     return parser
@@ -492,10 +485,7 @@ def main(argv=None) -> int:
     except (CliConfigError, GroupSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except KdlabError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
+    except (KdlabError, ValueError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -10,17 +10,15 @@ Geometry lives in KD-table coordinates: the KD map is unitary, so the
 Hilbert-Schmidt inner product of A and B is sum(conj(KD_A) KD_B) / |G|.
 Family tables are exact 0/1 rectangles (g + H) x (chi * ann(H)), the
 product row (x) col of a coset indicator on each side, so the family is
-held as two stacks of indicators, R and C (one row per member), and never
-as a stack of |G|^2-entry tables.  A member's pairing with a real table T
-is the sum of T over its rectangle, ((R T) * C).sum(1) / |G|; the table of
-a combination lam is (R^T diag(lam)) C; and two rectangles overlap in the
-product of their row and column overlaps, so the Gram matrix is
-
-    (R R^T) * (C C^T) / |G|    (elementwise product),
-
-exact overlap counts / |G|, at a cost of n^2 |G| for n members instead
-of the n^2 |G|^2 of a product of the flattened tables.  Only the dense
-span solve and one verify check stack the tables, for one call.
+held as two stacks of indicators, R and C (one row per member), never as
+|G|^2-entry tables nor as the n x n Gram matrix.  A member's pairing with
+a real table T is the sum of T over its rectangle, ((R T) * C).sum(1) / |G|;
+the table of a combination lam is (R^T diag(lam)) C; and two rectangles
+overlap in the product of their row and column overlaps, so the Gram
+columns of members idx are (R R[idx]^T) * (C C[idx]^T) / |G|, exact
+overlap counts / |G|.  The hull solver forms only the columns of its
+passive set, one per member that joins it.  Only the dense span solve
+and one verify check stack the tables, for one call.
 
 Hull membership is a least-squares problem over the probability simplex
 solved by an active-set method, and projection onto the KD-positive
@@ -53,7 +51,6 @@ class _FragmentContext:
     group: FiniteAbelianGroup
     R: np.ndarray               # (n, |G|) 0/1 indicators of g + H, family order
     C: np.ndarray               # (n, |G|) 0/1 indicators of chi * ann(H)
-    gram: np.ndarray            # HS Gram: overlap counts / |G|
 
     def pair(self, table: np.ndarray) -> np.ndarray:
         """HS inner products <Pi_i, A> of every member with A, from A's real KD table."""
@@ -62,6 +59,10 @@ class _FragmentContext:
     def combine(self, lam: np.ndarray) -> np.ndarray:
         """KD table of sum_i lam_i Pi_i."""
         return (self.R.T * lam) @ self.C
+
+    def overlaps(self, idx: np.ndarray) -> np.ndarray:
+        """Gram columns <Pi_i, Pi_j>, every member i against each j in idx: overlap counts / |G|."""
+        return (self.R @ self.R[idx].T) * (self.C @ self.C[idx].T) / self.group.order
 
     def tables(self) -> np.ndarray:
         """The (n, |G|^2) stack of ravelled member tables, for dense solvers."""
@@ -82,7 +83,7 @@ def _context(group: FiniteAbelianGroup) -> _FragmentContext:
         col_sets.append(np.tile(chi_cosets, (len(g_cosets), 1)))
     R = np.concatenate(row_sets).astype(float)
     C = np.concatenate(col_sets).astype(float)
-    return _FragmentContext(group=group, R=R, C=C, gram=(R @ R.T) * (C @ C.T) / group.order)
+    return _FragmentContext(group=group, R=R, C=C)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +115,7 @@ def is_kd_real(op: Operator, tol: float = DEFAULT.structural) -> KdRealResult:
     that the bare characteristic function vanishes wherever chi(g) != 1.
     The two violations vanish together, and the verdicts must agree.
     """
-    if not op.is_hermitian(tol=1e-10):
+    if not op.is_hermitian():
         raise NotHermitianError("KD reality is only defined for Hermitian operators")
     group = op.group
     direct = float(np.max(np.abs(_kd_table(group, op.kernel).imag)))
@@ -199,7 +200,7 @@ def span_membership(op: Operator, tol: float = DEFAULT.membership) -> Membership
     normalized orthogonal remainder W, which pairs to zero with every
     family member while <W, A> equals the reported gap.
     """
-    if not op.is_hermitian(tol=1e-10):
+    if not op.is_hermitian():
         raise NotHermitianError("span membership is defined for Hermitian operators")
     group = op.group
     ctx = _context(group)
@@ -220,18 +221,21 @@ def span_membership(op: Operator, tol: float = DEFAULT.membership) -> Membership
     return MembershipResult("inconclusive", residual, span_dimension=int(rank))
 
 
-def _simplex_nnls(gram, corr, lam0=None):
+def _simplex_nnls(family, corr, lam0=None):
     """Least squares over the probability simplex by active sets.
 
     Minimizes ``||y - A lam||`` subject to ``lam >= 0`` and
-    ``sum(lam) = 1``, given only ``A^T A`` and ``A^T Re(y)``.  The
-    passive-set subproblem keeps the equality constraint in its KKT
-    system; negative subproblem solutions trigger the usual interpolation
-    step back to the feasible region.
+    ``sum(lam) = 1``, given ``A^T Re(y)`` and, from ``family.overlaps``,
+    the columns of ``A^T A`` of the passive set, which hold the KKT block
+    and, as no weight lies off that set, the gradient.  The passive-set
+    subproblem keeps the equality constraint in its KKT system; negative
+    subproblem solutions trigger the usual interpolation step back to
+    the feasible region.
 
     Parameters
     ----------
-    gram : (n, n) precomputed A^T A
+    family : the members, such as a fragment context; every member
+        has unit norm and no overlap exceeds one
     corr : (n,) precomputed A^T Re(y)
     lam0 : (n,) optional feasible start (nonnegative, summing to one),
         such as the solution for a nearby target.  Its support is the
@@ -244,13 +248,17 @@ def _simplex_nnls(gram, corr, lam0=None):
     the subproblem solves, at most 50 n + 200.  Callers form the residual
     from the weights.
     """
-    n = gram.shape[0]
-    scale = max(1.0, float(np.max(np.abs(corr))), float(np.max(gram)))
-    start = int(np.argmax(2.0 * corr - np.diag(gram)))
+    n = corr.size
+    # The Gram diagonal is all ones and bounds every entry (a rectangle has
+    # area |G|, and no overlap of two is larger), so the scale and the best
+    # vertex, argmax 2 corr_i - ||Pi_i||^2, need only corr.
+    scale = max(1.0, float(np.max(np.abs(corr))))
+    start = int(np.argmax(2.0 * corr - 1.0))
     if lam0 is None:
         lam0 = np.zeros(n)
         lam0[start] = 1.0
     passive = [int(i) for i in np.flatnonzero(lam0)]
+    cols = family.overlaps(np.array(passive))       # Gram columns of the passive set
     lam = lam0
     converged = False
     iterations = 0
@@ -258,7 +266,7 @@ def _simplex_nnls(gram, corr, lam0=None):
         idx = np.array(passive)
         k = idx.size
         kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = gram[np.ix_(idx, idx)]
+        kkt[:k, :k] = cols[idx]
         kkt[:k, k] = 1.0
         kkt[k, :k] = 1.0
         rhs = np.append(corr[idx], 1.0)
@@ -268,7 +276,7 @@ def _simplex_nnls(gram, corr, lam0=None):
             lam = np.zeros(n)
             lam[idx] = np.clip(s, 0.0, None)
             lam /= lam.sum()
-            grad = corr - gram @ lam
+            grad = corr - cols @ lam[idx]
             slack = grad - nu
             slack[idx] = -np.inf
             j = int(np.argmax(slack))
@@ -276,6 +284,7 @@ def _simplex_nnls(gram, corr, lam0=None):
                 converged = True
                 break
             passive.append(j)
+            cols = np.column_stack([cols, family.overlaps(np.array([j]))])
         else:
             lam_p = lam[idx]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -286,8 +295,10 @@ def _simplex_nnls(gram, corr, lam0=None):
             lam = np.zeros(n)
             lam[idx[keep]] = lam_p[keep]
             passive = [int(i) for i in idx[keep]]
+            cols = cols[:, keep]
             if not passive:
                 passive = [start]
+                cols = family.overlaps(np.array(passive))
                 lam[:] = 0.0
                 lam[start] = 1.0
     total = lam.sum()
@@ -317,7 +328,7 @@ def conv_membership(
     group = rho.group
     ctx = _context(group)
     table = _kd_table(group, rho.kernel)
-    lam, converged, iterations = _simplex_nnls(ctx.gram, ctx.pair(table.real))
+    lam, converged, iterations = _simplex_nnls(ctx, ctx.pair(table.real))
     # the imaginary part, which no real combination reaches, stays in r
     r = table - ctx.combine(lam)
     residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
@@ -418,7 +429,7 @@ def project_onto_kdpos(
     """
     if max_iter < 1:
         raise PreconditionError(f"projection needs at least one iteration, got max_iter={max_iter}")
-    if not rho0.is_hermitian(tol=1e-10):
+    if not rho0.is_hermitian():
         raise NotHermitianError("projection input must be Hermitian")
     group = rho0.group
     m0 = rho0.matrix
@@ -557,7 +568,7 @@ def find_conv_gap_witness(
             stepped = current + STEP_SIZE * w_mat
             current, set_gap, _ = _dykstra(group, stepped, SEARCH_PROJ_ITERS, 1e-12)
             table = _kd_table(group, current * group.order)
-            weights, _, _ = _simplex_nnls(ctx.gram, ctx.pair(table.real), lam0=weights)
+            weights, _, _ = _simplex_nnls(ctx, ctx.pair(table.real), lam0=weights)
             hull_residual = float(np.linalg.norm(table - ctx.combine(weights))) / root_d
             score = hull_residual - 3.0 * set_gap
             if score > best_score:

@@ -253,10 +253,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def canonical_id(self) -> tuple[int, ...]:
-        return self.elements
-
     def mask(self) -> np.ndarray:
         out = np.zeros(self.group.order, dtype=bool)
         out[list(self.elements)] = True
@@ -298,7 +294,7 @@ def _extend_subgroup(group: FiniteAbelianGroup, base: tuple[int, ...], g: int) -
 
 
 @lru_cache(maxsize=None)
-def enumerate_subgroups(group: FiniteAbelianGroup, bound: int = SUBGROUP_ORDER_BOUND) -> tuple[Subgroup, ...]:
+def enumerate_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     """All subgroups, sorted by (order, canonical index tuple).
 
     Breadth-first closure over the subgroup lattice: starting from the
@@ -306,9 +302,9 @@ def enumerate_subgroups(group: FiniteAbelianGroup, bound: int = SUBGROUP_ORDER_B
     generator and closed.  Every subgroup arises this way because its
     generators can be adjoined one at a time.
     """
-    if group.order > bound:
+    if group.order > SUBGROUP_ORDER_BOUND:
         raise SubgroupBoundError(
-            f"group order {group.order} exceeds the enumeration bound {bound}"
+            f"group order {group.order} exceeds the enumeration bound {SUBGROUP_ORDER_BOUND}"
         )
     trivial = (0,)
     seen = {trivial}

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import UnsupportedOrderError
 from .groups import FiniteAbelianGroup, doubling
-from .harmonic import DualFunction, GFunction, inverse_fourier
-from .operators import Operator, PhaseSpaceFunction, check_state
+from .harmonic import DualFunction, GFunction, fourier, inverse_fourier
+from .operators import Operator, PhaseSpaceFunction, _computed, check_state
 from .weyl import WHElement, wh_unitary
 
 ORDERINGS = ("standard0", "standard1", "half")
@@ -70,18 +70,16 @@ def _kd_kernel(group: FiniteAbelianGroup, table: np.ndarray) -> np.ndarray:
 
 def kd(op: Operator) -> PhaseSpaceFunction:
     """Kirkwood-Dirac table of an operator."""
-    return PhaseSpaceFunction(op.group, _kd_table(op.group, op.kernel))
+    return _computed(PhaseSpaceFunction, op.group, values=_kd_table(op.group, op.kernel))
 
 
 def kd_inverse(table: PhaseSpaceFunction) -> Operator:
     """Kernel reconstruction K[g, g'] = sum_chi F(g, chi) chi(g - g')."""
-    return Operator(table.group, _kd_kernel(table.group, table.values))
+    return _computed(Operator, table.group, kernel=_kd_kernel(table.group, table.values))
 
 
 def kd_pure(psi: GFunction, psi_hat: DualFunction | None = None) -> PhaseSpaceFunction:
     """KD table of |psi><psi| via conj(chi(g)) psi(g) conj(psi_hat(chi))."""
-    from .harmonic import fourier
-
     group = psi.group
     if psi_hat is None:
         psi_hat = fourier(psi)
@@ -142,14 +140,14 @@ def akd(op: Operator) -> PhaseSpaceFunction:
     return symplectic_fourier(char_fn(op, "standard0"))
 
 
-def marginals(rho: Operator, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def marginals(rho: Operator) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum laws of a state read off the KD table.
 
     Summing KD over characters returns the kernel diagonal (density
     against normalized counting measure); averaging over the group
     returns the Born weights <chi|rho|chi> (a probability vector).
     """
-    check_state(rho, tol)
+    check_state(rho)
     table = _kd_table(rho.group, rho.kernel)
     position = np.real(table.sum(axis=1))
     momentum = np.real(table.sum(axis=0) / rho.group.order)

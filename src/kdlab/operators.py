@@ -88,10 +88,10 @@ class Operator:
     def hs_distance(self, other: "Operator") -> float:
         return (self - other).hs_norm()
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
+    def is_hermitian(self) -> bool:
         m = self.matrix
         scale = max(1.0, float(np.max(np.abs(m))))
-        return bool(np.max(np.abs(m - m.conj().T)) <= tol * scale)
+        return bool(np.max(np.abs(m - m.conj().T)) <= 1e-10 * scale)
 
     def __add__(self, other: "Operator") -> "Operator":
         if other.group != self.group:
@@ -230,3 +230,13 @@ class PhaseSpaceFunction:
         if np.isnan(values).any():
             raise ValueError("duplicate or missing (g, chi) rows")
         return cls(group, values)
+
+
+def _computed(cls, group: FiniteAbelianGroup, **arrays):
+    """An Operator or PhaseSpaceFunction around arrays a transform just made:
+    not copied, and checked for NaN, infinity and overflow through their sum."""
+    if not all(np.isfinite(array.sum()) for array in arrays.values()):
+        raise PreconditionError(f"{', '.join(arrays)} has NaN, infinite or overflowing entries")
+    obj = cls.__new__(cls)
+    vars(obj).update(arrays, group=group)
+    return obj

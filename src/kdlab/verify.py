@@ -1,11 +1,11 @@
 """Named invariant checks and the report they assemble.
 
-Each check is a pure function of (group, rng, tolerances) returning a
-measured value that must stay on the right side of a threshold.  Checks
-draw their randomness from a generator seeded by (run seed, crc32 of
-the check name), so the report is reproducible and independent of
-execution order.  Check names and anchors are stable identifiers: the
-anchor states the mathematical fact being verified.
+Each check is a pure function of (group, rng) returning a measured
+value that must stay on the right side of a threshold read from the
+tolerances.  Checks draw their randomness from a generator seeded by
+(run seed, crc32 of the check name), so the report is reproducible and
+independent of execution order.  Check names and anchors are stable
+identifiers: the anchor states the mathematical fact being verified.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classify import enumerate_kd_positive_pure
+from .classify import enumerate_kd_positive_pure, recognize_kd_positive_pure
 from .errors import UnsupportedOrderError
 from .fragment import (
     _context,
@@ -28,7 +28,6 @@ from .fragment import (
 )
 from .groups import FiniteAbelianGroup, annihilator, enumerate_subgroups
 from .harmonic import DualFunction, GFunction, fourier, haar_density, inverse_fourier
-from .jsonio import dumps
 from .kd import akd, char_fn, kd, kd_inverse, kohn_nirenberg, marginals, symplectic_fourier
 from .operators import Operator, PhaseSpaceFunction
 from .tolerances import DEFAULT, Tolerances
@@ -72,7 +71,7 @@ def _table_diff(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> float:
 # checks
 
 
-def _check_pairing_bicharacter(group, rng, tol):
+def _check_pairing_bicharacter(group, rng):
     X = group.char_table
     add = group.add_table
     worst = 0.0
@@ -84,7 +83,7 @@ def _check_pairing_bicharacter(group, rng, tol):
     return worst
 
 
-def _check_subgroup_closure(group, rng, tol):
+def _check_subgroup_closure(group, rng):
     bad = 0
     subgroups = enumerate_subgroups(group)
     for sub in subgroups:
@@ -97,7 +96,7 @@ def _check_subgroup_closure(group, rng, tol):
     return float(bad)
 
 
-def _check_annihilator_duality(group, rng, tol):
+def _check_annihilator_duality(group, rng):
     worst = 0
     for sub in enumerate_subgroups(group):
         ann = annihilator(group, sub)
@@ -108,7 +107,7 @@ def _check_annihilator_duality(group, rng, tol):
     return float(worst)
 
 
-def _check_fourier_roundtrip(group, rng, tol):
+def _check_fourier_roundtrip(group, rng):
     worst = 0.0
     for _ in range(50):
         psi = GFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
@@ -117,7 +116,7 @@ def _check_fourier_roundtrip(group, rng, tol):
     return worst
 
 
-def _check_plancherel(group, rng, tol):
+def _check_plancherel(group, rng):
     worst = 0.0
     for _ in range(50):
         psi = GFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
@@ -125,7 +124,7 @@ def _check_plancherel(group, rng, tol):
     return worst
 
 
-def _check_subgroup_density_transform(group, rng, tol):
+def _check_subgroup_density_transform(group, rng):
     worst = 0.0
     for sub in enumerate_subgroups(group):
         hat = fourier(haar_density(group, sub))
@@ -135,7 +134,7 @@ def _check_subgroup_density_transform(group, rng, tol):
     return worst
 
 
-def _check_wh_representation(group, rng, tol):
+def _check_wh_representation(group, rng):
     worst = 0.0
     for _ in range(30):
         a, b = _random_wh(group, rng), _random_wh(group, rng)
@@ -145,7 +144,7 @@ def _check_wh_representation(group, rng, tol):
     return worst
 
 
-def _check_wh_unitarity(group, rng, tol):
+def _check_wh_unitarity(group, rng):
     eye = Operator.identity(group)
     worst = 0.0
     for _ in range(30):
@@ -156,7 +155,7 @@ def _check_wh_unitarity(group, rng, tol):
     return worst
 
 
-def _check_wh_kd_translation(group, rng, tol):
+def _check_wh_kd_translation(group, rng):
     diff = group.diff_table
     worst = 0.0
     for _ in range(30):
@@ -169,7 +168,7 @@ def _check_wh_kd_translation(group, rng, tol):
     return worst
 
 
-def _check_kd_roundtrip(group, rng, tol):
+def _check_kd_roundtrip(group, rng):
     worst = 0.0
     for _ in range(50):
         op = _random_operator(group, rng)
@@ -178,7 +177,7 @@ def _check_kd_roundtrip(group, rng, tol):
     return worst
 
 
-def _check_kd_unitarity(group, rng, tol):
+def _check_kd_unitarity(group, rng):
     worst = 0.0
     for _ in range(50):
         a, b = _random_operator(group, rng), _random_operator(group, rng)
@@ -186,7 +185,7 @@ def _check_kd_unitarity(group, rng, tol):
     return worst
 
 
-def _check_symplectic_involution(group, rng, tol):
+def _check_symplectic_involution(group, rng):
     worst = 0.0
     for _ in range(50):
         d = group.order
@@ -196,7 +195,7 @@ def _check_symplectic_involution(group, rng, tol):
     return worst
 
 
-def _check_char_fn_factorization(group, rng, tol):
+def _check_char_fn_factorization(group, rng):
     worst = 0.0
     for _ in range(30):
         op = _random_operator(group, rng)
@@ -205,7 +204,7 @@ def _check_char_fn_factorization(group, rng, tol):
     return worst
 
 
-def _check_adjoint_conjugation(group, rng, tol):
+def _check_adjoint_conjugation(group, rng):
     worst = 0.0
     for _ in range(30):
         op = _random_operator(group, rng)
@@ -215,7 +214,7 @@ def _check_adjoint_conjugation(group, rng, tol):
     return worst
 
 
-def _check_state_marginals(group, rng, tol):
+def _check_state_marginals(group, rng):
     worst = 0.0
     for _ in range(30):
         rho = _random_state(group, rng)
@@ -229,7 +228,7 @@ def _check_state_marginals(group, rng, tol):
     return worst
 
 
-def _check_product_symbol_quantization(group, rng, tol):
+def _check_product_symbol_quantization(group, rng):
     worst = 0.0
     for _ in range(30):
         f = GFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
@@ -239,7 +238,7 @@ def _check_product_symbol_quantization(group, rng, tol):
     return worst
 
 
-def _check_wigner_real(group, rng, tol):
+def _check_wigner_real(group, rng):
     worst = 0.0
     for _ in range(30):
         op = _random_hermitian(group, rng)
@@ -248,7 +247,7 @@ def _check_wigner_real(group, rng, tol):
     return worst
 
 
-def _check_half_order_parity_guard(group, rng, tol):
+def _check_half_order_parity_guard(group, rng):
     op = _random_hermitian(group, rng)
     try:
         char_fn(op, "half")
@@ -257,13 +256,13 @@ def _check_half_order_parity_guard(group, rng, tol):
     return 1.0
 
 
-def _check_family_count(group, rng, tol):
+def _check_family_count(group, rng):
     family = enumerate_kd_positive_pure(group)
     expected = group.order * len(enumerate_subgroups(group))
     return float(abs(len(family) - expected) + (len(set(family)) != len(family)))
 
 
-def _check_family_indicator(group, rng, tol):
+def _check_family_indicator(group, rng):
     worst = 0.0
     for member in enumerate_kd_positive_pure(group):
         table = kd(member.projector())
@@ -271,16 +270,14 @@ def _check_family_indicator(group, rng, tol):
     return worst
 
 
-def _check_family_positivity(group, rng, tol):
+def _check_family_positivity(group, rng):
     worst = 0.0
     for member in enumerate_kd_positive_pure(group):
         worst = max(worst, is_kd_positive_state(member.projector()).worst_violation)
     return worst
 
 
-def _check_recognition_roundtrip(group, rng, tol):
-    from .classify import recognize_kd_positive_pure
-
+def _check_recognition_roundtrip(group, rng):
     failures = 0
     for member in enumerate_kd_positive_pure(group):
         hit = recognize_kd_positive_pure(member.vector)
@@ -297,12 +294,12 @@ def _check_recognition_roundtrip(group, rng, tol):
     return float(failures)
 
 
-def _check_real_dimension(group, rng, tol):
+def _check_real_dimension(group, rng):
     rank = np.linalg.matrix_rank(_context(group).tables())
     return float(abs(rank - kd_real_dimension(group)))
 
 
-def _check_projector_membership(group, rng, tol):
+def _check_projector_membership(group, rng):
     worst = 0.0
     for member in enumerate_kd_positive_pure(group):
         res = conv_membership(member.projector())
@@ -312,13 +309,13 @@ def _check_projector_membership(group, rng, tol):
     return worst
 
 
-def _check_mixed_membership(group, rng, tol):
+def _check_mixed_membership(group, rng):
     mixed = Operator.from_matrix(group, np.eye(group.order, dtype=complex) / group.order)
     res = conv_membership(mixed)
     return res.residual if res.verdict == "inside" else float("inf")
 
 
-def _check_certificate_reconstruction(group, rng, tol):
+def _check_certificate_reconstruction(group, rng):
     projectors = np.stack([m.projector().matrix for m in enumerate_kd_positive_pure(group)])
     worst = 0.0
     for _ in range(10):
@@ -333,7 +330,7 @@ def _check_certificate_reconstruction(group, rng, tol):
     return worst
 
 
-def _check_span_consistency(group, rng, tol):
+def _check_span_consistency(group, rng):
     projectors = np.stack([m.projector().matrix for m in enumerate_kd_positive_pure(group)])
     worst = 0.0
     for _ in range(10):
@@ -346,7 +343,7 @@ def _check_span_consistency(group, rng, tol):
     return worst
 
 
-def _check_circle_diagonal_forward(group, rng, tol):
+def _check_circle_diagonal_forward(group, rng):
     worst = 0.0
     for _ in range(10):
         diag = rng.dirichlet(np.ones(9))
@@ -355,7 +352,7 @@ def _check_circle_diagonal_forward(group, rng, tol):
     return worst
 
 
-def _check_circle_offdiagonal_violation(group, rng, tol):
+def _check_circle_offdiagonal_violation(group, rng):
     smallest = np.inf
     for _ in range(10):
         n = 9
@@ -503,9 +500,6 @@ class VerificationReport:
             "timestamp": self.timestamp,
         }
 
-    def render(self) -> str:
-        return dumps(self.to_json())
-
 
 def _check_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
@@ -518,7 +512,7 @@ def run_check(check: Check, group: FiniteAbelianGroup, seed: int,
     rng = _check_rng(seed, check.name)
     threshold = check.tolerance(tolerances)
     try:
-        measured = float(check.fn(group, rng, tolerances))
+        measured = float(check.fn(group, rng))
     except Exception:
         return CheckResult(
             name=check.name,

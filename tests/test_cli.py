@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,12 +8,14 @@ import pytest
 
 from kdlab.classify import enumerate_kd_positive_pure
 from kdlab import verify
-from kdlab.cli import main
+from kdlab import cli
+from kdlab.cli import build_parser, main
 from kdlab.groups import parse_group
 from kdlab.harmonic import GFunction
 from kdlab.jsonio import dumps, encode_array
 from kdlab.kd import kd
 from kdlab.operators import Operator
+from kdlab.tolerances import DEFAULT
 
 from conftest import child_env
 from test_circle import _two_mode_plus, _vacuum
@@ -326,7 +329,7 @@ def test_verify_all_green(capsys):
 
 
 def test_verify_all_reports_raising_check(monkeypatch, capsys):
-    def broken(group, rng, tolerances):
+    def broken(group, rng):
         raise RuntimeError("deliberately broken check")
 
     raising = verify.Check("zz-broken", "a check that raises", broken, lambda t: t.exact)
@@ -363,6 +366,133 @@ def test_csv_unsupported_for_scalar_reports(tmp_path, capsys):
                                  "--format", "csv"])
     assert code == 1
     assert "error:" in err
+
+
+def test_unwritable_out_path_is_config_error(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "info.json")
+    code, out, err = _run(capsys, ["group", "info", "--group", "Z2", "--out", target])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
+def _leaf_parsers(parser, path=()):
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        yield " ".join(path), parser
+    for action in actions:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    flags = {
+        path: {a.option_strings[0]: a for a in parser._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        for path, parser in _leaf_parsers(build_parser())
+    }
+    assert len(flags) == 16
+    assert sum(len(f) for f in flags.values()) == 78
+    assert {path for path, f in flags.items() if "csv" in f["--format"].choices} == {
+        "group subgroups", "kd compute", "charfn", "pure enumerate"}
+    assert {path for path, f in flags.items() if "--seed" in f} == {"witness search", "verify all"}
+    assert all(f["--group"].required for f in flags.values() if "--group" in f)
+    assert sorted(name for name in flags["verify all"] if name.startswith("--tol-")) == [
+        "--tol-exact", "--tol-membership", "--tol-positivity", "--tol-structural",
+        "--tol-witness-gap"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "info", "--group", "Z2", "--seed", "3"],
+    ["group", "info", "--group", "Z2", "--tol-membership", "5"],
+    ["pure", "enumerate", "--group", "Z2", "--tol-recognition", "1e-3"],
+    ["member", "conv", "--group", "Z2", "--state", "x.json", "--tol-witness-gap", "1"],
+    ["circle", "search", "--input", "x.json", "--tol-positivity", "1"],
+    ["circle", "check", "--input", "x.json", "--group", "Z2"],
+])
+def test_unread_flag_is_config_error(argv, capsys):
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_csv_is_rejected_before_any_work(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("verify_group ran")
+
+    monkeypatch.setattr(cli, "verify_group", never)
+    code, out, err = _run(capsys, ["verify", "all", "--group", "Z6", "--format", "csv"])
+    assert code == 1
+    assert out == ""
+    assert "invalid choice: 'csv'" in err
+
+
+def _tolerance_inputs(tmp_path):
+    """Z2 and Z4 inputs just past the default bounds."""
+    z2, z4 = parse_group("Z2"), parse_group("Z4")
+    mixed = Operator.identity(z2) * 0.5
+    negative = Operator.pure_state(GFunction(z2, [1.2, np.sqrt(0.56)]))
+    low = float(np.min(kd(negative).values.real))
+    p = (0.5 + 1e-6) / (0.5 - low)              # KD minimum -1e-6
+    circular = Operator.pure_state(GFunction(z2, [1.0, 1.0j]))
+    near = enumerate_kd_positive_pure(z2)[0].vector.values + np.array([0.0, 1e-3])
+    return {
+        "slightly-negative": _write(tmp_path, "neg.json",
+                                    (mixed * (1 - p) + negative * p).to_json()),
+        "slightly-complex": _write(tmp_path, "complex.json",
+                                   (mixed * (1 - 1e-6) + circular * 1e-6).to_json()),
+        "near-span": _write(tmp_path, "span.json", (
+            enumerate_kd_positive_pure(z4)[3].projector() + _off_support_op(z4) * 1e-6).to_json()),
+        "near-member": _write(tmp_path, "vec.json", {
+            "values": encode_array(near / np.linalg.norm(near) * np.sqrt(2))}),
+        "two-mode": _write(tmp_path, "two.json", _two_mode_plus(3).to_json()),
+    }
+
+
+_WITNESS = ["witness", "search", "--group", "Z2xZ2", "--budget", "100"]
+_NEGATIVE_Z2 = ["--group", "Z2", "--state", "slightly-negative"]
+
+
+@pytest.mark.parametrize("argv, flag, default_code, code", [
+    (["pure", "recognize", "--group", "Z2", "--state", "near-member"],
+     ["--tol-recognition", "1e-5"], 3, 0),
+    (["check", "kd-real", "--group", "Z2", "--operator", "slightly-complex"],
+     ["--tol-structural", "1e-5"], 3, 0),
+    (["check", "kd-positive", *_NEGATIVE_Z2], ["--tol-positivity", "1e-5"], 3, 0),
+    (["member", "span", "--group", "Z4", "--operator", "near-span"],
+     ["--tol-membership", "1e-3"], 3, 0),
+    (["member", "conv", *_NEGATIVE_Z2], ["--tol-positivity", "1e-5"], 2, 3),
+    (["member", "conv", *_NEGATIVE_Z2, "--tol-positivity", "1e-5"],
+     ["--tol-membership", "1e-4"], 3, 0),
+    # the Z2xZ2 witness is found in the first 100 steps; each bound below
+    # rejects it: a gap bound above the gap, a membership bound above the
+    # hull residual, a positivity bound tighter than the polish reaches
+    (_WITNESS, ["--tol-witness-gap", "1"], 0, 4),
+    (_WITNESS, ["--tol-membership", "1"], 0, 4),
+    (_WITNESS, ["--tol-positivity", "1e-14"], 0, 4),
+    (["circle", "check", "--input", "two-mode"], ["--tol-positivity", "1"], 3, 0),
+])
+def test_each_tolerance_flag_changes_its_outcome(argv, flag, default_code, code, tmp_path, capsys):
+    inputs = _tolerance_inputs(tmp_path)
+    argv = [inputs.get(arg, arg) for arg in argv] + ["--format", "json"]
+    assert _run(capsys, argv)[0] == default_code
+    assert _run(capsys, argv + flag)[0] == code
+
+
+@pytest.mark.parametrize("name", ["exact", "structural", "positivity", "membership", "witness_gap"])
+def test_verify_tolerance_flag_bounds_its_rows(name, capsys):
+    # a bound no measurement meets fails exactly the rows that read it
+    checks = [c for c in verify.CHECKS if c.applies(parse_group("Z2"))]
+    unmet = 1e9 if name == "witness_gap" else -1.0
+    expected = {c.name for c in checks if c.tolerance(DEFAULT.override(**{name: unmet})) == unmet}
+    assert expected
+    argv = ["verify", "all", "--group", "Z2", "--format", "json"]
+    assert _run(capsys, argv)[0] == 0
+    code, out, _ = _run(capsys, argv + [f"--tol-{name.replace('_', '-')}", str(unmet)])
+    assert code == 4
+    assert {c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"} == expected
 
 
 def test_module_entry_point():

@@ -276,11 +276,11 @@ def test_one_lattice_and_one_family_per_group():
     assert enumerate_kd_positive_pure.cache_info().misses == 1
     assert enumerate_subgroups.cache_info().misses == 1
     assert _coset_labels.cache_info().misses == 1
-    # and one context, holding the coset indicators and the Gram matrix only
+    # and one context, holding the coset indicators only
     assert _context.cache_info().misses == 1
     n, d = len(family), group.order
     arrays = {name: v.shape for name, v in vars(_context(group)).items() if isinstance(v, np.ndarray)}
-    assert arrays == {"R": (n, d), "C": (n, d), "gram": (n, n)}
+    assert arrays == {"R": (n, d), "C": (n, d)}
 
 
 def _member_vector(member):
@@ -316,7 +316,8 @@ def test_family_and_context_match_member_by_member_construction(name):
     assert np.array_equal(ctx.R[:, :, None] * ctx.C[:, None, :], ones)
     ones = ones.reshape(len(ones), d * d)
     assert np.array_equal(ctx.tables(), ones)
-    assert np.array_equal(ctx.gram, ones @ ones.T / d)
+    assert np.array_equal(ctx.overlaps(np.arange(len(ones))), ones @ ones.T / d)
+    assert np.array_equal(ctx.overlaps(np.array([3, 1])), ones @ ones[[3, 1]].T / d)
 
 
 @pytest.mark.parametrize("name", BATTERY + ["Z2xZ2xZ2xZ2", "Z6xZ6"])
@@ -335,6 +336,23 @@ def test_rectangle_pairing_and_combination_match_dense_stack(name):
         assert np.max(np.abs(ctx.combine(lam).ravel() - lam @ dense)) <= 1e-13
 
 
+def test_hull_membership_on_a_large_family_holds_only_the_indicators():
+    # Z2^5 has 11 968 members: a Gram matrix would take 1.1 GB, the two
+    # indicator stacks take 6 MB
+    group = parse_group("Z2xZ2xZ2xZ2xZ2")
+    d = group.order
+    ctx = _context(group)
+    n = len(enumerate_kd_positive_pure(group))
+    assert n == 11968
+    nbytes = sum(v.nbytes for v in vars(ctx).values() if isinstance(v, np.ndarray))
+    assert nbytes <= 2 * n * d * 8
+    rng = np.random.default_rng(233)
+    for rho in (Operator.identity(group) * (1.0 / d), _family_mixture(group, rng, k=5)):
+        result = conv_membership(rho)
+        assert result.verdict == "inside"
+        assert result.converged
+
+
 def test_membership_result_json_shapes():
     z2 = parse_group("Z2")
     inside = conv_membership(Operator.identity(z2) * 0.5).to_json()
@@ -344,6 +362,16 @@ def test_membership_result_json_shapes():
     assert outside["verdict"] == "outside"
     assert "witness" in outside["certificate"]
     assert outside["certificate"]["gap"] > 0
+
+
+class _GramFamily:
+    """The hull solver's read of a family, from its dense Gram matrix."""
+
+    def __init__(self, gram):
+        self.gram = gram
+
+    def overlaps(self, idx):
+        return self.gram[:, idx]
 
 
 def test_simplex_nnls_against_penalty_oracle():
@@ -357,7 +385,7 @@ def test_simplex_nnls_against_penalty_oracle():
             y = a @ rng.dirichlet(np.ones(n)) + 0.01 * rng.normal(size=m)
         else:
             y = rng.normal(size=m)
-        lam, converged, _ = _simplex_nnls(a.T @ a, a.T @ y)
+        lam, converged, _ = _simplex_nnls(_GramFamily(a.T @ a), a.T @ y)
         residual = float(np.linalg.norm(y - a @ lam))
         assert converged
         assert lam.min() >= 0.0
@@ -378,7 +406,7 @@ def test_simplex_nnls_warm_start_matches_cold(battery_group):
     group = battery_group
     d = group.order
     ctx = _context(group)
-    n = len(ctx.gram)
+    n = len(ctx.R)
     rng = np.random.default_rng(197)
     direction = _random_direction(group, rng)
     current = np.eye(d, dtype=complex) / d
@@ -387,14 +415,14 @@ def test_simplex_nnls_warm_start_matches_cold(battery_group):
         current, _, _ = _dykstra(group, current + 0.25 * direction, 12, 1e-12)
         table = _kd_table(group, current * d)
         corr = ctx.pair(table.real)
-        lam, converged, _ = _simplex_nnls(ctx.gram, corr)
+        lam, converged, _ = _simplex_nnls(ctx, corr)
         residual = np.linalg.norm(table - ctx.combine(lam)) / np.sqrt(d)
         assert converged
         vertex = np.zeros(n)
         vertex[rng.integers(n)] = 1.0
         starts = [vertex, np.full(n, 1.0 / n)] + ([previous] if previous is not None else [])
         for lam0 in starts:
-            warm, warm_converged, _ = _simplex_nnls(ctx.gram, corr, lam0=lam0)
+            warm, warm_converged, _ = _simplex_nnls(ctx, corr, lam0=lam0)
             warm_residual = np.linalg.norm(table - ctx.combine(warm)) / np.sqrt(d)
             assert warm_converged
             assert warm.min() >= 0.0
@@ -539,7 +567,7 @@ def _embedded_family(group):
 
 def _embedded_conv(embed, rho):
     y = _embed(rho.matrix)
-    lam, _, _ = _simplex_nnls(embed @ embed.T, embed @ y)
+    lam, _, _ = _simplex_nnls(_GramFamily(embed @ embed.T), embed @ y)
     return lam, float(np.linalg.norm(y - embed.T @ lam))
 
 
@@ -548,7 +576,7 @@ def test_table_geometry_matches_matrix_embedding(battery_group):
     d = group.order
     embed, basis = _embedded_family(group)
     ctx = _context(group)
-    assert np.max(np.abs(ctx.gram - embed @ embed.T)) <= 1e-12
+    assert np.max(np.abs(ctx.overlaps(np.arange(len(embed))) - embed @ embed.T)) <= 1e-12
     assert np.linalg.matrix_rank(ctx.tables()) == basis.shape[0]
 
     direction = _random_direction(group, np.random.default_rng(181))

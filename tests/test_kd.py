@@ -436,6 +436,23 @@ def test_fft_route_roundtrip_and_unitarity(name):
     assert abs(ta.norm() - a.hs_norm()) <= 1e-10
 
 
+@pytest.mark.parametrize("name", ["Z4", "Z64"])
+def test_transforms_wrap_fresh_arrays_and_refuse_overflow(name):
+    # kd and kd_inverse hand the arrays they compute to their results
+    # uncopied: no result may share memory with its input, and a
+    # transform that overflows is refused like non-finite input
+    group = parse_group(name)
+    op = random_operator(group, np.random.default_rng(131))
+    table = kd(op)
+    back = kd_inverse(table)
+    assert not np.shares_memory(table.values, op.kernel)
+    assert not np.shares_memory(back.kernel, table.values)
+    huge = PhaseSpaceFunction(group, np.full((group.order, group.order), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(PreconditionError, match="overflowing"):
+        kd_inverse(huge)
+
+
 @pytest.mark.parametrize("name", BATTERY)
 def test_small_groups_keep_dense_products_bit_for_bit(name):
     # the pinned seed-0 witnesses depend on these exact bits
