@@ -17,8 +17,10 @@ the table of a combination lam is (R^T diag(lam)) C; and two rectangles
 overlap in the product of their row and column overlaps, so the Gram
 columns of members idx are (R R[idx]^T) * (C C[idx]^T) / |G|, exact
 overlap counts / |G|.  The hull solver forms only the columns of its
-passive set, one per member that joins it.  Only the dense span solve
-and one verify check stack the tables, for one call.
+passive set, one per member that joins it.  The span solve needs no
+Gram matrix at all: under the symplectic Fourier transform each
+rectangle becomes a character product on H x ann(H), so the family's
+Gram operator is diagonal there.
 
 Hull membership is a least-squares problem over the probability simplex
 solved by an active-set method, and projection onto the KD-positive
@@ -35,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classify import _coset_labels
-from .errors import NotHermitianError, NotKdPositiveError, PreconditionError
+from .errors import NotAStateError, NotHermitianError, NotKdPositiveError, PreconditionError
 from .groups import FiniteAbelianGroup
 from .kd import _kd_kernel, _kd_table, char_fn, kd_inverse, symplectic_fourier
 from .operators import Operator, PhaseSpaceFunction, check_state
@@ -63,11 +65,6 @@ class _FragmentContext:
     def overlaps(self, idx: np.ndarray) -> np.ndarray:
         """Gram columns <Pi_i, Pi_j>, every member i against each j in idx: overlap counts / |G|."""
         return (self.R @ self.R[idx].T) * (self.C @ self.C[idx].T) / self.group.order
-
-    def tables(self) -> np.ndarray:
-        """The (n, |G|^2) stack of ravelled member tables, for dense solvers."""
-        n, d = self.R.shape
-        return (self.R[:, :, None] * self.C[:, None, :]).reshape(n, d * d)
 
 
 @lru_cache(maxsize=None)
@@ -196,16 +193,30 @@ class MembershipResult:
 def span_membership(op: Operator, tol: float = DEFAULT.membership) -> MembershipResult:
     """Distance from the real span of the family projectors.
 
-    Inside: real coefficients reproducing the operator.  Outside: the
-    normalized orthogonal remainder W, which pairs to zero with every
-    family member while <W, A> equals the reported gap.
+    Inside: the minimum-norm real coefficients reproducing the operator.
+    Outside: the normalized orthogonal remainder W, which pairs to zero
+    with every family member while <W, A> equals the reported gap.
     """
     if not op.is_hermitian():
         raise NotHermitianError("span membership is defined for Hermitian operators")
     group = op.group
     ctx = _context(group)
     table = _kd_table(group, op.kernel)
-    coeffs, _, rank, _ = np.linalg.lstsq(ctx.tables().T, table.real.ravel(), rcond=None)
+    # The symplectic Fourier transform F of member (H, a, b)'s rectangle is
+    # chi(a) conj(b(g)) on H x ann(H) and zero elsewhere, so in F coordinates
+    # the Gram operator A A^T is diagonal, |G| N(g, chi), with N counting the
+    # subgroups H that hold g and have chi in ann(H).  The minimum-norm
+    # coefficients A^T (A A^T)^+ T are F(T) / N transformed back on each
+    # H x ann(H) and read at the rectangle's corner (a, b).
+    X = group.char_table
+    # labels are minimal indices and 0 is the identity, so gl == 0 marks H and cl == 0 ann(H)
+    parts = [(gl == 0, cl == 0, np.unique(gl), np.unique(cl)) for _, gl, cl in _coset_labels(group)]
+    counts = sum(np.outer(h, ann) for h, ann, _, _ in parts)
+    fhat = symplectic_fourier(PhaseSpaceFunction(group, table.real)).values
+    q = np.divide(fhat, counts, out=np.zeros_like(fhat), where=counts > 0)
+    coeffs = np.concatenate([(X[np.ix_(b, h)] @ q[np.ix_(h, ann)] @ X[np.ix_(ann, a)].conj()).real.T.ravel()
+                             for h, ann, a, b in parts]) / group.order
+    rank = np.count_nonzero(counts)
     r = table - ctx.combine(coeffs)
     residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
     if residual <= tol:
@@ -507,7 +518,10 @@ def _verify_outside_candidate(ctx, matrix, gap_tol, positivity_tol, membership_t
     group = ctx.group
     polished, _, _ = _dykstra(group, matrix, 4000, 1e-13)
     rho = Operator.from_matrix(group, polished)
-    if not is_kd_positive_state(rho, tol=positivity_tol).is_positive:
+    try:
+        if not is_kd_positive_state(rho, tol=positivity_tol).is_positive:
+            return None
+    except NotAStateError:      # a tol below rounding: even the trace cannot pass
         return None
     result = conv_membership(rho, tol=membership_tol, positivity_tol=positivity_tol)
     if result.verdict != "outside" or result.witness is None:

@@ -19,13 +19,7 @@ import numpy as np
 
 from .classify import enumerate_kd_positive_pure, recognize_kd_positive_pure
 from .errors import UnsupportedOrderError
-from .fragment import (
-    _context,
-    conv_membership,
-    is_kd_positive_state,
-    kd_real_dimension,
-    span_membership,
-)
+from .fragment import conv_membership, is_kd_positive_state, kd_real_dimension, span_membership
 from .groups import FiniteAbelianGroup, annihilator, enumerate_subgroups
 from .harmonic import DualFunction, GFunction, fourier, haar_density, inverse_fourier
 from .kd import akd, char_fn, kd, kd_inverse, kohn_nirenberg, marginals, symplectic_fourier
@@ -295,7 +289,8 @@ def _check_recognition_roundtrip(group, rng):
 
 
 def _check_real_dimension(group, rng):
-    rank = np.linalg.matrix_rank(_context(group).tables())
+    tables = [m.indicator_table().values.real.ravel() for m in enumerate_kd_positive_pure(group)]
+    rank = np.linalg.matrix_rank(np.stack(tables))
     return float(abs(rank - kd_real_dimension(group)))
 
 

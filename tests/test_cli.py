@@ -290,6 +290,11 @@ def test_witness_search_found_and_not_found(capsys):
                                  "--format", "json"])
     assert code == 4
     assert json.loads(out)["found"] is False
+    # a positivity bound below float rounding rejects each candidate, and
+    # the search runs out its budget instead of aborting
+    code, out, _ = _run(capsys, [*_WITNESS, "--tol-positivity", "1e-16", "--format", "json"])
+    assert code == 4
+    assert json.loads(out)["found"] is False
 
 
 def test_witness_search_rejects_negative_budget(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -315,7 +317,6 @@ def test_family_and_context_match_member_by_member_construction(name):
     ctx = _context(group)
     assert np.array_equal(ctx.R[:, :, None] * ctx.C[:, None, :], ones)
     ones = ones.reshape(len(ones), d * d)
-    assert np.array_equal(ctx.tables(), ones)
     assert np.array_equal(ctx.overlaps(np.arange(len(ones))), ones @ ones.T / d)
     assert np.array_equal(ctx.overlaps(np.array([3, 1])), ones @ ones[[3, 1]].T / d)
 
@@ -351,6 +352,32 @@ def test_hull_membership_on_a_large_family_holds_only_the_indicators():
         result = conv_membership(rho)
         assert result.verdict == "inside"
         assert result.converged
+
+
+def test_span_membership_on_a_large_family_stacks_no_tables():
+    # Z2^5: the 11 968 stacked member tables would take 98 MB; the solve
+    # reads the coset labels and the two indicator stacks only
+    group = parse_group("Z2xZ2xZ2xZ2xZ2")
+    d = group.order
+    family = enumerate_kd_positive_pure(group)
+    n = len(family)
+    rng = np.random.default_rng(239)
+    picks = rng.choice(n, size=4, replace=False)
+    vectors = np.stack([family[i].vector.values for i in picks])
+    inside = Operator.from_matrix(group, (vectors.T * rng.normal(size=4)) @ vectors.conj() / d)
+    _context(group)                     # cached first: the bound is on the solve alone
+    for op, verdict in ((inside, "inside"), (random_hermitian(group, rng), "outside")):
+        tracemalloc.start()
+        result = span_membership(op)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert result.verdict == verdict
+        assert result.span_dimension == kd_real_dimension(group) == 528
+        assert peak <= 2 * n * d * 8
+    weights = span_membership(inside).weights
+    every = np.stack([m.vector.values for m in family])
+    rebuilt = (every.T * weights) @ every.conj() / d
+    assert np.max(np.abs(rebuilt - inside.matrix)) <= 1e-8
 
 
 def test_membership_result_json_shapes():
@@ -571,13 +598,15 @@ def _embedded_conv(embed, rho):
     return lam, float(np.linalg.norm(y - embed.T @ lam))
 
 
-def test_table_geometry_matches_matrix_embedding(battery_group):
-    group = battery_group
+@pytest.mark.parametrize("name", BATTERY + ["Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z4xZ4"])
+def test_table_geometry_matches_matrix_embedding(name):
+    group = parse_group(name)
     d = group.order
     embed, basis = _embedded_family(group)
     ctx = _context(group)
     assert np.max(np.abs(ctx.overlaps(np.arange(len(embed))) - embed @ embed.T)) <= 1e-12
-    assert np.linalg.matrix_rank(ctx.tables()) == basis.shape[0]
+    tables = (ctx.R[:, :, None] * ctx.C[:, None, :]).reshape(len(embed), d * d)
+    assert np.linalg.matrix_rank(tables) == basis.shape[0]
 
     direction = _random_direction(group, np.random.default_rng(181))
     rng = np.random.default_rng(181)
@@ -660,6 +689,9 @@ def test_witness_search_none_within_budget():
     # hull equality groups: a short run must come back empty-handed
     assert find_conv_gap_witness(parse_group("Z2"), seed=0, budget=300) is None
     assert find_conv_gap_witness(parse_group("Z3"), seed=0, budget=300) is None
+    # so must a positivity bound no polished candidate can meet, not even
+    # its trace check: each candidate is rejected, the budget runs out
+    assert find_conv_gap_witness(parse_group("Z2xZ2"), budget=100, positivity_tol=1e-16) is None
 
 
 def test_witness_search_rejects_negative_budget():
