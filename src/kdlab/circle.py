@@ -11,6 +11,7 @@ of discretizing the group.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +78,7 @@ class BandLimitedOperator:
 
     @classmethod
     def from_json(cls, payload: dict) -> "BandLimitedOperator":
-        K = int(payload["K"])
+        K = operator.index(payload["K"])  # an integer, not a float or a string
         return cls(K, decode_array(payload["coeffs"], (2 * K + 1, 2 * K + 1)))
 
 

@@ -31,6 +31,7 @@ from .groups import (
 from .harmonic import GFunction
 from .jsonio import encode_array
 from .operators import Operator, PhaseSpaceFunction
+from .tolerances import DEFAULT
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +165,7 @@ def _family_vectors(group: FiniteAbelianGroup) -> np.ndarray:
 
 def recognize_kd_positive_pure(
     psi: GFunction,
-    tol: float = 1e-7,
+    tol: float = DEFAULT.recognition,
 ) -> KdPureState | None:
     """Match a unit vector against the family, up to global phase.
 

@@ -12,11 +12,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import circle as circ
 from .classify import enumerate_kd_positive_pure, family_to_json, recognize_kd_positive_pure
-from .errors import GroupMismatchError, GroupSpecError, KdlabError, PreconditionError
+from .errors import GroupSpecError, KdlabError, PreconditionError
 from .fragment import (
     conv_membership,
     find_conv_gap_witness,
@@ -49,55 +47,48 @@ class CliConfigError(Exception):
 # input loading and output rendering
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, what: str, parse):
+    """parse(text) of the file at path.
+
+    An unreadable file and every malformed payload (bad JSON or CSV, a
+    missing key, a wrong type or entry count) is a config error naming
+    the input; a PreconditionError, raised for NaN and infinite numbers,
+    passes through to exit 2.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliConfigError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_json(path: str) -> dict:
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliConfigError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def _load_operator(path: str, group: FiniteAbelianGroup) -> Operator:
-    try:
-        return Operator.from_json(_read_json(path), group)
+            return parse(fh.read())
     except PreconditionError:
         raise
-    except (GroupMismatchError, ValueError, KeyError) as exc:
-        raise CliConfigError(f"invalid operator in {path}: {exc}") from exc
+    except KeyError as exc:
+        raise CliConfigError(f"invalid {what} in {path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError, IndexError) as exc:
+        raise CliConfigError(f"invalid {what} in {path}: {exc}") from exc
 
 
-def _load_table(path: str, group: FiniteAbelianGroup) -> PhaseSpaceFunction:
-    try:
-        if path.endswith(".csv"):
-            return PhaseSpaceFunction.from_csv(group, _read_text(path))
-        return PhaseSpaceFunction.from_json(_read_json(path), group)
-    except PreconditionError:
-        raise
-    except (GroupMismatchError, ValueError, KeyError) as exc:
-        raise CliConfigError(f"invalid table in {path}: {exc}") from exc
+def _operator(group: FiniteAbelianGroup):
+    """Parser of an operator (or state) JSON file declared over group."""
+    return lambda text: Operator.from_json(json.loads(text), group)
 
 
-def _load_vector(path: str, group: FiniteAbelianGroup) -> GFunction:
-    payload = _read_json(path)
-    values = payload.get("values", payload) if isinstance(payload, dict) else payload
-    try:
+def _vector(group: FiniteAbelianGroup):
+    """Parser of a vector file: a JSON list of values, or an object with "values"."""
+    def parse(text):
+        payload = json.loads(text)
+        values = payload.get("values", payload) if isinstance(payload, dict) else payload
         return GFunction.from_json(group, values)
-    except PreconditionError:
-        raise
-    except Exception as exc:
-        raise CliConfigError(f"invalid vector in {path}: {exc}") from exc
+    return parse
 
 
-def _load_band(path: str) -> circ.BandLimitedOperator:
-    return circ.BandLimitedOperator.from_json(_read_json(path))
+def _table(group: FiniteAbelianGroup, path: str):
+    """Parser of a table file, CSV when the path ends in .csv, else JSON."""
+    if path.endswith(".csv"):
+        return lambda text: PhaseSpaceFunction.from_csv(group, text)
+    return lambda text: PhaseSpaceFunction.from_json(json.loads(text), group)
+
+
+def _band(text: str) -> circ.BandLimitedOperator:
+    return circ.BandLimitedOperator.from_json(json.loads(text))
 
 
 def _tolerances(args) -> Tolerances:
@@ -203,7 +194,7 @@ def cmd_group_subgroups(args) -> int:
 
 def cmd_kd_compute(args) -> int:
     group = parse_group(args.group)
-    op = _load_operator(args.operator, group)
+    op = _load(args.operator, "operator", _operator(group))
     table = kd(op)
     _emit(args, table.to_json(), table.to_csv())
     return EXIT_OK
@@ -211,14 +202,14 @@ def cmd_kd_compute(args) -> int:
 
 def cmd_kd_invert(args) -> int:
     group = parse_group(args.group)
-    table = _load_table(args.table, group)
+    table = _load(args.table, "table", _table(group, args.table))
     _emit(args, kd_inverse(table).to_json())
     return EXIT_OK
 
 
 def cmd_charfn(args) -> int:
     group = parse_group(args.group)
-    op = _load_operator(args.operator, group)
+    op = _load(args.operator, "operator", _operator(group))
     table = char_fn(op, args.ordering)
     _emit(args, table.to_json(), table.to_csv())
     return EXIT_OK
@@ -226,8 +217,9 @@ def cmd_charfn(args) -> int:
 
 def cmd_wh_act(args) -> int:
     group = parse_group(args.group)
-    op = _load_operator(args.operator, group)
-    element = WHElement.from_json(group, _read_json(args.element))
+    op = _load(args.operator, "operator", _operator(group))
+    element = _load(args.element, "displacement",
+                    lambda text: WHElement.from_json(group, json.loads(text)))
     _emit(args, wh_conjugate(op, element).to_json())
     return EXIT_OK
 
@@ -249,7 +241,7 @@ def cmd_pure_enumerate(args) -> int:
 def cmd_pure_recognize(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
-    psi = _load_vector(args.state, group)
+    psi = _load(args.state, "vector", _vector(group))
     member = recognize_kd_positive_pure(psi, tol=tol.recognition)
     if member is None:
         _emit(args, {"recognized": False, "member": None})
@@ -261,7 +253,7 @@ def cmd_pure_recognize(args) -> int:
 def cmd_check_kd_real(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
-    op = _load_operator(args.operator, group)
+    op = _load(args.operator, "operator", _operator(group))
     result = is_kd_real(op, tol=tol.structural)
     _emit(args, {
         "is_real": result.is_real,
@@ -276,7 +268,7 @@ def cmd_check_kd_real(args) -> int:
 def cmd_check_kd_positive(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
-    rho = _load_operator(args.state, group)
+    rho = _load(args.state, "state", _operator(group))
     result = is_kd_positive_state(rho, tol=tol.positivity)
     _emit(args, {
         "is_positive": result.is_positive,
@@ -293,7 +285,7 @@ _VERDICT_EXIT = {"inside": EXIT_OK, "outside": EXIT_OUTSIDE, "inconclusive": EXI
 def cmd_member_span(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
-    op = _load_operator(args.operator, group)
+    op = _load(args.operator, "operator", _operator(group))
     result = span_membership(op, tol=tol.membership)
     _emit(args, result.to_json())
     return _VERDICT_EXIT[result.verdict]
@@ -302,7 +294,7 @@ def cmd_member_span(args) -> int:
 def cmd_member_conv(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
-    rho = _load_operator(args.state, group)
+    rho = _load(args.state, "state", _operator(group))
     result = conv_membership(rho, tol=tol.membership, positivity_tol=tol.positivity)
     _emit(args, result.to_json())
     return _VERDICT_EXIT[result.verdict]
@@ -329,14 +321,14 @@ def cmd_witness_search(args) -> int:
 
 def cmd_circle_check(args) -> int:
     tol = _tolerances(args)
-    op = _load_band(args.input)
+    op = _load(args.input, "band operator", _band)
     result = circ.circle_is_classical(op, tol=tol.positivity)
     _emit(args, result.to_json())
     return EXIT_OK if result.is_classical else EXIT_OUTSIDE
 
 
 def cmd_circle_search(args) -> int:
-    op = _load_band(args.input)
+    op = _load(args.input, "band operator", _band)
     result = circ.circle_negativity_search(op, args.grid)
     _emit(args, result.to_json())
     return EXIT_OK

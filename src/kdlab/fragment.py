@@ -519,11 +519,11 @@ def _verify_outside_candidate(ctx, matrix, gap_tol, positivity_tol, membership_t
     polished, _, _ = _dykstra(group, matrix, 4000, 1e-13)
     rho = Operator.from_matrix(group, polished)
     try:
-        if not is_kd_positive_state(rho, tol=positivity_tol).is_positive:
-            return None
-    except NotAStateError:      # a tol below rounding: even the trace cannot pass
+        result = conv_membership(rho, tol=membership_tol, positivity_tol=positivity_tol)
+    except (NotAStateError, NotKdPositiveError):
+        # conv_membership's feasibility check failed; with a positivity
+        # tol below float rounding even the trace check fails
         return None
-    result = conv_membership(rho, tol=membership_tol, positivity_tol=positivity_tol)
     if result.verdict != "outside" or result.witness is None:
         return None
     w = _kd_table(group, result.witness.kernel)

@@ -115,11 +115,14 @@ class FiniteAbelianGroup:
         table.setflags(write=False)
         return table
 
-    def index_of(self, residues: Sequence[int]) -> int:
+    def _reduced(self, residues: Sequence[int]) -> tuple[int, ...]:
+        """One residue per factor, reduced mod that factor."""
         if len(residues) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} residues, got {len(residues)}")
-        reduced = tuple(int(r) % n for r, n in zip(residues, self.factors))
-        return int(np.ravel_multi_index(reduced, self.factors))
+        return tuple(int(r) % n for r, n in zip(residues, self.factors))
+
+    def index_of(self, residues: Sequence[int]) -> int:
+        return int(np.ravel_multi_index(self._reduced(residues), self.factors))
 
     def residues_of(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.order:
@@ -127,13 +130,13 @@ class FiniteAbelianGroup:
         return tuple(int(v) for v in self.residues[index])
 
     def element(self, residues: Sequence[int]) -> "Element":
-        return Element(self, tuple(int(r) % n for r, n in zip(residues, self.factors)))
+        return Element(self, self._reduced(residues))
 
     def element_by_index(self, index: int) -> "Element":
         return Element(self, self.residues_of(index))
 
     def character(self, label: Sequence[int]) -> "Character":
-        return Character(self, tuple(int(c) % n for c, n in zip(label, self.factors)))
+        return Character(self, self._reduced(label))
 
     def character_by_index(self, index: int) -> "Character":
         return Character(self, self.residues_of(index))

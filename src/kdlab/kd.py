@@ -10,19 +10,18 @@ table is reached by the symplectic Fourier transform of the
 characteristic function trace(A U(g, chi, 1)) in symmetric ordering,
 which is how the two routes cross-check each other in the test suite.
 
-The inner sum is the group's inverse DFT of each kernel row, so the
-table and its inverse are evaluated one of two ways, fixed per group:
-
-- a dense product with the |G| x |G| character table, or
-- on groups with a cyclic factor of at least ``groups.LARGE_FACTOR``
-  (64) elements, ``numpy.fft.ifftn`` / ``fftn`` over the factor axes of the
-  kernel reshaped to ``(|G|, *factors)``.
-
-Both give the same numbers up to rounding: the character table is the
-tensor product of the per-factor DFT matrices, laid out in the same
-C-order ravel as the element indices.  Below the threshold the per-axis
-FFT overhead outweighs the saving over the O(|G|^3) product, so those
-groups keep the dense route.
+Every table transform here is a group DFT of the rows of a |G| x |G|
+array, forward (`_dft_rows`) or inverse (`_idft_rows`), evaluated one
+of two ways fixed per group: a dense product with the character table
+X[c, g] = chi_c(g), or, on groups with a cyclic factor of at least
+``groups.LARGE_FACTOR`` (64) elements, ``numpy.fft.fftn`` / ``ifftn``
+over the factor axes of the rows reshaped to ``(rows, *factors)``.  They
+agree up to rounding because X is the Kronecker product of the
+per-factor DFT matrices in the C-order ravel of the element indices;
+below the threshold the per-axis FFT overhead outweighs the saving over
+the O(|G|^3) product.  The pairing is symmetric, so the phase
+conj(chi(g)) at table entry [g, c] is read from X.conj(), whose strided
+transpose would cost more than the FFT itself.
 """
 
 from __future__ import annotations
@@ -38,34 +37,32 @@ from .weyl import WHElement, wh_unitary
 ORDERINGS = ("standard0", "standard1", "half")
 
 
-# Two routes, fixed per group by `has_large_factor` (a cyclic factor of at
-# least 64): FFTs over the factor axes, or the dense character-table
-# product.  They agree because X[c, g] = chi_c(g) is the Kronecker product
-# of the per-factor DFT matrices: K @ X.T / |G| is the inverse DFT of each
-# kernel row over the factor axes, and M @ X.conj() the forward DFT of
-# each row of M.  The phase conj(chi(g)) at table entry [g, c] is read
-# from X.conj(), not X.conj().T: the pairing is symmetric, so they are
-# the same array, and the strided read of the transpose would cost more
-# than the FFT itself.  kd_pure and char_fn read their phases the same way.
+def _dft_rows(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
+    """sum_g rows[:, g] conj(chi(g)), for every row and character chi."""
+    if group.has_large_factor:
+        shaped = rows.reshape(-1, *group.factors)
+        return np.fft.fftn(shaped, axes=tuple(range(1, shaped.ndim))).reshape(rows.shape)
+    return rows @ group.char_table.conj()
+
+
+def _idft_rows(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
+    """(1/|G|) sum_chi rows[:, chi] chi(g), for every row and element g."""
+    if group.has_large_factor:
+        shaped = rows.reshape(-1, *group.factors)
+        return np.fft.ifftn(shaped, axes=tuple(range(1, shaped.ndim))).reshape(rows.shape)
+    return (rows @ group.char_table) / group.order
 
 
 def _kd_table(group: FiniteAbelianGroup, kernel: np.ndarray) -> np.ndarray:
-    X = group.char_table
-    if group.has_large_factor:
-        rows = kernel.reshape(group.order, *group.factors)
-        inner = np.fft.ifftn(rows, axes=tuple(range(1, rows.ndim))).reshape(kernel.shape)
-        inner *= X.conj()
-        return inner
-    return X.conj() * ((kernel @ X.T) / group.order)
+    table = _idft_rows(group, kernel)
+    # X.conj() stays the left factor: complex products are not bitwise
+    # commutative under FMA, and the pinned witnesses depend on these bits.
+    return np.multiply(group.char_table.conj(), table, out=table)
 
 
 def _kd_kernel(group: FiniteAbelianGroup, table: np.ndarray) -> np.ndarray:
-    # chi(g - g') = chi(g) conj(chi(g')) splits the sum into one product.
-    X = group.char_table
-    if group.has_large_factor:
-        rows = (table * X).reshape(group.order, *group.factors)
-        return np.fft.fftn(rows, axes=tuple(range(1, rows.ndim))).reshape(table.shape)
-    return (table * X.T) @ X.conj()
+    # chi(g - g') = chi(g) conj(chi(g')) splits the sum into one transform.
+    return _dft_rows(group, table * group.char_table)
 
 
 def kd(op: Operator) -> PhaseSpaceFunction:
@@ -78,13 +75,10 @@ def kd_inverse(table: PhaseSpaceFunction) -> Operator:
     return _computed(Operator, table.group, kernel=_kd_kernel(table.group, table.values))
 
 
-def kd_pure(psi: GFunction, psi_hat: DualFunction | None = None) -> PhaseSpaceFunction:
+def kd_pure(psi: GFunction) -> PhaseSpaceFunction:
     """KD table of |psi><psi| via conj(chi(g)) psi(g) conj(psi_hat(chi))."""
     group = psi.group
-    if psi_hat is None:
-        psi_hat = fourier(psi)
-    X = group.char_table
-    table = X.conj() * np.outer(psi.values, psi_hat.values.conj())
+    table = group.char_table.conj() * np.outer(psi.values, fourier(psi).values.conj())
     return PhaseSpaceFunction(group, table)
 
 
@@ -103,7 +97,7 @@ def char_fn(op: Operator, ordering: str) -> PhaseSpaceFunction:
     # in the displacement kernel collapses one index of the product trace.
     rows = group.diff_table  # rows[y, g] = index(y - g)
     shifted = op.kernel[rows, np.arange(d)[:, None]]  # shifted[y, g] = K[y - g, y]
-    base = (shifted.T @ group.char_table.T) / d  # [g, c]
+    base = _idft_rows(group, shifted.T)  # [g, c]
     if ordering == "standard0":
         values = base
     elif ordering == "standard1":
@@ -130,8 +124,8 @@ def symplectic_fourier(table: PhaseSpaceFunction) -> PhaseSpaceFunction:
     inverse.
     """
     group = table.group
-    X = group.char_table
-    return PhaseSpaceFunction(group, (X @ table.values @ X.conj()).T / group.order)
+    inner = _idft_rows(group, table.values.T).T  # (1/|G|) sum_g' T(g', chi') chi(g')
+    return PhaseSpaceFunction(group, _dft_rows(group, inner).T)
 
 
 def akd(op: Operator) -> PhaseSpaceFunction:

@@ -23,6 +23,7 @@ from .errors import GroupMismatchError, NotAStateError, PreconditionError
 from .groups import FiniteAbelianGroup
 from .harmonic import GFunction
 from .jsonio import decode_array, encode_array, finite_complex
+from .tolerances import DEFAULT
 
 
 class Operator:
@@ -91,7 +92,7 @@ class Operator:
     def is_hermitian(self) -> bool:
         m = self.matrix
         scale = max(1.0, float(np.max(np.abs(m))))
-        return bool(np.max(np.abs(m - m.conj().T)) <= 1e-10 * scale)
+        return bool(np.max(np.abs(m - m.conj().T)) <= DEFAULT.structural * scale)
 
     def __add__(self, other: "Operator") -> "Operator":
         if other.group != self.group:
@@ -126,7 +127,7 @@ class Operator:
         return cls(declared, decode_array(obj["kernel"], (d, d)))
 
 
-def check_state(rho: Operator, tol: float = 1e-9) -> None:
+def check_state(rho: Operator, tol: float = DEFAULT.positivity) -> None:
     """Validate the state preconditions, naming the violated one."""
     if not np.isfinite(rho.kernel).all():
         raise NotAStateError("kernel has NaN or infinite entries")

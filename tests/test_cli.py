@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import subprocess
 import sys
@@ -152,6 +153,90 @@ def test_non_finite_table_csv_is_precondition_error(tmp_path, capsys):
 def test_missing_file_is_config_error(capsys):
     code, _, _ = _run(capsys, ["kd", "compute", "--group", "Z2", "--operator", "/nonexistent.json"])
     assert code == 1
+
+
+def _input_kinds():
+    """Per input kind, a valid Z2 payload, the key it cannot lack, and the
+    list of entries whose length is checked."""
+    mixed = Operator.identity(parse_group("Z2")) * 0.5
+    return {
+        "operator": (mixed.to_json(), "kernel", "kernel"),
+        "table": (kd(mixed).to_json(), "values", "values"),
+        "vector": ({"values": encode_array(np.array([1.0, 1.0]))}, "values", "values"),
+        "element": ({"g": [1], "chi": [0], "z": {"re": 1.0, "im": 0.0}}, "chi", "g"),
+        "band": ({"K": 1, "coeffs": encode_array(np.eye(3) / 3)}, "K", "coeffs"),
+    }
+
+
+# Every subcommand that reads a file, with the file's kind; "F" marks the
+# file under test, "OP" and "EL" valid companions.
+_FILE_READERS = [
+    (["kd", "compute", "--group", "Z2", "--operator", "F"], "operator"),
+    (["kd", "invert", "--group", "Z2", "--table", "F"], "table"),
+    (["charfn", "--group", "Z2", "--operator", "F"], "operator"),
+    (["wh", "act", "--group", "Z2", "--operator", "F", "--element", "EL"], "operator"),
+    (["wh", "act", "--group", "Z2", "--operator", "OP", "--element", "F"], "element"),
+    (["pure", "recognize", "--group", "Z2", "--state", "F"], "vector"),
+    (["check", "kd-real", "--group", "Z2", "--operator", "F"], "operator"),
+    (["check", "kd-positive", "--group", "Z2", "--state", "F"], "operator"),
+    (["member", "span", "--group", "Z2", "--operator", "F"], "operator"),
+    (["member", "conv", "--group", "Z2", "--state", "F"], "operator"),
+    (["circle", "check", "--input", "F"], "band"),
+    (["circle", "search", "--input", "F"], "band"),
+]
+_FILE_READER_IDS = ["_".join(itertools.takewhile(lambda a: not a.startswith("--"), argv))
+                    + "_" + kind for argv, kind in _FILE_READERS]
+
+
+def _run_with_input(tmp_path, capsys, argv, text):
+    kinds = _input_kinds()
+    files = {
+        "F": _write(tmp_path, "input.json", text),
+        "OP": _write(tmp_path, "op.json", kinds["operator"][0]),
+        "EL": _write(tmp_path, "el.json", kinds["element"][0]),
+    }
+    return _run(capsys, [files.get(arg, arg) for arg in argv])
+
+
+@pytest.mark.parametrize("case", ["top-level list", "missing key", "wrong entry count"])
+@pytest.mark.parametrize("argv, kind", _FILE_READERS,
+                         ids=_FILE_READER_IDS)
+def test_malformed_input_file_is_config_error(tmp_path, capsys, argv, kind, case):
+    payload, key, entries = _input_kinds()[kind]
+    if case == "top-level list":
+        text = "[1, 2]"
+    elif case == "missing key":
+        del payload[key]
+        text = dumps(payload)
+    else:
+        payload[entries] = payload[entries] + payload[entries][:1]
+        text = dumps(payload)
+    code, out, err = _run_with_input(tmp_path, capsys, argv, text)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid ") and "input.json" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, kind", _FILE_READERS,
+                         ids=_FILE_READER_IDS)
+def test_non_finite_input_file_is_precondition_error(tmp_path, capsys, argv, kind):
+    payload, _, entries = _input_kinds()[kind]
+    if kind == "element":
+        payload["z"]["re"] = float("nan")
+    else:
+        payload[entries][0]["re"] = float("nan")
+    code, out, err = _run_with_input(tmp_path, capsys, argv, dumps(payload))
+    assert code == 2
+    assert out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("K", [1.5, "1"])
+def test_non_integer_band_limit_is_config_error(tmp_path, capsys, K):
+    path = _write(tmp_path, "band.json", {"K": K, "coeffs": encode_array(np.eye(3) / 3)})
+    code, out, err = _run(capsys, ["circle", "check", "--input", path])
+    assert code == 1
+    assert out == "" and err.startswith("error: invalid band operator")
 
 
 def test_charfn_orderings(tmp_path, capsys):

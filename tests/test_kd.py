@@ -7,7 +7,7 @@ import pytest
 from kdlab.circle import BandLimitedOperator
 from kdlab.errors import NotAStateError, PreconditionError, UnsupportedOrderError
 from kdlab.groups import doubling, parse_group
-from kdlab.harmonic import DualFunction, GFunction, fourier
+from kdlab.harmonic import DualFunction, GFunction
 from kdlab.kd import (
     _kd_kernel,
     _kd_table,
@@ -30,7 +30,8 @@ from kdlab.weyl import WHElement
 from conftest import BATTERY, child_env, kd_oracle, random_hermitian, random_operator, random_state
 
 # Groups whose largest cyclic factor sends the KD transform through the FFT route.
-LARGE_FACTOR_GROUPS = ["Z64", "Z128", "Z2xZ64", "Z4xZ64", "Z512"]
+# Z81 is the odd one, where the half ordering applies.
+LARGE_FACTOR_GROUPS = ["Z64", "Z128", "Z2xZ64", "Z4xZ64", "Z512", "Z81"]
 
 
 def _dense_table(group, kernel):
@@ -41,6 +42,18 @@ def _dense_table(group, kernel):
 def _dense_kernel(group, table):
     X = group.char_table
     return (table * X.T) @ X.conj()
+
+
+def _dense_char_fn(group, kernel):
+    # bare trace(A U(g, chi, 1)) = (1/|G|) sum_y K[y - g, y] chi(y)
+    d = group.order
+    shifted = kernel[group.diff_table, np.arange(d)[:, None]]
+    return (shifted.T @ group.char_table.T) / d
+
+
+def _dense_symplectic_fourier(group, table):
+    X = group.char_table
+    return (X @ table @ X.conj()).T / group.order
 
 
 def test_kd_matches_defining_sum(battery_group):
@@ -115,9 +128,6 @@ def test_kd_pure_matches_projector_route(battery_group):
         direct = kd_pure(psi)
         via_op = kd(Operator.pure_state(psi))
         assert np.max(np.abs(direct.values - via_op.values)) <= 1e-12
-        # supplying the transform explicitly takes the same path
-        with_hat = kd_pure(psi, fourier(psi))
-        assert np.max(np.abs(with_hat.values - direct.values)) <= 1e-12
 
 
 def test_char_fn_character_projector_z2():
@@ -425,6 +435,30 @@ def test_fft_route_matches_dense_products(name):
 
 
 @pytest.mark.parametrize("name", LARGE_FACTOR_GROUPS)
+def test_fft_route_char_fn_and_symplectic_fourier_match_dense_products(name):
+    group = parse_group(name)
+    d = group.order
+    rng = np.random.default_rng(137)
+    op = random_operator(group, rng)
+    base = _dense_char_fn(group, op.kernel)
+    phases = {"standard0": np.ones((d, d)), "standard1": group.char_table.conj().T}
+    dbl = doubling(group)
+    if dbl.invertible:
+        phases["half"] = group.char_table[:, dbl.halve_table].conj().T
+    else:
+        with pytest.raises(UnsupportedOrderError):
+            char_fn(op, "half")
+    scale = float(np.max(np.abs(op.kernel)))
+    for ordering, phase in phases.items():
+        values = char_fn(op, ordering).values
+        assert np.max(np.abs(values - base * phase)) <= 1e-12 * scale, ordering
+    table = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    image = symplectic_fourier(PhaseSpaceFunction(group, table)).values
+    scale = float(np.max(np.abs(table)))
+    assert np.max(np.abs(image - _dense_symplectic_fourier(group, table))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", LARGE_FACTOR_GROUPS)
 def test_fft_route_roundtrip_and_unitarity(name):
     group = parse_group(name)
     rng = np.random.default_rng(113)
@@ -463,6 +497,8 @@ def test_small_groups_keep_dense_products_bit_for_bit(name):
     table = _kd_table(group, kernel)
     assert np.array_equal(table, _dense_table(group, kernel))
     assert np.array_equal(_kd_kernel(group, table), _dense_kernel(group, table))
+    assert np.array_equal(char_fn(Operator(group, kernel), "standard0").values,
+                          _dense_char_fn(group, kernel))
 
 
 def test_import_leaves_numpy_fft_unloaded():
@@ -476,8 +512,9 @@ def test_import_leaves_numpy_fft_unloaded():
 
 @pytest.mark.parametrize("name", ["Z64", "Z128"])
 def test_fft_route_passes_transform_checks(name):
-    # these checks cross the FFT table against the dense char_fn and
-    # symplectic_fourier route, and the family tables against exact indicators
+    # these checks cross the FFT table against its other composition,
+    # symplectic_fourier of char_fn (FFTs too on these groups), and the
+    # family tables against exact indicators
     group = parse_group(name)
     picked = [
         check for check in CHECKS
