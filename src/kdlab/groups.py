@@ -12,6 +12,8 @@ the element indexing and subgroups of the dual are ordinary
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -103,7 +105,8 @@ class FiniteAbelianGroup:
         n = self.exponent
         weights = np.array([n // f for f in self.factors], dtype=np.int64)
         r = self.residues.astype(np.int64)
-        table = ((r * weights) @ r.T) % n
+        table = (r * weights) @ r.T
+        table %= n
         table.setflags(write=False)
         return table
 
@@ -244,7 +247,11 @@ class Subgroup:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        idx = self.elements
+        try:
+            idx = tuple(operator.index(i) for i in self.elements)
+        except TypeError as exc:
+            raise ValueError(f"subgroup element indices must be integers: {exc}") from None
+        object.__setattr__(self, "elements", idx)
         if not idx or idx[0] != 0 or tuple(sorted(set(idx))) != idx:
             raise ValueError("subgroup must be a sorted duplicate-free index tuple containing 0")
         if idx[-1] >= self.group.order:
@@ -262,8 +269,14 @@ class Subgroup:
         return out
 
     def __contains__(self, item) -> bool:
-        index = item.index if isinstance(item, Element) else int(item)
-        return index in set(self.elements)
+        if isinstance(item, Element):
+            if item.group != self.group:
+                raise GroupMismatchError(f"element {item} belongs to {item.group}, not {self.group}")
+            index = item.index
+        else:
+            index = int(item)
+        i = bisect_left(self.elements, index)
+        return i < len(self.elements) and self.elements[i] == index
 
     @classmethod
     def from_generators(cls, group: FiniteAbelianGroup, generators: Iterable[Element | int]) -> "Subgroup":
@@ -300,32 +313,48 @@ def _extend_subgroup(group: FiniteAbelianGroup, base: tuple[int, ...], g: int) -
 def enumerate_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     """All subgroups, sorted by (order, canonical index tuple).
 
-    Breadth-first closure over the subgroup lattice: starting from the
-    trivial subgroup, each known subgroup is extended by one additional
-    generator and closed.  Every subgroup arises this way because its
-    generators can be adjoined one at a time.
+    Built in two halves split at s = isqrt(|G|).  The small half, every
+    subgroup of order at most s, is a breadth-first closure from the
+    trivial subgroup that adjoins one generator of each cyclic subgroup of
+    order at most s and keeps only results of order at most s.  It reaches
+    every small subgroup K: K is the join of its cyclic subgroups, each of
+    order at most |K| <= s, and adjoining them one at a time passes only
+    through subgroups of K.  The large half is the annihilators of the
+    small half.  The integer phase table is symmetric, so ``annihilator``
+    of a subgroup, read as element indices, is again an element subgroup,
+    and H -> ann(H) is an involution with |H| * |ann(H)| = |G|.  So every
+    H of order above s is ann(ann(H)), where ann(H) has order
+    |G| / |H| < (s + 1)^2 / (s + 1), that is at most s.
     """
     if group.order > SUBGROUP_ORDER_BOUND:
         raise SubgroupBoundError(
             f"group order {group.order} exceeds the enumeration bound {SUBGROUP_ORDER_BOUND}"
         )
+    small = math.isqrt(group.order)
+    factors = np.array(group.factors)
+    orders = np.lcm.reduce(factors // np.gcd(group.residues, factors), axis=1)
     trivial = (0,)
+    cyclic: dict[tuple[int, ...], int] = {}
+    for g in np.flatnonzero((orders > 1) & (orders <= small)).tolist():
+        cyclic.setdefault(_extend_subgroup(group, trivial, g), g)
     seen = {trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
         for base in frontier:
-            base_set = set(base)
-            for g in range(1, group.order):
-                if g in base_set:
-                    continue
+            for g in cyclic.values():
                 extended = _extend_subgroup(group, base, g)
-                if extended not in seen:
+                if len(extended) <= small and extended not in seen:
                     seen.add(extended)
-                    nxt.append(extended)
+                    # adjoining an element outside a subgroup at least doubles it
+                    if 2 * len(extended) <= small:
+                        nxt.append(extended)
         frontier = nxt
-    ordered = sorted(seen, key=lambda t: (len(t), t))
-    return tuple(Subgroup(group, t) for t in ordered)
+    lattice = {t: Subgroup(group, t) for t in seen}
+    for sub in list(lattice.values()):
+        ann = annihilator(group, sub)
+        lattice.setdefault(ann.elements, ann)
+    return tuple(lattice[t] for t in sorted(lattice, key=lambda t: (len(t), t)))
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -134,6 +135,33 @@ def test_subgroup_counts_match_brute_force():
         assert found == brute_force_subgroups(group)
 
 
+# sha256 of repr([s.elements for s in enumerate_subgroups(group)]) as the
+# all-elements breadth-first closure produced it, and the subgroup counts
+# from theory: one per divisor for Z_n, the Gaussian binomial sum
+# sum_j binom(k, j)_p for (Z_p)^k (1+63+651+1395+651+63+1 for (Z2)^6,
+# 1+40+130+40+1 for (Z3)^4), and 1+6+6+1 of orders 1, 5, 25, 125 for Z5xZ25.
+PINNED_LATTICES = {
+    "Z1": (1, "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42"),
+    "Z512": (10, "7158eb88ca80f555d7208633bbde9e413f3526d59d5cad2174ce438b054e0931"),
+    "Z5xZ25": (14, "a4fe56c858a2e60ec3cb55b84329fa5cb1352e4029b360fc0933b46915998cab"),
+    "Z9xZ3": (10, "c4661f8395eca7940b441abc28f618496a8b24a757941b70234471a1c4506301"),
+    "Z2xZ4xZ8": (81, "cdc7229725b83daeddffb4a3c8c8e68fdd9d16cc6659be5256842a7e68bdd7cf"),
+    "Z3xZ3xZ3xZ3": (212, "65074340dea612f432e2f1d609cc3e9f51bdb723865a5c593c823e7aff824865"),
+    "Z2xZ2xZ2xZ2xZ2xZ2": (2825, "8b7fde3e440a95971f107003124d4fd16eb3142bc1a8037babb78c55473cfd85"),
+}
+
+
+@pytest.mark.parametrize("spec", list(PINNED_LATTICES))
+def test_subgroup_lattice_is_pinned_and_self_dual(spec):
+    group = parse_group(spec)
+    subgroups = enumerate_subgroups(group)
+    count, digest = PINNED_LATTICES[spec]
+    assert len(subgroups) == count
+    assert hashlib.sha256(repr([s.elements for s in subgroups]).encode()).hexdigest() == digest
+    lattice = {s.elements for s in subgroups}
+    assert {annihilator(group, s).elements for s in subgroups} == lattice
+
+
 def test_cyclic_subgroup_count_is_divisor_count():
     for n in [2, 3, 4, 6, 8, 9, 12]:
         group = parse_group(f"Z{n}")
@@ -185,6 +213,34 @@ def test_subgroup_from_generators_rejects_foreign_element():
 def test_subgroup_rejects_index_past_order():
     with pytest.raises(ValueError, match="out of range"):
         Subgroup(parse_group("Z4"), (0, 2, 5))
+
+
+@pytest.mark.parametrize("entry", [2.0, np.float64(2.0), 2.5, "2", None],
+                         ids=["float", "float64", "fraction", "str", "None"])
+def test_subgroup_rejects_non_integer_indices(entry):
+    # a float used to reach the addition table and raise a raw IndexError
+    with pytest.raises(ValueError, match="must be integers"):
+        Subgroup(parse_group("Z4"), (0, entry))
+
+
+@pytest.mark.parametrize("entry", [2, np.int64(2), np.uint8(2)], ids=["int", "int64", "uint8"])
+def test_subgroup_stores_python_ints(entry):
+    sub = Subgroup(parse_group("Z4"), (0, entry))
+    assert sub.elements == (0, 2)
+    assert all(type(i) is int for i in sub.elements)
+    assert repr(sub) == "Subgroup[0, 2] of Z4"
+    assert sub == Subgroup(parse_group("Z4"), (0, 2))
+
+
+def test_subgroup_membership():
+    z22 = parse_group("Z2xZ2")
+    sub = Subgroup(z22, (0, 2))
+    assert z22.element([1, 0]) in sub
+    assert z22.element([0, 1]) not in sub
+    assert [i in sub for i in range(-1, 5)] == [False, True, False, True, False, False]
+    # a Z4 element with index 2 used to be answered by its index alone
+    with pytest.raises(GroupMismatchError):
+        parse_group("Z4").element([2]) in sub
 
 
 def _closure_oracle(group, generators):
