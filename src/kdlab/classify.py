@@ -14,7 +14,7 @@ and it is closed under phase-space displacement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .groups import (
 )
 from .harmonic import GFunction
 from .jsonio import encode_array
-from .operators import Operator, PhaseSpaceFunction
+from .operators import Operator, PhaseSpaceFunction, _wrap
 from .tolerances import DEFAULT
 
 
@@ -93,74 +93,118 @@ def make_subgroup_state(subgroup: Subgroup, g: Element, chi: Character) -> KdPur
     group = subgroup.group
     if g.group != group or chi.group != group:
         raise GroupMismatchError("coset data lives on a different group")
-    members = list(subgroup.elements)
-    g_rep = group.element_by_index(int(np.min(group.add_table[g.index, members])))
-    ann = annihilator(group, subgroup)
-    chi_rep = group.character_by_index(int(np.min(group.add_table[chi.index, list(ann.elements)])))
-    values = _coset_vectors(subgroup, g_rep.index, [chi_rep.index])[0]
-    return KdPureState(subgroup, g_rep, chi_rep, GFunction(group, values))
+    labels = coset_labels(group, subgroup)
+    g_rep = group.element_by_index(int(labels[g.index]))
+    chi_rep = group.character_by_index(int(coset_labels(group, annihilator(group, subgroup))[chi.index]))
+    values = _coset_vectors(np.zeros((1, 1, group.order), dtype=complex), subgroup,
+                            labels[None] == g_rep.index, [chi_rep.index])
+    return KdPureState(subgroup, g_rep, chi_rep, GFunction(group, values[0, 0]))
 
 
-def _coset_vectors(subgroup: Subgroup, g: int, chi_reps) -> np.ndarray:
-    """Vectors of the members on the coset g + H, one row per character rep.
+def _coset_vectors(out: np.ndarray, subgroup: Subgroup, g_ind: np.ndarray, chi_reps) -> np.ndarray:
+    """Fill ``out``, zeros of shape (k, m, |G|), with member vectors and return it.
 
-    Row i is chi_i(g') on g + H and 0 elsewhere, scaled by 1 / sqrt(|H| / |G|);
-    g and the chi_i must be canonical representatives.
+    Row (i, j) is chi_j / sqrt(|H| / |G|) on the coset g_ind[i] marks and 0
+    elsewhere; the chi_j must be canonical representatives.
     """
     group = subgroup.group
-    support = group.add_table[g, list(subgroup.elements)]
-    vectors = np.zeros((len(chi_reps), group.order), dtype=complex)
-    density = subgroup.order / group.order
-    vectors[:, support] = group.char_table[np.ix_(chi_reps, support)] / np.sqrt(density)
-    return vectors
+    rows = group.char_table[chi_reps] / np.sqrt(subgroup.order / group.order)
+    np.copyto(out, rows, where=g_ind[:, None, :])
+    return out
 
 
-@lru_cache(maxsize=None)
-def _coset_labels(group: FiniteAbelianGroup) -> tuple[tuple[Subgroup, np.ndarray, np.ndarray], ...]:
-    """Per subgroup H, in lattice order: the coset labels of G/H and of dual(G)/ann(H).
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """The KD-positive pure family of one group, and its coset data.
 
-    The family and the fragment context both read these, so member order
-    and coset indicators agree by construction.  The labels are the
-    canonical (minimal-index) representatives.
+    ``members`` run in family order: subgroup, then element coset, then
+    character coset.  Row i of the read-only ``vectors`` is member i's
+    vector, which views it.  ``cosets`` holds per subgroup H
+    ``(g_reps, chi_reps, g_ind, chi_ind)``: the minimal-index
+    representatives and 0/1 indicators of G/H and of dual(G)/ann(H), so
+    ``g_ind[0]`` marks H and ``chi_ind[0]`` ann(H).
+
+    Member (H, g, chi) has the KD table row (x) col, the 0/1 rectangle
+    (g + H) x (chi * ann(H)), so the geometry needs only the indicator
+    stacks R and C, built on first use, never |G|^2-entry tables nor the
+    n x n Gram matrix.  A member's pairing with a real table T is
+    ((R T) * C).sum(1) / |G|; a combination lam has the table
+    (R^T diag(lam)) C; and two rectangles overlap in the product of their
+    row and column overlaps, so the Gram columns of members idx are
+    (R R[idx]^T) * (C C[idx]^T) / |G|, exact overlap counts / |G|.
     """
-    out = []
-    for subgroup in enumerate_subgroups(group):
-        g_labels = coset_labels(group, subgroup)
-        chi_labels = coset_labels(group, annihilator(group, subgroup))
-        g_labels.setflags(write=False)
-        chi_labels.setflags(write=False)
-        out.append((subgroup, g_labels, chi_labels))
-    return tuple(out)
+
+    group: FiniteAbelianGroup
+    members: tuple[KdPureState, ...] = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+    cosets: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """(n, |G|) 0/1 indicators of g + H, family order."""
+        return np.concatenate([np.repeat(g, len(chi), axis=0) for _, _, g, chi in self.cosets], dtype=float)
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        """(n, |G|) 0/1 indicators of chi * ann(H), family order."""
+        return np.concatenate([np.tile(chi, (len(g), 1)) for _, _, g, chi in self.cosets], dtype=float)
+
+    def pair(self, table: np.ndarray) -> np.ndarray:
+        """HS inner products <Pi_i, A> of every member with A, from A's real KD table."""
+        return ((self.R @ table) * self.C).sum(1) / self.group.order
+
+    def combine(self, lam: np.ndarray) -> np.ndarray:
+        """KD table of sum_i lam_i Pi_i."""
+        return (self.R.T * lam) @ self.C
+
+    def overlaps(self, idx: np.ndarray) -> np.ndarray:
+        """Gram columns <Pi_i, Pi_j>, every member i against each j in idx: overlap counts / |G|."""
+        return (self.R @ self.R[idx].T) * (self.C @ self.C[idx].T) / self.group.order
 
 
 @lru_cache(maxsize=None)
+def _family(group: FiniteAbelianGroup) -> _Family:
+    """The family record of a group, from one pass over its subgroup lattice."""
+    subgroups = enumerate_subgroups(group)
+    d = group.order
+    # Each large H comes after the small ann(H) the lattice derived it from,
+    # so pairing both ways asks annihilator only what the lattice asked it.
+    # A coset's representative is the label that labels itself; read on the
+    # dual, ann(H)'s cosets are H's character cosets.
+    dual, sides = {}, {}
+    for h in subgroups:
+        if h.elements not in dual:
+            ann = annihilator(group, h).elements
+            dual[h.elements], dual[ann] = ann, h.elements
+        labels = coset_labels(group, h)
+        reps = np.flatnonzero(labels == np.arange(d))
+        sides[h.elements] = (reps, reps[:, None] == labels)
+        for array in sides[h.elements]:
+            array.setflags(write=False)
+    vectors = np.zeros((d * len(subgroups), d), dtype=complex)
+    members, cosets = [], []
+    for h, block in zip(subgroups, vectors.reshape(len(subgroups), d, d)):
+        (g_reps, g_ind), (chi_reps, chi_ind) = sides[h.elements], sides[dual[h.elements]]
+        cosets.append((g_reps, chi_reps, g_ind, chi_ind))
+        rows = _coset_vectors(block.reshape(len(g_reps), len(chi_reps), d), h, g_ind, chi_reps)
+        rows.setflags(write=False)
+        chis = [group.character_by_index(c) for c in chi_reps.tolist()]
+        for g, coset_rows in zip(g_reps.tolist(), rows):
+            g_rep = group.element_by_index(g)
+            # finite by construction: unit-modulus characters times sqrt(|G| / |H|)
+            members.extend(KdPureState(h, g_rep, chi, _wrap(GFunction, group, values=v))
+                           for chi, v in zip(chis, coset_rows))
+    vectors.setflags(write=False)
+    return _Family(group, tuple(members), vectors, tuple(cosets))
+
+
 def enumerate_kd_positive_pure(group: FiniteAbelianGroup) -> tuple[KdPureState, ...]:
     """All KD-positive pure states: |G| * (number of subgroups) members.
 
     Deterministic order: subgroups by (order, index tuple), then coset
     representatives by element index, then character cosets by label index.
-    Built one subgroup at a time from its coset labels: the representatives
-    are the distinct labels, already canonical, so each element coset and
-    each character coset gets one shared `Element` / `Character`, and each
-    element coset its member vectors from one gather of the character table.
     """
-    members: list[KdPureState] = []
-    for subgroup, g_labels, chi_labels in _coset_labels(group):
-        chi_reps = np.unique(chi_labels)
-        chis = [group.character_by_index(int(c)) for c in chi_reps]
-        for g in np.unique(g_labels).tolist():
-            g_rep = group.element_by_index(g)
-            vectors = _coset_vectors(subgroup, g, chi_reps)
-            members.extend(
-                KdPureState(subgroup, g_rep, chi, GFunction(group, v)) for chi, v in zip(chis, vectors)
-            )
-    return tuple(members)
-
-
-@lru_cache(maxsize=None)
-def _family_vectors(group: FiniteAbelianGroup) -> np.ndarray:
-    family = enumerate_kd_positive_pure(group)
-    return np.stack([m.vector.values for m in family])
+    return _family(group).members
 
 
 def recognize_kd_positive_pure(
@@ -176,11 +220,11 @@ def recognize_kd_positive_pure(
     """
     if abs(psi.norm() - 1.0) > 1e-6:
         raise PreconditionError(f"input vector norm {psi.norm():.12g} is not 1 within 1e-6")
-    vectors = _family_vectors(psi.group)
-    overlaps = np.abs(vectors.conj() @ psi.values) / psi.group.order
+    family = _family(psi.group)
+    overlaps = np.abs(family.vectors @ psi.values.conj()) / psi.group.order
     best = int(np.argmax(overlaps))
     if overlaps[best] > 1.0 - tol:
-        return enumerate_kd_positive_pure(psi.group)[best]
+        return family.members[best]
     return None
 
 

@@ -7,20 +7,13 @@ from the table, and from the support of the bare characteristic function
 inside the set where chi(g) = 1).
 
 Geometry lives in KD-table coordinates: the KD map is unitary, so the
-Hilbert-Schmidt inner product of A and B is sum(conj(KD_A) KD_B) / |G|.
-Family tables are exact 0/1 rectangles (g + H) x (chi * ann(H)), the
-product row (x) col of a coset indicator on each side, so the family is
-held as two stacks of indicators, R and C (one row per member), never as
-|G|^2-entry tables nor as the n x n Gram matrix.  A member's pairing with
-a real table T is the sum of T over its rectangle, ((R T) * C).sum(1) / |G|;
-the table of a combination lam is (R^T diag(lam)) C; and two rectangles
-overlap in the product of their row and column overlaps, so the Gram
-columns of members idx are (R R[idx]^T) * (C C[idx]^T) / |G|, exact
-overlap counts / |G|.  The hull solver forms only the columns of its
-passive set, one per member that joins it.  The span solve needs no
-Gram matrix at all: under the symplectic Fourier transform each
-rectangle becomes a character product on H x ann(H), so the family's
-Gram operator is diagonal there.
+Hilbert-Schmidt inner product of A and B is sum(conj(KD_A) KD_B) / |G|,
+and family tables are exact 0/1 rectangles, held as the two coset
+indicator stacks of the family record (see `classify._Family`).  The
+hull solver forms only the Gram columns of its passive set.  The span
+solve needs no Gram matrix at all: under the symplectic Fourier transform
+each rectangle becomes a character product on H x ann(H), so the
+family's Gram operator is diagonal there.
 
 Hull membership is a least-squares problem over the probability simplex
 solved by an active-set method, and projection onto the KD-positive
@@ -32,55 +25,15 @@ coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .classify import _coset_labels
+from .classify import _family
 from .errors import NotAStateError, NotHermitianError, NotKdPositiveError, PreconditionError
 from .groups import FiniteAbelianGroup
 from .kd import _kd_kernel, _kd_table, char_fn, kd_inverse, symplectic_fourier
 from .operators import Operator, PhaseSpaceFunction, check_state
 from .tolerances import DEFAULT
-
-
-# ---------------------------------------------------------------------------
-# the family as coset indicators
-
-
-@dataclass
-class _FragmentContext:
-    group: FiniteAbelianGroup
-    R: np.ndarray               # (n, |G|) 0/1 indicators of g + H, family order
-    C: np.ndarray               # (n, |G|) 0/1 indicators of chi * ann(H)
-
-    def pair(self, table: np.ndarray) -> np.ndarray:
-        """HS inner products <Pi_i, A> of every member with A, from A's real KD table."""
-        return ((self.R @ table) * self.C).sum(1) / self.group.order
-
-    def combine(self, lam: np.ndarray) -> np.ndarray:
-        """KD table of sum_i lam_i Pi_i."""
-        return (self.R.T * lam) @ self.C
-
-    def overlaps(self, idx: np.ndarray) -> np.ndarray:
-        """Gram columns <Pi_i, Pi_j>, every member i against each j in idx: overlap counts / |G|."""
-        return (self.R @ self.R[idx].T) * (self.C @ self.C[idx].T) / self.group.order
-
-
-@lru_cache(maxsize=None)
-def _context(group: FiniteAbelianGroup) -> _FragmentContext:
-    # Member (H, g, chi) has table row (x) col, with row the 0/1 indicator
-    # of g + H and col that of chi * ann(H), in family order: subgroup,
-    # then element coset, then character coset.
-    row_sets, col_sets = [], []
-    for _, g_labels, chi_labels in _coset_labels(group):
-        g_cosets = np.unique(g_labels)[:, None] == g_labels
-        chi_cosets = np.unique(chi_labels)[:, None] == chi_labels
-        row_sets.append(np.repeat(g_cosets, len(chi_cosets), axis=0))
-        col_sets.append(np.tile(chi_cosets, (len(g_cosets), 1)))
-    R = np.concatenate(row_sets).astype(float)
-    C = np.concatenate(col_sets).astype(float)
-    return _FragmentContext(group=group, R=R, C=C)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +153,7 @@ def span_membership(op: Operator, tol: float = DEFAULT.membership) -> Membership
     if not op.is_hermitian():
         raise NotHermitianError("span membership is defined for Hermitian operators")
     group = op.group
-    ctx = _context(group)
+    family = _family(group)
     table = _kd_table(group, op.kernel)
     # The symplectic Fourier transform F of member (H, a, b)'s rectangle is
     # chi(a) conj(b(g)) on H x ann(H) and zero elsewhere, so in F coordinates
@@ -209,21 +162,20 @@ def span_membership(op: Operator, tol: float = DEFAULT.membership) -> Membership
     # coefficients A^T (A A^T)^+ T are F(T) / N transformed back on each
     # H x ann(H) and read at the rectangle's corner (a, b).
     X = group.char_table
-    # labels are minimal indices and 0 is the identity, so gl == 0 marks H and cl == 0 ann(H)
-    parts = [(gl == 0, cl == 0, np.unique(gl), np.unique(cl)) for _, gl, cl in _coset_labels(group)]
+    parts = [(g_ind[0], chi_ind[0], a, b) for a, b, g_ind, chi_ind in family.cosets]
     counts = sum(np.outer(h, ann) for h, ann, _, _ in parts)
     fhat = symplectic_fourier(PhaseSpaceFunction(group, table.real)).values
     q = np.divide(fhat, counts, out=np.zeros_like(fhat), where=counts > 0)
     coeffs = np.concatenate([(X[np.ix_(b, h)] @ q[np.ix_(h, ann)] @ X[np.ix_(ann, a)].conj()).real.T.ravel()
                              for h, ann, a, b in parts]) / group.order
     rank = np.count_nonzero(counts)
-    r = table - ctx.combine(coeffs)
+    r = table - family.combine(coeffs)
     residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
     if residual <= tol:
         return MembershipResult("inside", residual, weights=coeffs, span_dimension=int(rank))
     w = r / residual                    # the KD table of a unit-norm operator
     gap = float(np.vdot(w, table).real) / group.order
-    family_side = float(np.max(np.abs(ctx.pair(w.real))))
+    family_side = float(np.max(np.abs(family.pair(w.real))))
     witness = Operator(group, _kd_kernel(group, w))
     if family_side <= max(tol, 1e-9 * max(1.0, gap)):
         return MembershipResult(
@@ -245,7 +197,7 @@ def _simplex_nnls(family, corr, lam0=None):
 
     Parameters
     ----------
-    family : the members, such as a fragment context; every member
+    family : the members, such as the family record; every member
         has unit norm and no overlap exceeds one
     corr : (n,) precomputed A^T Re(y)
     lam0 : (n,) optional feasible start (nonnegative, summing to one),
@@ -337,18 +289,18 @@ def conv_membership(
             f"(worst violation {probe.worst_violation:.3e})"
         )
     group = rho.group
-    ctx = _context(group)
+    family = _family(group)
     table = _kd_table(group, rho.kernel)
-    lam, converged, iterations = _simplex_nnls(ctx, ctx.pair(table.real))
+    lam, converged, iterations = _simplex_nnls(family, family.pair(table.real))
     # the imaginary part, which no real combination reaches, stays in r
-    r = table - ctx.combine(lam)
+    r = table - family.combine(lam)
     residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
     if residual <= tol:
         return MembershipResult(
             "inside", residual, weights=lam, converged=converged, iterations=iterations
         )
     w = r / residual                    # the KD table of a unit-norm operator
-    gap = float(np.vdot(w, table).real) / group.order - float(np.max(ctx.pair(w.real)))
+    gap = float(np.vdot(w, table).real) / group.order - float(np.max(family.pair(w.real)))
     witness = Operator(group, _kd_kernel(group, w))
     verdict = "outside" if converged and gap > tol else "inconclusive"
     return MembershipResult(
@@ -507,7 +459,7 @@ STEP_SIZE = 0.25
 SEARCH_PROJ_ITERS = 12
 
 
-def _verify_outside_candidate(ctx, matrix, gap_tol, positivity_tol, membership_tol):
+def _verify_outside_candidate(family, matrix, gap_tol, positivity_tol, membership_tol):
     """Polish a raw candidate and certify it independently, or reject it.
 
     The candidate is projected tightly onto the KD-positive states, must
@@ -515,7 +467,7 @@ def _verify_outside_candidate(ctx, matrix, gap_tol, positivity_tol, membership_t
     with a separating functional whose value gap, re-evaluated directly
     against every family member, clears the witness tolerance.
     """
-    group = ctx.group
+    group = family.group
     polished, _, _ = _dykstra(group, matrix, 4000, 1e-13)
     rho = Operator.from_matrix(group, polished)
     try:
@@ -528,7 +480,7 @@ def _verify_outside_candidate(ctx, matrix, gap_tol, positivity_tol, membership_t
         return None
     w = _kd_table(group, result.witness.kernel)
     value = float(np.vdot(w, _kd_table(group, rho.kernel)).real) / group.order
-    gap = value - float(np.max(ctx.pair(w.real)))
+    gap = value - float(np.max(family.pair(w.real)))
     if gap <= gap_tol:
         return None
     return rho, result.witness, gap, result.residual
@@ -557,7 +509,7 @@ def find_conv_gap_witness(
     """
     if budget < 0:
         raise PreconditionError(f"witness search budget must be nonnegative, got {budget}")
-    ctx = _context(group)
+    family = _family(group)
     root_d = np.sqrt(group.order)
     rng = np.random.default_rng(seed)
     used = 0
@@ -582,15 +534,15 @@ def find_conv_gap_witness(
             stepped = current + STEP_SIZE * w_mat
             current, set_gap, _ = _dykstra(group, stepped, SEARCH_PROJ_ITERS, 1e-12)
             table = _kd_table(group, current * group.order)
-            weights, _, _ = _simplex_nnls(ctx, ctx.pair(table.real), lam0=weights)
-            hull_residual = float(np.linalg.norm(table - ctx.combine(weights))) / root_d
+            weights, _, _ = _simplex_nnls(family, family.pair(table.real), lam0=weights)
+            hull_residual = float(np.linalg.norm(table - family.combine(weights))) / root_d
             score = hull_residual - 3.0 * set_gap
             if score > best_score:
                 best_score = score
                 best_matrix = current
         if best_matrix is not None and best_score > trigger:
             verified = _verify_outside_candidate(
-                ctx, best_matrix, gap_tol, positivity_tol, membership_tol
+                family, best_matrix, gap_tol, positivity_tol, membership_tol
             )
             if verified is not None:
                 rho, witness, gap, conv_residual = verified

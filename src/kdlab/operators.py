@@ -233,11 +233,15 @@ class PhaseSpaceFunction:
         return cls(group, values)
 
 
-def _computed(cls, group: FiniteAbelianGroup, **arrays):
-    """An Operator or PhaseSpaceFunction around arrays a transform just made:
-    not copied, and checked for NaN, infinity and overflow through their sum."""
-    if not all(np.isfinite(array.sum()) for array in arrays.values()):
-        raise PreconditionError(f"{', '.join(arrays)} has NaN, infinite or overflowing entries")
+def _wrap(cls, group: FiniteAbelianGroup, **arrays):
+    """An Operator, PhaseSpaceFunction or GFunction around arrays, neither copied nor checked."""
     obj = cls.__new__(cls)
     vars(obj).update(arrays, group=group)
     return obj
+
+
+def _computed(cls, group: FiniteAbelianGroup, **arrays):
+    """`_wrap` around arrays a transform just made, once their sum shows no NaN, infinity or overflow."""
+    if not all(np.isfinite(array.sum()) for array in arrays.values()):
+        raise PreconditionError(f"{', '.join(arrays)} has NaN, infinite or overflowing entries")
+    return _wrap(cls, group, **arrays)

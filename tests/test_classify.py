@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,20 @@ def test_recognize_accepts_every_member(battery_group):
         phase = np.exp(2j * np.pi * rng.random())
         found = recognize_kd_positive_pure(GFunction(group, phase * member.vector.values))
         assert found == member
+
+
+def test_recognize_copies_no_family_stack():
+    # Z256: the member-vector stack is 9.4 MB; a warm recognition reads it
+    # in place, allocating only the overlaps
+    group = parse_group("Z256")
+    member = enumerate_kd_positive_pure(group)[1000]
+    recognize_kd_positive_pure(member.vector)
+    tracemalloc.start()
+    found = recognize_kd_positive_pure(member.vector)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert found == member
+    assert peak <= 1_000_000
 
 
 def test_recognize_rejects_non_normalized():

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,15 +6,13 @@ import pytest
 import scipy.optimize
 
 from kdlab.classify import (
-    _coset_labels,
-    _family_vectors,
+    _family,
     enumerate_kd_positive_pure,
     make_subgroup_state,
     recognize_kd_positive_pure,
 )
 from kdlab.errors import NotAStateError, NotHermitianError, NotKdPositiveError, PreconditionError
 from kdlab.fragment import (
-    _context,
     _dykstra,
     _project_kd_nonneg,
     _project_simplex,
@@ -29,6 +28,7 @@ from kdlab.fragment import (
 )
 from kdlab.groups import annihilator, coset_reps, enumerate_subgroups, parse_group
 from kdlab.harmonic import GFunction
+from kdlab.jsonio import encode_array
 from kdlab.kd import _kd_table, multiplication_operator
 from kdlab.operators import Operator, check_state
 from kdlab.verify import verify_group
@@ -268,21 +268,45 @@ def test_conv_membership_reports_iterations(battery_group):
 def test_one_lattice_and_one_family_per_group():
     # earlier tests may have built Z6 already, so count from empty caches
     group = parse_group("Z6")
-    for cached in (enumerate_subgroups, _coset_labels, enumerate_kd_positive_pure, _family_vectors, _context):
+    for cached in (enumerate_subgroups, _family):
         cached.cache_clear()
     family = enumerate_kd_positive_pure(group)
+    n, d = len(family), group.order
+    # enumeration alone builds the vectors, not the indicator stacks
+    arrays = {name: v.shape for name, v in vars(_family(group)).items() if isinstance(v, np.ndarray)}
+    assert arrays == {"vectors": (n, d)}
     conv_membership(Operator.identity(group) * (1.0 / group.order))
     span_membership(random_hermitian(group, np.random.default_rng(223)))
     assert recognize_kd_positive_pure(family[7].vector) == family[7]
     verify_group(group)
-    assert enumerate_kd_positive_pure.cache_info().misses == 1
     assert enumerate_subgroups.cache_info().misses == 1
-    assert _coset_labels.cache_info().misses == 1
-    # and one context, holding the coset indicators only
-    assert _context.cache_info().misses == 1
-    n, d = len(family), group.order
-    arrays = {name: v.shape for name, v in vars(_context(group)).items() if isinstance(v, np.ndarray)}
-    assert arrays == {"R": (n, d), "C": (n, d)}
+    assert _family.cache_info().misses == 1
+    arrays = {name: v.shape for name, v in vars(_family(group)).items() if isinstance(v, np.ndarray)}
+    assert arrays == {"vectors": (n, d), "R": (n, d), "C": (n, d)}
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z6xZ6"])
+def test_family_asks_annihilator_nothing_new_after_the_lattice(name):
+    # every large H was reached as ann(K) of a small K, so the family pairs
+    # each subgroup with its annihilator from what the lattice already asked
+    group = parse_group(name)
+    for cached in (enumerate_subgroups, annihilator, _family):
+        cached.cache_clear()
+    enumerate_subgroups(group)
+    misses = annihilator.cache_info().misses
+    _family(group)
+    assert annihilator.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("name", ["Z6", "Z2xZ2xZ2"])
+def test_member_vectors_are_read_only_rows_of_one_stack(name):
+    group = parse_group(name)
+    family = _family(group)
+    assert np.isfinite(family.vectors).all()
+    for member in family.members:
+        assert np.shares_memory(member.vector.values, family.vectors)
+        with pytest.raises(ValueError):
+            member.vector.values[0] = 1.0
 
 
 def _member_vector(member):
@@ -313,8 +337,11 @@ def test_family_and_context_match_member_by_member_construction(name):
         assert (member.g_rep, member.chi_rep) == (expected.g_rep, expected.chi_rep)
         assert np.array_equal(member.vector.values, expected.vector.values)
         assert np.array_equal(member.vector.values, _member_vector(expected))
+        # array_equal takes -0.0 for 0.0; the JSON text does not
+        assert (json.dumps(encode_array(member.vector.values))
+                == json.dumps(encode_array(_member_vector(expected))))
     ones = np.stack([m.indicator_table().values.real for m in reference])
-    ctx = _context(group)
+    ctx = _family(group)
     assert np.array_equal(ctx.R[:, :, None] * ctx.C[:, None, :], ones)
     ones = ones.reshape(len(ones), d * d)
     assert np.array_equal(ctx.overlaps(np.arange(len(ones))), ones @ ones.T / d)
@@ -326,7 +353,7 @@ def test_rectangle_pairing_and_combination_match_dense_stack(name):
     # the indicator products against the stacked tables they replace
     group = parse_group(name)
     d = group.order
-    ctx = _context(group)
+    ctx = _family(group)
     dense = np.stack([m.indicator_table().values.real.ravel()
                       for m in enumerate_kd_positive_pure(group)])
     rng = np.random.default_rng(229)
@@ -342,11 +369,11 @@ def test_hull_membership_on_a_large_family_holds_only_the_indicators():
     # indicator stacks take 6 MB
     group = parse_group("Z2xZ2xZ2xZ2xZ2")
     d = group.order
-    ctx = _context(group)
+    ctx = _family(group)
     n = len(enumerate_kd_positive_pure(group))
     assert n == 11968
-    nbytes = sum(v.nbytes for v in vars(ctx).values() if isinstance(v, np.ndarray))
-    assert nbytes <= 2 * n * d * 8
+    assert ctx.R.nbytes + ctx.C.nbytes <= 2 * n * d * 8
+    assert ctx.vectors.nbytes == n * d * 16      # the one copy of the member vectors
     rng = np.random.default_rng(233)
     for rho in (Operator.identity(group) * (1.0 / d), _family_mixture(group, rng, k=5)):
         result = conv_membership(rho)
@@ -365,7 +392,8 @@ def test_span_membership_on_a_large_family_stacks_no_tables():
     picks = rng.choice(n, size=4, replace=False)
     vectors = np.stack([family[i].vector.values for i in picks])
     inside = Operator.from_matrix(group, (vectors.T * rng.normal(size=4)) @ vectors.conj() / d)
-    _context(group)                     # cached first: the bound is on the solve alone
+    ctx = _family(group)                # built first: the bound is on the solve alone
+    ctx.R, ctx.C
     for op, verdict in ((inside, "inside"), (random_hermitian(group, rng), "outside")):
         tracemalloc.start()
         result = span_membership(op)
@@ -432,7 +460,7 @@ def test_simplex_nnls_warm_start_matches_cold(battery_group):
     # every feasible start must reach the cold solve's hull residual
     group = battery_group
     d = group.order
-    ctx = _context(group)
+    ctx = _family(group)
     n = len(ctx.R)
     rng = np.random.default_rng(197)
     direction = _random_direction(group, rng)
@@ -603,7 +631,7 @@ def test_table_geometry_matches_matrix_embedding(name):
     group = parse_group(name)
     d = group.order
     embed, basis = _embedded_family(group)
-    ctx = _context(group)
+    ctx = _family(group)
     assert np.max(np.abs(ctx.overlaps(np.arange(len(embed))) - embed @ embed.T)) <= 1e-12
     tables = (ctx.R[:, :, None] * ctx.C[:, None, :]).reshape(len(embed), d * d)
     assert np.linalg.matrix_rank(tables) == basis.shape[0]
