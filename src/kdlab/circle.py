@@ -6,8 +6,8 @@ operator keeps modes k in [-K, K] and is stored as the coefficient
 matrix c[k, l] of sum c_{kl} |k><l|.  Its phase-space table has the
 closed form KD_A(z, m) = sum_k c_{km} z^{k-m}, a trigonometric
 polynomial in z of degree at most 2K, so positivity and reality can be
-decided by Nyquist-safe grid evaluation plus local refinement instead
-of discretizing the group.
+decided on a uniform grid of more than 4K points, one alias-free inverse
+FFT per column, plus local refinement instead of discretizing the group.
 """
 from __future__ import annotations
 
@@ -21,6 +21,16 @@ from .jsonio import decode_array, encode_array
 from .tolerances import DEFAULT
 
 
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    try:
+        value = operator.index(value)  # an integer, not a float or a string
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise PreconditionError(f"{what} {value} is below its minimum {minimum}")
+    return value
+
+
 @dataclass(frozen=True)
 class BandLimitedOperator:
     """Operator sum c_{kl} |k><l| with modes k, l in [-K, K].
@@ -32,8 +42,7 @@ class BandLimitedOperator:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.K < 0:
-            raise PreconditionError("band limit must be nonnegative")
+        object.__setattr__(self, "K", _integer(self.K, "band limit", 0))
         c = np.array(self.coeffs, dtype=complex)
         n = 2 * self.K + 1
         if c.shape != (n, n):
@@ -47,6 +56,7 @@ class BandLimitedOperator:
 
     @classmethod
     def from_diagonal(cls, K: int, diagonal) -> "BandLimitedOperator":
+        K = _integer(K, "band limit", 0)
         d = np.asarray(diagonal, dtype=complex)
         if d.shape != (2 * K + 1,):
             raise PreconditionError(
@@ -84,10 +94,11 @@ class BandLimitedOperator:
 
 def circle_kd_eval(op: BandLimitedOperator, m: int, z: complex) -> complex:
     """Evaluate the phase-space table at (z, m): sum_k c_{km} z^{k-m}."""
+    m = _integer(m, "mode")
     if abs(m) > op.K:
         raise PreconditionError(f"mode {m} outside band [-{op.K}, {op.K}]")
     z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-12:
+    if not abs(abs(z) - 1.0) <= 1e-12:  # NaN fails this too
         raise PreconditionError(f"evaluation point must lie on the unit circle, |z| = {abs(z)!r}")
     powers = z ** (np.arange(-op.K, op.K + 1) - m)
     return complex(op.coeffs[:, m + op.K] @ powers)
@@ -126,11 +137,6 @@ class NegativitySearchResult:
         }
 
 
-def _column_at(op: BandLimitedOperator, m: int, theta: float) -> complex:
-    exps = np.arange(-op.K, op.K + 1) - m
-    return complex(op.coeffs[:, m + op.K] @ np.exp(1j * exps * theta))
-
-
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -167,39 +173,28 @@ def circle_negativity_search(
     The table column at mode m is a trigonometric polynomial of degree
     at most 2K, so a uniform grid of at least 4K + 4 points cannot skip
     a sign change; the worst grid points are then sharpened by bounded
-    local minimization.
+    local minimization.  The grid holds more points than the 4K + 1
+    frequencies k - m, so one unscaled inverse DFT per column evaluates
+    every grid value without aliasing.
     """
-    if grid_size < 4 * op.K + 4:
-        raise PreconditionError(
-            f"grid size {grid_size} below the safe minimum {4 * op.K + 4}"
-        )
-    angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    # E[p + 2K, j] = exp(i p angle_j) for p in [-2K, 2K]; column m uses
-    # the contiguous slice p = k - m, k in [-K, K].
-    E = np.exp(1j * np.outer(np.arange(-2 * op.K, 2 * op.K + 1), angles))
-    worst_imag = -1.0
-    imag_mode = 0
-    imag_angle = 0.0
-    worst_real = np.inf
-    real_mode = 0
-    real_angle = 0.0
-    for m in range(-op.K, op.K + 1):
-        col = op.coeffs[:, m + op.K]
-        values = col @ E[op.K - m: 3 * op.K - m + 1, :]
-        j_imag = int(np.argmax(np.abs(values.imag)))
-        if abs(values.imag[j_imag]) > worst_imag:
-            worst_imag = abs(values.imag[j_imag])
-            imag_mode, imag_angle = m, float(angles[j_imag])
-        j_real = int(np.argmin(values.real))
-        if values.real[j_real] < worst_real:
-            worst_real = float(values.real[j_real])
-            real_mode, real_angle = m, float(angles[j_real])
+    grid_size = _integer(grid_size, "grid size", 4 * op.K + 4)
+    # Row m + K holds c_{km} at frequency (k - m) mod grid_size.
+    rows = np.arange(2 * op.K + 1)
+    spectrum = np.zeros((rows.size, grid_size), dtype=complex)
+    spectrum[rows[:, None], (rows[None, :] - rows[:, None]) % grid_size] = op.coeffs.T
+    values = np.fft.ifft(spectrum, axis=1, norm="forward")
+    # Row-major order: ties go to the lowest mode, then the lowest angle.
+    imag_row, j_imag = divmod(int(np.argmax(np.abs(values.imag))), grid_size)
+    real_row, j_real = divmod(int(np.argmin(values.real)), grid_size)
+    imag_mode, real_mode = imag_row - op.K, real_row - op.K
     spacing = 2.0 * np.pi / grid_size
     imag_angle, neg_imag = _refine(
-        lambda t: -abs(_column_at(op, imag_mode, t).imag), imag_angle, spacing
+        lambda t: -abs(circle_kd_eval(op, imag_mode, np.exp(1j * t)).imag),
+        2.0 * np.pi * j_imag / grid_size, spacing,
     )
     real_angle, min_real = _refine(
-        lambda t: _column_at(op, real_mode, t).real, real_angle, spacing
+        lambda t: circle_kd_eval(op, real_mode, np.exp(1j * t)).real,
+        2.0 * np.pi * j_real / grid_size, spacing,
     )
     return NegativitySearchResult(
         max_abs_imag=-neg_imag,
@@ -249,16 +244,17 @@ def circle_is_classical(
 
 def geometric_weights(decay: float, K: int) -> np.ndarray:
     """Normalized weights e^{-decay k}, k = 0..K."""
-    if decay <= 0:
-        raise PreconditionError("decay rate must be positive")
-    w = np.exp(-decay * np.arange(K + 1))
+    if not 0 < decay < np.inf:  # NaN fails this too
+        raise PreconditionError(f"decay rate must be positive and finite, got {decay!r}")
+    w = np.exp(-decay * np.arange(_integer(K, "band limit", 0) + 1))
     return w / w.sum()
 
 
 def geometric_state(decay: float, K: int) -> BandLimitedOperator:
     """Truncated geometric diagonal state on modes 0..K (zero on k < 0)."""
+    weights = geometric_weights(decay, K)
     diagonal = np.zeros(2 * K + 1)
-    diagonal[K:] = geometric_weights(decay, K)
+    diagonal[K:] = weights
     return BandLimitedOperator.from_diagonal(K, diagonal)
 
 

@@ -49,7 +49,7 @@ class KdPureState:
 
     @property
     def key(self) -> tuple:
-        return (self.subgroup.elements, self.g_rep.index, self.chi_rep.index)
+        return (self.group, self.subgroup.elements, self.g_rep.index, self.chi_rep.index)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KdPureState) and self.key == other.key

@@ -125,6 +125,77 @@ def test_grid_size_precondition():
     circle_negativity_search(op, 4 * 5 + 4)
 
 
+@pytest.mark.parametrize("grid", [24.5, 25.0, "32", None])
+def test_grid_size_must_be_an_integer(grid):
+    with pytest.raises(PreconditionError):
+        circle_negativity_search(_vacuum(5), grid)
+
+
+@pytest.mark.parametrize("K,n", [(1.5, 4), (1.0, 3), ("1", 3)])
+def test_band_limit_must_be_an_integer(K, n):
+    # (4, 4) == (2 * 1.5 + 1,) * 2, so the shape check alone lets 1.5 in
+    with pytest.raises(PreconditionError):
+        BandLimitedOperator(K, np.eye(n) / n)
+
+
+@pytest.mark.parametrize("K", [2.5, 2.0, "2", -1])
+def test_geometric_band_limit_must_be_a_nonnegative_integer(K):
+    for fn in (geometric_weights, geometric_hs_norm_sq, geometric_state):
+        with pytest.raises(PreconditionError):
+            fn(0.3, K)
+    with pytest.raises(PreconditionError):
+        BandLimitedOperator.from_diagonal(K, np.ones(6))
+
+
+def test_band_limit_accepts_numpy_integers():
+    op = BandLimitedOperator(np.int64(1), np.eye(3) / 3)
+    assert type(op.K) is int
+    assert BandLimitedOperator.from_json(op.to_json()).K == 1
+
+
+def _dense_table(op, grid_size):
+    # V[m + K, j] = sum_k c_{km} e^{i (k - m) theta_j}, one mode at a time.
+    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    k = np.arange(-op.K, op.K + 1)
+    rows = [op.coeffs[:, m + op.K] @ np.exp(1j * np.outer(k - m, theta)) for m in k]
+    return np.array(rows)
+
+
+def _refined_from(op, mode, part, j, grid_size):
+    return _refine(lambda t: part(circle_kd_eval(op, mode, np.exp(1j * t))),
+                   2.0 * np.pi * j / grid_size, 2.0 * np.pi / grid_size)
+
+
+@pytest.mark.parametrize("K", range(9))
+def test_scan_matches_dense_reference(K):
+    rng = np.random.default_rng(600 + K)
+    n = 2 * K + 1
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    ops = [BandLimitedOperator(K, (x + x.conj().T) / 2),
+           BandLimitedOperator.from_diagonal(K, rng.normal(size=n))]
+    for op in ops:
+        for grid in (4 * K + 4, 4 * K + 5, 64):
+            values = _dense_table(op, grid)
+            result = circle_negativity_search(op, grid)
+            for score, mode, angle, extreme, part in (
+                (-np.abs(values.imag), result.imag_mode, result.imag_angle,
+                 -result.max_abs_imag, lambda v: -abs(v.imag)),
+                (values.real, result.real_mode, result.real_angle,
+                 result.min_real, lambda v: v.real),
+            ):
+                row, j = divmod(int(np.argmin(score)), grid)
+                assert mode == row - K
+                # A column can take its extreme twice on the grid up to
+                # rounding (|Im| of an odd polynomial repeats after a half
+                # turn); the scan may pick either, and refines from it.
+                ties = np.flatnonzero(score[row] <= score[row, j] + 1e-12)
+                assert any(
+                    abs(value - extreme) <= 1e-13
+                    and abs(np.angle(np.exp(1j * (theta - angle)))) <= 1e-13
+                    for theta, value in (_refined_from(op, mode, part, t, grid) for t in ties)
+                ), (grid, mode, angle, extreme)
+
+
 def test_eval_preconditions():
     op = _vacuum(2)
     with pytest.raises(PreconditionError):
@@ -135,6 +206,18 @@ def test_eval_preconditions():
         BandLimitedOperator.from_diagonal(2, np.ones(4))
     with pytest.raises(PreconditionError):
         op.coefficient(3, 0)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1.0, float("nan")), float("nan")])
+def test_eval_rejects_non_finite_points(z):
+    with pytest.raises(PreconditionError):
+        circle_kd_eval(_vacuum(2), 0, z)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, "0"])
+def test_eval_rejects_non_integer_modes(m):
+    with pytest.raises(PreconditionError):
+        circle_kd_eval(_vacuum(2), m, 1.0)
 
 
 def test_classicality_requires_hermitian():
@@ -196,6 +279,13 @@ def test_geometric_weights_preconditions():
         geometric_weights(0.0, 5)
     with pytest.raises(PreconditionError):
         geometric_weights(-1.0, 5)
+
+
+@pytest.mark.parametrize("decay", [float("nan"), float("inf"), -float("inf")])
+def test_geometric_decay_must_be_finite(decay):
+    for fn in (geometric_weights, geometric_hs_norm_sq, geometric_state):
+        with pytest.raises(PreconditionError):
+            fn(decay, 5)
 
 
 def test_band_limited_json_roundtrip():

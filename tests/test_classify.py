@@ -98,6 +98,19 @@ def test_family_pairwise_distinct(battery_group):
     assert dists.min() > 1e-6
 
 
+@pytest.mark.parametrize("first,second", [("Z4", "Z2xZ2"), ("Z2", "Z3")])
+def test_members_of_different_groups_are_distinct(first, second):
+    # The first member of each family is the trivial-subgroup state at 0
+    # with the trivial character: the same indices in both groups.
+    a = enumerate_kd_positive_pure(parse_group(first))[0]
+    b = enumerate_kd_positive_pure(parse_group(second))[0]
+    assert a.subgroup.elements == b.subgroup.elements
+    assert (a.g_rep.index, a.chi_rep.index) == (b.g_rep.index, b.chi_rep.index)
+    assert a != b
+    assert len({a, b}) == 2
+    assert a == enumerate_kd_positive_pure(parse_group(first))[0]
+
+
 def test_subgroup_annihilator_mass_identity(battery_group):
     group = battery_group
     for h in enumerate_subgroups(group):
