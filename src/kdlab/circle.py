@@ -12,12 +12,12 @@ FFT per column, plus local refinement instead of discretizing the group.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import NotHermitianError, PreconditionError
-from .jsonio import decode_array, encode_array
+from .jsonio import decode_array, encode_array, finite_array, unit_phase
 from .tolerances import DEFAULT
 
 
@@ -43,26 +43,14 @@ class BandLimitedOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "K", _integer(self.K, "band limit", 0))
-        c = np.array(self.coeffs, dtype=complex)
-        n = 2 * self.K + 1
-        if c.shape != (n, n):
-            raise PreconditionError(
-                f"coefficient matrix must be {n}x{n}, got {c.shape}"
-            )
-        if not np.isfinite(c).all():
-            raise PreconditionError("coefficients have NaN or infinite entries")
+        c = finite_array(self.coeffs, (2 * self.K + 1,) * 2, "coefficient matrix")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_diagonal(cls, K: int, diagonal) -> "BandLimitedOperator":
         K = _integer(K, "band limit", 0)
-        d = np.asarray(diagonal, dtype=complex)
-        if d.shape != (2 * K + 1,):
-            raise PreconditionError(
-                f"diagonal must have length {2 * K + 1}, got {d.shape}"
-            )
-        return cls(K, np.diag(d))
+        return cls(K, np.diag(finite_array(diagonal, (2 * K + 1,), "diagonal")))
 
     def coefficient(self, k: int, l: int) -> complex:
         if abs(k) > self.K or abs(l) > self.K:
@@ -97,9 +85,7 @@ def circle_kd_eval(op: BandLimitedOperator, m: int, z: complex) -> complex:
     m = _integer(m, "mode")
     if abs(m) > op.K:
         raise PreconditionError(f"mode {m} outside band [-{op.K}, {op.K}]")
-    z = complex(z)
-    if not abs(abs(z) - 1.0) <= 1e-12:  # NaN fails this too
-        raise PreconditionError(f"evaluation point must lie on the unit circle, |z| = {abs(z)!r}")
+    z = unit_phase(z, "evaluation point")
     powers = z ** (np.arange(-op.K, op.K + 1) - m)
     return complex(op.coeffs[:, m + op.K] @ powers)
 
@@ -144,7 +130,8 @@ def _refine(fun, theta0: float, spacing: float) -> tuple[float, float]:
     """Minimize a smooth 2pi-periodic function near a grid minimizer.
 
     Golden-section search on [theta0 - spacing, theta0 + spacing] down to
-    a bracket of 1e-14; the grid point wins when it is lower.
+    a bracket of 1e-14; the grid point wins unless the search found a
+    strictly lower value, so a constant column reports the grid point.
     """
     a, b = theta0 - spacing, theta0 + spacing
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
@@ -160,7 +147,7 @@ def _refine(fun, theta0: float, spacing: float) -> tuple[float, float]:
             fd = fun(d)
     theta, value = (float(c), float(fc)) if fc < fd else (float(d), float(fd))
     grid_value = float(fun(theta0))
-    if grid_value < value:
+    if grid_value <= value:
         return theta0, grid_value
     return theta, value
 
@@ -214,11 +201,7 @@ class CircleClassicalResult:
     min_diag: float
 
     def to_json(self) -> dict:
-        return {
-            "is_classical": self.is_classical,
-            "max_offdiag": self.max_offdiag,
-            "min_diag": self.min_diag,
-        }
+        return asdict(self)
 
 
 def circle_is_classical(

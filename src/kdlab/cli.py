@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import circle as circ
 from .classify import enumerate_kd_positive_pure, family_to_json, recognize_kd_positive_pure
@@ -51,8 +52,8 @@ def _load(path: str, what: str, parse):
     """parse(text) of the file at path.
 
     An unreadable file and every malformed payload (bad JSON or CSV, a
-    missing key, a wrong type or entry count) is a config error naming
-    the input; a PreconditionError, raised for NaN and infinite numbers,
+    missing key, a wrong type or entry count, a non-integer factor,
+    residue or label) is a config error naming the input; a PreconditionError, raised for NaN and infinite numbers,
     passes through to exit 2.
     """
     try:
@@ -255,13 +256,7 @@ def cmd_check_kd_real(args) -> int:
     tol = _tolerances(args)
     op = _load(args.operator, "operator", _operator(group))
     result = is_kd_real(op, tol=tol.structural)
-    _emit(args, {
-        "is_real": result.is_real,
-        "worst_violation": result.worst_violation,
-        "direct_violation": result.direct_violation,
-        "support_violation": result.support_violation,
-        "methods_agree": result.methods_agree,
-    })
+    _emit(args, asdict(result))
     return EXIT_OK if result.is_real else EXIT_OUTSIDE
 
 
@@ -270,12 +265,7 @@ def cmd_check_kd_positive(args) -> int:
     tol = _tolerances(args)
     rho = _load(args.state, "state", _operator(group))
     result = is_kd_positive_state(rho, tol=tol.positivity)
-    _emit(args, {
-        "is_positive": result.is_positive,
-        "worst_violation": result.worst_violation,
-        "max_abs_imag": result.max_abs_imag,
-        "min_real": result.min_real,
-    })
+    _emit(args, asdict(result))
     return EXIT_OK if result.is_positive else EXIT_OUTSIDE
 
 

@@ -35,11 +35,19 @@ SUBGROUP_ORDER_BOUND = 512
 LARGE_FACTOR = 64
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as Python ints; a float, a string or another non-integer raises."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers: {exc}") from None
+
+
 class FiniteAbelianGroup:
     """Product of cyclic groups ``Z_n``, immutable after construction."""
 
     def __init__(self, factors: Sequence[int]):
-        factors = tuple(int(n) for n in factors)
+        factors = _integers(factors, "cyclic factors")
         if not factors:
             raise ValueError("at least one cyclic factor is required")
         if factors != (1,) and any(n < 2 for n in factors):
@@ -120,14 +128,16 @@ class FiniteAbelianGroup:
 
     def _reduced(self, residues: Sequence[int]) -> tuple[int, ...]:
         """One residue per factor, reduced mod that factor."""
+        residues = _integers(residues, "residues")
         if len(residues) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} residues, got {len(residues)}")
-        return tuple(int(r) % n for r, n in zip(residues, self.factors))
+        return tuple(r % n for r, n in zip(residues, self.factors))
 
     def index_of(self, residues: Sequence[int]) -> int:
         return int(np.ravel_multi_index(self._reduced(residues), self.factors))
 
     def residues_of(self, index: int) -> tuple[int, ...]:
+        (index,) = _integers([index], "element indices")
         if not 0 <= index < self.order:
             raise ValueError(f"element index {index} out of range for {self}")
         return tuple(int(v) for v in self.residues[index])
@@ -247,10 +257,7 @@ class Subgroup:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            idx = tuple(operator.index(i) for i in self.elements)
-        except TypeError as exc:
-            raise ValueError(f"subgroup element indices must be integers: {exc}") from None
+        idx = _integers(self.elements, "subgroup element indices")
         object.__setattr__(self, "elements", idx)
         if not idx or idx[0] != 0 or tuple(sorted(set(idx))) != idx:
             raise ValueError("subgroup must be a sorted duplicate-free index tuple containing 0")
@@ -274,7 +281,7 @@ class Subgroup:
                 raise GroupMismatchError(f"element {item} belongs to {item.group}, not {self.group}")
             index = item.index
         else:
-            index = int(item)
+            (index,) = _integers([item], "element indices")
         i = bisect_left(self.elements, index)
         return i < len(self.elements) and self.elements[i] == index
 
@@ -287,7 +294,7 @@ class Subgroup:
                     raise GroupMismatchError(f"generator {g} belongs to {g.group}, not {group}")
                 index = g.index
             else:
-                index = int(g)
+                (index,) = _integers([g], "generator indices")
                 if not 0 <= index < group.order:
                     raise ValueError(f"generator index {index} out of range for {group}")
             members = _extend_subgroup(group, members, index)
@@ -398,12 +405,7 @@ class Doubling:
     def halve(self, g: Element) -> Element:
         if g.group != self.group:
             raise GroupMismatchError("element belongs to a different group")
-        if not self.invertible:
-            raise UnsupportedOrderError(
-                f"doubling is not invertible on {self.group}: even factor present"
-            )
-        halves = [((n + 1) // 2) * r for r, n in zip(g.residues, self.group.factors)]
-        return self.group.element(halves)
+        return self.group.element_by_index(int(self.halve_table[g.index]))
 
     @cached_property
     def halve_table(self) -> np.ndarray:
@@ -414,9 +416,12 @@ class Doubling:
             )
         inv2 = np.array([(n + 1) // 2 for n in self.group.factors], dtype=np.int64)
         r = (self.group.residues * inv2) % np.array(self.group.factors)
-        return np.ravel_multi_index(tuple(r[:, j] for j in range(len(self.group.factors))), self.group.factors)
+        table = np.ravel_multi_index(tuple(r[:, j] for j in range(len(self.group.factors))), self.group.factors)
+        table.setflags(write=False)
+        return table
 
 
+@lru_cache(maxsize=None)
 def doubling(group: FiniteAbelianGroup) -> Doubling:
     return Doubling(group, all(n % 2 == 1 for n in group.factors))
 

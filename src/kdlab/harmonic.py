@@ -16,19 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatchError, PreconditionError
+from .errors import GroupMismatchError
 from .groups import FiniteAbelianGroup, Subgroup
-from .jsonio import decode_array, encode_array
-
-
-def _as_values(group: FiniteAbelianGroup, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.shape != (group.order,):
-        raise ValueError(f"expected {group.order} values for {group}, got shape {arr.shape}")
-    arr = arr.copy()
-    if not np.isfinite(arr).all():
-        raise PreconditionError("function has NaN or infinite values")
-    return arr
+from .jsonio import decode_array, encode_array, finite_array
 
 
 @dataclass
@@ -39,7 +29,7 @@ class GFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _as_values(self.group, self.values)
+        self.values = finite_array(self.values, (self.group.order,), "function")
 
     def norm(self) -> float:
         return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))
@@ -74,7 +64,7 @@ class DualFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _as_values(self.group, self.values)
+        self.values = finite_array(self.values, (self.group.order,), "function")
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2)))

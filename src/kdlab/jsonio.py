@@ -1,7 +1,10 @@
-"""Helpers for the JSON wire format.
+"""The JSON wire format and the value checks every input shares.
 
 Complex scalars travel as ``{"re": float, "im": float}`` objects and
-complex arrays as flat row-major lists of such pairs.
+complex arrays as flat row-major lists of such pairs.  Every value type
+reads its arrays through `finite_array` and its unit phases through
+`unit_phase`, so a wrong shape, a NaN or an infinity is rejected the same
+way whether it comes from a file or a constructor.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import json
 import numpy as np
 
 from .errors import PreconditionError
+from .tolerances import DEFAULT
 
 
 def encode_complex(z: complex) -> dict:
@@ -29,6 +33,24 @@ def finite_complex(re, im) -> complex:
     z = complex(float(re), float(im))
     if not np.isfinite(z):
         raise PreconditionError(f"non-finite number {z!r}")
+    return z
+
+
+def finite_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Complex copy of values, of the given shape and with finite entries only."""
+    arr = np.array(values, dtype=complex)
+    if arr.shape != shape:
+        raise PreconditionError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise PreconditionError(f"{what} has NaN or infinite entries")
+    return arr
+
+
+def unit_phase(z, what: str) -> complex:
+    """z as a complex number of modulus 1, within the exact tolerance."""
+    z = complex(z)
+    if not abs(abs(z) - 1.0) <= DEFAULT.exact:  # NaN fails this too
+        raise PreconditionError(f"{what} must lie on the unit circle, got |z| = {abs(z)!r}")
     return z
 
 

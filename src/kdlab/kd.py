@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnsupportedOrderError
 from .groups import FiniteAbelianGroup, doubling
 from .harmonic import DualFunction, GFunction, fourier, inverse_fourier
 from .operators import Operator, PhaseSpaceFunction, _computed, check_state
@@ -103,12 +102,8 @@ def char_fn(op: Operator, ordering: str) -> PhaseSpaceFunction:
     elif ordering == "standard1":
         values = base * group.char_table.conj()
     else:
-        dbl = doubling(group)
-        if not dbl.invertible:
-            raise UnsupportedOrderError(
-                f"half ordering needs an invertible doubling map; {group} has an even factor"
-            )
-        values = base * group.char_table[dbl.halve_table].conj()
+        # halve_table raises UnsupportedOrderError when a factor is even
+        values = base * group.char_table[doubling(group).halve_table].conj()
     return PhaseSpaceFunction(group, values)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GroupMismatchError, NotAStateError, PreconditionError
 from .groups import FiniteAbelianGroup
 from .harmonic import GFunction
-from .jsonio import decode_array, encode_array, finite_complex
+from .jsonio import decode_array, encode_array, finite_array, finite_complex
 from .tolerances import DEFAULT
 
 
@@ -30,15 +30,8 @@ class Operator:
     """Kernel operator on L2(G)."""
 
     def __init__(self, group: FiniteAbelianGroup, kernel):
-        kernel = np.asarray(kernel, dtype=complex)
-        if kernel.shape != (group.order, group.order):
-            raise ValueError(
-                f"kernel must be {group.order}x{group.order} for {group}, got {kernel.shape}"
-            )
         self.group = group
-        self.kernel = kernel.copy()
-        if not np.isfinite(self.kernel).all():
-            raise PreconditionError("kernel has NaN or infinite entries")
+        self.kernel = finite_array(kernel, (group.order,) * 2, "kernel")
 
     @classmethod
     def from_matrix(cls, group: FiniteAbelianGroup, matrix) -> "Operator":
@@ -151,13 +144,7 @@ class PhaseSpaceFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=complex)
-        d = self.group.order
-        if arr.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} table for {self.group}, got {arr.shape}")
-        self.values = arr.copy()
-        if not np.isfinite(self.values).all():
-            raise PreconditionError("table has NaN or infinite entries")
+        self.values = finite_array(self.values, (self.group.order,) * 2, "table")
 
     def norm(self) -> float:
         """L2 norm against (normalized counting) x (counting) measure."""

@@ -9,7 +9,10 @@ slack in the feasibility checks that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -20,6 +23,14 @@ class Tolerances:
     membership: float = 1e-8    # span / hull residuals
     witness_gap: float = 1e-6   # separating-functional gaps
     recognition: float = 1e-7   # pure-family overlap deficit
+
+    def __post_init__(self):
+        # NaN would fail every comparison and infinity pass every one; a
+        # negative bound stays legal, one that no check can meet.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise PreconditionError(f"tolerance {f.name} must be finite, got {value!r}")
 
     def override(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime
 import traceback
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -450,16 +450,9 @@ class CheckResult:
     message: str | None = None     # traceback of a check that raised
 
     def to_json(self) -> dict:
-        payload = {
-            "name": self.name,
-            "anchor": self.anchor,
-            "status": self.status,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "direction": self.direction,
-        }
-        if self.message is not None:
-            payload["message"] = self.message
+        payload = asdict(self)
+        if self.message is None:
+            del payload["message"]
         return payload
 
 

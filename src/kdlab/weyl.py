@@ -17,10 +17,8 @@ import numpy as np
 
 from .errors import GroupMismatchError
 from .groups import Character, Element, FiniteAbelianGroup
-from .jsonio import decode_complex, encode_complex
+from .jsonio import decode_complex, encode_complex, unit_phase
 from .operators import Operator
-
-_UNIT_PHASE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -34,9 +32,7 @@ class WHElement:
     def __post_init__(self):
         if self.g.group != self.chi.group:
             raise GroupMismatchError("element and character live on different groups")
-        object.__setattr__(self, "z", complex(self.z))
-        if abs(abs(self.z) - 1.0) > _UNIT_PHASE_TOL:
-            raise ValueError(f"central phase must be unimodular, got |z| = {abs(self.z)!r}")
+        object.__setattr__(self, "z", unit_phase(self.z, "central phase"))
 
     @property
     def group(self) -> FiniteAbelianGroup:

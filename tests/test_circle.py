@@ -337,6 +337,14 @@ def test_refine_never_returns_above_the_grid_point():
     assert _refine(wells, 0.0, h) == (0.0, wells(0.0))
 
 
+def test_constant_columns_report_the_grid_point():
+    # every column of a diagonal operator is constant in z, so no bracket
+    # point refines below the grid point and the grid point is reported
+    result = circle_negativity_search(geometric_state(0.3, 64), 260)
+    assert result.real_angle == result.imag_angle == 0.0
+    assert result.violation <= 1e-12
+
+
 def test_import_leaves_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, kdlab; print('scipy' in sys.modules)"],

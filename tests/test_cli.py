@@ -1,6 +1,8 @@
 import argparse
+import dataclasses
 import itertools
 import json
+import math
 import subprocess
 import sys
 
@@ -16,7 +18,8 @@ from kdlab.harmonic import GFunction
 from kdlab.jsonio import dumps, encode_array
 from kdlab.kd import kd
 from kdlab.operators import Operator
-from kdlab.tolerances import DEFAULT
+from kdlab.errors import PreconditionError
+from kdlab.tolerances import DEFAULT, Tolerances
 
 from conftest import child_env
 from test_circle import _two_mode_plus, _vacuum
@@ -229,6 +232,29 @@ def test_non_finite_input_file_is_precondition_error(tmp_path, capsys, argv, kin
     code, out, err = _run_with_input(tmp_path, capsys, argv, dumps(payload))
     assert code == 2
     assert out == "" and "non-finite" in err
+
+
+# The readers whose files carry integers: group factors, or residues.
+_INTEGER_READERS = [pytest.param(argv, kind, id=name)
+                    for (argv, kind), name in zip(_FILE_READERS, _FILE_READER_IDS)
+                    if kind in ("operator", "table", "element")]
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.5, math.inf], ids=["1.5", "2.5", "inf"])
+@pytest.mark.parametrize("argv, kind", _INTEGER_READERS)
+def test_non_integer_group_input_is_config_error(tmp_path, capsys, argv, kind, bad):
+    # int() used to truncate these (factors [2.5] read as Z2, g [1.5] as 1),
+    # and inf crashed with a traceback
+    payload = _input_kinds()[kind][0]
+    if kind == "element":
+        payload["g"] = [bad]
+    else:
+        payload["group"]["factors"] = [bad]
+    code, out, err = _run_with_input(tmp_path, capsys, argv, dumps(payload))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid ") and "must be integers" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("K", [1.5, "1"])
@@ -563,6 +589,12 @@ _NEGATIVE_Z2 = ["--group", "Z2", "--state", "slightly-negative"]
     (_WITNESS, ["--tol-membership", "1"], 0, 4),
     (_WITNESS, ["--tol-positivity", "1e-14"], 0, 4),
     (["circle", "check", "--input", "two-mode"], ["--tol-positivity", "1"], 3, 0),
+    # a tolerance must be finite: NaN fails every comparison, inf passes every one
+    (["check", "kd-positive", *_NEGATIVE_Z2], ["--tol-positivity", "nan"], 3, 2),
+    (["check", "kd-positive", *_NEGATIVE_Z2], ["--tol-positivity", "inf"], 3, 2),
+    (["member", "conv", *_NEGATIVE_Z2, "--tol-positivity", "1e-5"],
+     ["--tol-membership", "nan"], 3, 2),
+    (["verify", "all", "--group", "Z2"], ["--tol-structural", "inf"], 0, 2),
 ])
 def test_each_tolerance_flag_changes_its_outcome(argv, flag, default_code, code, tmp_path, capsys):
     inputs = _tolerance_inputs(tmp_path)
@@ -583,6 +615,15 @@ def test_verify_tolerance_flag_bounds_its_rows(name, capsys):
     code, out, _ = _run(capsys, argv + [f"--tol-{name.replace('_', '-')}", str(unmet)])
     assert code == 4
     assert {c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"} == expected
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Tolerances)])
+def test_tolerances_must_be_finite(name, value):
+    with pytest.raises(PreconditionError, match="must be finite"):
+        Tolerances(**{name: value})
+    with pytest.raises(PreconditionError, match="must be finite"):
+        DEFAULT.override(**{name: value})
 
 
 def test_module_entry_point():

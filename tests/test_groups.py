@@ -223,6 +223,26 @@ def test_subgroup_rejects_non_integer_indices(entry):
         Subgroup(parse_group("Z4"), (0, entry))
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.5, "3", np.float64(4.7), math.inf],
+                         ids=["1.5", "2.5", "str", "float64", "inf"])
+@pytest.mark.parametrize("read", [
+    lambda z4, v: FiniteAbelianGroup((v,)),
+    lambda z4, v: z4.element([v]),
+    lambda z4, v: z4.character([v]),
+    lambda z4, v: z4.index_of([v]),
+    lambda z4, v: z4.element_by_index(v),
+    lambda z4, v: z4.character_by_index(v),
+    lambda z4, v: Subgroup.from_generators(z4, [v]),
+    lambda z4, v: v in Subgroup(z4, (0, 2)),
+], ids=["factors", "element", "character", "index_of", "element_by_index",
+        "character_by_index", "from_generators", "contains"])
+def test_integer_inputs_reject_non_integers(read, bad):
+    # int() used to truncate these: a factor 2.5 made Z2, a residue 1.5 the
+    # residue 1, a generator 1.5 all of Z4; inf overflowed
+    with pytest.raises(ValueError, match="must be integers"):
+        read(parse_group("Z4"), bad)
+
+
 @pytest.mark.parametrize("entry", [2, np.int64(2), np.uint8(2)], ids=["int", "int64", "uint8"])
 def test_subgroup_stores_python_ints(entry):
     sub = Subgroup(parse_group("Z4"), (0, entry))
@@ -328,6 +348,13 @@ def test_doubling_examples():
     assert not doubling(z4).invertible
     with pytest.raises(UnsupportedOrderError):
         doubling(z4).halve(z4.element([1]))
+
+
+def test_doubling_is_cached():
+    # one map per group, so its halving table is built once
+    z9 = parse_group("Z9")
+    assert doubling(z9) is doubling(z9)
+    assert doubling(z9).halve_table is doubling(z9).halve_table
 
 
 def test_doubling_halve_is_inverse(battery_group):

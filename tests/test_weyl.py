@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kdlab.classify import enumerate_kd_positive_pure, recognize_kd_positive_pure
+from kdlab.errors import PreconditionError
 from kdlab.groups import parse_group
 from kdlab.harmonic import GFunction
 from kdlab.kd import kd
@@ -74,6 +75,14 @@ def test_unit_modulus_enforced():
     z2 = parse_group("Z2")
     with pytest.raises(ValueError):
         WHElement(z2.element([0]), z2.character([0]), 1.5)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("nan+1j"), complex("inf")],
+                         ids=["nan", "nan-real-part", "inf"])
+def test_non_finite_phase_rejected(z):
+    z2 = parse_group("Z2")
+    with pytest.raises(PreconditionError, match="unit circle"):
+        WHElement(z2.zero, z2.trivial_character, z)
 
 
 def test_unitary_action_examples():
