@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotHermitianError, PreconditionError
 from .jsonio import decode_array, encode_array, finite_array, unit_phase
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, Tolerances
 
 
 def _integer(value, what: str, minimum: int | None = None) -> int:
@@ -204,10 +204,8 @@ class CircleClassicalResult:
         return asdict(self)
 
 
-def circle_is_classical(
-    op: BandLimitedOperator, tol: float = DEFAULT.positivity
-) -> CircleClassicalResult:
-    """Decide classicality: diagonal coefficients, none below -tol.
+def circle_is_classical(op: BandLimitedOperator, tol: Tolerances = DEFAULT) -> CircleClassicalResult:
+    """Decide classicality: diagonal coefficients, none below -tol.positivity.
 
     For band-limited operators the phase-space table of a diagonal
     operator is constant in z and equals the diagonal, so this test
@@ -219,7 +217,7 @@ def circle_is_classical(
     max_offdiag = float(np.max(np.abs(off))) if op.K > 0 else 0.0
     min_diag = float(np.min(np.diag(op.coeffs).real))
     return CircleClassicalResult(
-        is_classical=(max_offdiag <= tol and min_diag >= -tol),
+        is_classical=(max_offdiag <= tol.positivity and min_diag >= -tol.positivity),
         max_offdiag=max_offdiag,
         min_diag=min_diag,
     )

@@ -31,7 +31,7 @@ from .groups import (
 from .harmonic import GFunction
 from .jsonio import encode_array
 from .operators import Operator, PhaseSpaceFunction, _wrap
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,23 +207,20 @@ def enumerate_kd_positive_pure(group: FiniteAbelianGroup) -> tuple[KdPureState, 
     return _family(group).members
 
 
-def recognize_kd_positive_pure(
-    psi: GFunction,
-    tol: float = DEFAULT.recognition,
-) -> KdPureState | None:
+def recognize_kd_positive_pure(psi: GFunction, tol: Tolerances = DEFAULT) -> KdPureState | None:
     """Match a unit vector against the family, up to global phase.
 
-    Returns the member whose overlap modulus exceeds 1 - tol, or None.
-    A perturbation of size eps away from a member costs roughly eps^2/2
-    in overlap, so the default tol rejects 1e-3 perturbations with two
-    orders of margin.
+    Returns the member whose overlap modulus exceeds 1 - tol.recognition,
+    or None.  A perturbation of size eps away from a member costs roughly
+    eps^2/2 in overlap, so the default level rejects 1e-3 perturbations
+    with two orders of margin.
     """
     if abs(psi.norm() - 1.0) > 1e-6:
         raise PreconditionError(f"input vector norm {psi.norm():.12g} is not 1 within 1e-6")
     family = _family(psi.group)
     overlaps = np.abs(family.vectors @ psi.values.conj()) / psi.group.order
     best = int(np.argmax(overlaps))
-    if overlaps[best] > 1.0 - tol:
+    if overlaps[best] > 1.0 - tol.recognition:
         return family.members[best]
     return None
 

@@ -243,7 +243,7 @@ def cmd_pure_recognize(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
     psi = _load(args.state, "vector", _vector(group))
-    member = recognize_kd_positive_pure(psi, tol=tol.recognition)
+    member = recognize_kd_positive_pure(psi, tol)
     if member is None:
         _emit(args, {"recognized": False, "member": None})
         return EXIT_OUTSIDE
@@ -255,7 +255,7 @@ def cmd_check_kd_real(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
     op = _load(args.operator, "operator", _operator(group))
-    result = is_kd_real(op, tol=tol.structural)
+    result = is_kd_real(op, tol)
     _emit(args, asdict(result))
     return EXIT_OK if result.is_real else EXIT_OUTSIDE
 
@@ -264,7 +264,7 @@ def cmd_check_kd_positive(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
     rho = _load(args.state, "state", _operator(group))
-    result = is_kd_positive_state(rho, tol=tol.positivity)
+    result = is_kd_positive_state(rho, tol)
     _emit(args, asdict(result))
     return EXIT_OK if result.is_positive else EXIT_OUTSIDE
 
@@ -276,7 +276,7 @@ def cmd_member_span(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
     op = _load(args.operator, "operator", _operator(group))
-    result = span_membership(op, tol=tol.membership)
+    result = span_membership(op, tol)
     _emit(args, result.to_json())
     return _VERDICT_EXIT[result.verdict]
 
@@ -285,7 +285,7 @@ def cmd_member_conv(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
     rho = _load(args.state, "state", _operator(group))
-    result = conv_membership(rho, tol=tol.membership, positivity_tol=tol.positivity)
+    result = conv_membership(rho, tol)
     _emit(args, result.to_json())
     return _VERDICT_EXIT[result.verdict]
 
@@ -293,14 +293,7 @@ def cmd_member_conv(args) -> int:
 def cmd_witness_search(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
-    witness = find_conv_gap_witness(
-        group,
-        seed=args.seed,
-        budget=args.budget,
-        gap_tol=tol.witness_gap,
-        positivity_tol=tol.positivity,
-        membership_tol=tol.membership,
-    )
+    witness = find_conv_gap_witness(group, seed=args.seed, budget=args.budget, tol=tol)
     base = {"group": repr(group), "seed": args.seed, "budget": args.budget}
     if witness is None:
         _emit(args, dict(base, found=False, witness=None))
@@ -312,7 +305,7 @@ def cmd_witness_search(args) -> int:
 def cmd_circle_check(args) -> int:
     tol = _tolerances(args)
     op = _load(args.input, "band operator", _band)
-    result = circ.circle_is_classical(op, tol=tol.positivity)
+    result = circ.circle_is_classical(op, tol)
     _emit(args, result.to_json())
     return EXIT_OK if result.is_classical else EXIT_OUTSIDE
 

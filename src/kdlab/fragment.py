@@ -33,7 +33,7 @@ from .errors import NotAStateError, NotHermitianError, NotKdPositiveError, Preco
 from .groups import FiniteAbelianGroup
 from .kd import _kd_kernel, _kd_table, char_fn, kd_inverse, symplectic_fourier
 from .operators import Operator, PhaseSpaceFunction, check_state
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, Tolerances
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +58,13 @@ def kd_real_dimension(group: FiniteAbelianGroup) -> int:
     return int(np.count_nonzero(group.char_phase == 0))
 
 
-def is_kd_real(op: Operator, tol: float = DEFAULT.structural) -> KdRealResult:
+def is_kd_real(op: Operator, tol: Tolerances = DEFAULT) -> KdRealResult:
     """Decide KD reality of a Hermitian operator by two routes.
 
     Route one reads the imaginary part of the KD table; route two checks
     that the bare characteristic function vanishes wherever chi(g) != 1.
-    The two violations vanish together, and the verdicts must agree.
+    The two violations vanish together, and at ``tol.structural`` the
+    verdicts must agree.
     """
     if not op.is_hermitian():
         raise NotHermitianError("KD reality is only defined for Hermitian operators")
@@ -75,8 +76,8 @@ def is_kd_real(op: Operator, tol: float = DEFAULT.structural) -> KdRealResult:
         support = float(np.max(np.abs(support_values[off_support])))
     else:
         support = 0.0
-    verdict_direct = direct <= tol
-    verdict_support = support <= tol
+    verdict_direct = direct <= tol.structural
+    verdict_support = support <= tol.structural
     return KdRealResult(
         is_real=bool(verdict_direct and verdict_support),
         worst_violation=max(direct, support),
@@ -94,14 +95,14 @@ class KdPositivityResult:
     min_real: float
 
 
-def is_kd_positive_state(rho: Operator, tol: float = DEFAULT.positivity) -> KdPositivityResult:
-    """True when the state's KD table is real and nonnegative within tol."""
+def is_kd_positive_state(rho: Operator, tol: Tolerances = DEFAULT) -> KdPositivityResult:
+    """True when the state's KD table is real and nonnegative within ``tol.positivity``."""
     check_state(rho, tol)
     table = _kd_table(rho.group, rho.kernel)
     max_imag = float(np.max(np.abs(table.imag)))
     min_real = float(np.min(table.real))
     return KdPositivityResult(
-        is_positive=bool(max_imag <= tol and min_real >= -tol),
+        is_positive=bool(max_imag <= tol.positivity and min_real >= -tol.positivity),
         worst_violation=max(max_imag, -min(min_real, 0.0)),
         max_abs_imag=max_imag,
         min_real=min_real,
@@ -143,12 +144,13 @@ class MembershipResult:
         return payload
 
 
-def span_membership(op: Operator, tol: float = DEFAULT.membership) -> MembershipResult:
+def span_membership(op: Operator, tol: Tolerances = DEFAULT) -> MembershipResult:
     """Distance from the real span of the family projectors.
 
-    Inside: the minimum-norm real coefficients reproducing the operator.
+    Inside: the minimum-norm real coefficients, within ``tol.membership``.
     Outside: the normalized orthogonal remainder W, which pairs to zero
-    with every family member while <W, A> equals the reported gap.
+    with every family member while <W, A> is the gap, above that bound
+    and above rounding (``DEFAULT.exact``).
     """
     if not op.is_hermitian():
         raise NotHermitianError("span membership is defined for Hermitian operators")
@@ -171,13 +173,13 @@ def span_membership(op: Operator, tol: float = DEFAULT.membership) -> Membership
     rank = np.count_nonzero(counts)
     r = table - family.combine(coeffs)
     residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
-    if residual <= tol:
+    if residual <= tol.membership:
         return MembershipResult("inside", residual, weights=coeffs, span_dimension=int(rank))
-    w = r / residual                    # the KD table of a unit-norm operator
+    w = r / residual if residual > 0.0 else r   # unit norm; r = 0 needs a negative bound
     gap = float(np.vdot(w, table).real) / group.order
     family_side = float(np.max(np.abs(family.pair(w.real))))
     witness = Operator(group, _kd_kernel(group, w))
-    if family_side <= max(tol, 1e-9 * max(1.0, gap)):
+    if gap > max(tol.membership, DEFAULT.exact) and family_side <= max(tol.membership, 1e-9 * max(1.0, gap)):
         return MembershipResult(
             "outside", residual, witness=witness, gap=gap, span_dimension=int(rank)
         )
@@ -270,19 +272,16 @@ def _simplex_nnls(family, corr, lam0=None):
     return lam, converged, iterations
 
 
-def conv_membership(
-    rho: Operator,
-    tol: float = DEFAULT.membership,
-    positivity_tol: float = DEFAULT.positivity,
-) -> MembershipResult:
+def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResult:
     """Membership of a KD-positive state in the hull of the pure family.
 
-    Inside: simplex weights reconstructing the state within tol in HS
-    norm.  Outside: the normalized residual direction W, whose value gap
-    <W, rho> - max_i <W, Pi_i> is re-evaluated directly and certifies
-    separation.  Queries outside the KD-positive set are rejected.
+    Inside: simplex weights reconstructing the state within
+    ``tol.membership`` in HS norm.  Outside: the normalized residual
+    direction W, whose value gap <W, rho> - max_i <W, Pi_i>, above that
+    bound and above rounding (``DEFAULT.exact``), certifies separation.
+    States that are not KD-positive at ``tol.positivity`` are rejected.
     """
-    probe = is_kd_positive_state(rho, tol=positivity_tol)
+    probe = is_kd_positive_state(rho, tol)
     if not probe.is_positive:
         raise NotKdPositiveError(
             "hull membership asked for a state outside the KD-positive set "
@@ -295,14 +294,14 @@ def conv_membership(
     # the imaginary part, which no real combination reaches, stays in r
     r = table - family.combine(lam)
     residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
-    if residual <= tol:
+    if residual <= tol.membership:
         return MembershipResult(
             "inside", residual, weights=lam, converged=converged, iterations=iterations
         )
-    w = r / residual                    # the KD table of a unit-norm operator
+    w = r / residual if residual > 0.0 else r   # unit norm; r = 0 needs a negative bound
     gap = float(np.vdot(w, table).real) / group.order - float(np.max(family.pair(w.real)))
     witness = Operator(group, _kd_kernel(group, w))
-    verdict = "outside" if converged and gap > tol else "inconclusive"
+    verdict = "outside" if converged and gap > max(tol.membership, DEFAULT.exact) else "inconclusive"
     return MembershipResult(
         verdict, residual, witness=witness, gap=gap, converged=converged, iterations=iterations
     )
@@ -459,19 +458,19 @@ STEP_SIZE = 0.25
 SEARCH_PROJ_ITERS = 12
 
 
-def _verify_outside_candidate(family, matrix, gap_tol, positivity_tol, membership_tol):
+def _verify_outside_candidate(family, matrix, tol: Tolerances):
     """Polish a raw candidate and certify it independently, or reject it.
 
     The candidate is projected tightly onto the KD-positive states, must
     pass the strict feasibility check, and its hull residual must come
     with a separating functional whose value gap, re-evaluated directly
-    against every family member, clears the witness tolerance.
+    against every family member, clears ``tol.witness_gap``.
     """
     group = family.group
     polished, _, _ = _dykstra(group, matrix, 4000, 1e-13)
     rho = Operator.from_matrix(group, polished)
     try:
-        result = conv_membership(rho, tol=membership_tol, positivity_tol=positivity_tol)
+        result = conv_membership(rho, tol)
     except (NotAStateError, NotKdPositiveError):
         # conv_membership's feasibility check failed; with a positivity
         # tol below float rounding even the trace check fails
@@ -481,7 +480,7 @@ def _verify_outside_candidate(family, matrix, gap_tol, positivity_tol, membershi
     w = _kd_table(group, result.witness.kernel)
     value = float(np.vdot(w, _kd_table(group, rho.kernel)).real) / group.order
     gap = value - float(np.max(family.pair(w.real)))
-    if gap <= gap_tol:
+    if gap <= tol.witness_gap:
         return None
     return rho, result.witness, gap, result.residual
 
@@ -490,9 +489,7 @@ def find_conv_gap_witness(
     group: FiniteAbelianGroup,
     seed: int = 0,
     budget: int = 10000,
-    gap_tol: float = DEFAULT.witness_gap,
-    positivity_tol: float = DEFAULT.positivity,
-    membership_tol: float = DEFAULT.membership,
+    tol: Tolerances = DEFAULT,
 ) -> GapWitness | None:
     """Search for a KD-positive state outside the hull of the pure family.
 
@@ -503,18 +500,19 @@ def find_conv_gap_witness(
     the projection slack; the best iterate of a promising direction is
     polished tightly and certified by an independent verification
     (strict feasibility, fresh hull solve, direct re-evaluation of the
-    separating gap against all family members).  The budget counts
-    ascent steps and may not be negative; None means no verified witness
-    within the budget, never a proof of absence.
+    separating gap against all family members) at the positivity,
+    membership and witness_gap levels of tol.  The budget counts ascent
+    steps and may not be negative; None means no verified witness within
+    the budget, never a proof of absence.
     """
     if budget < 0:
         raise PreconditionError(f"witness search budget must be nonnegative, got {budget}")
+    trigger = max(3.0 * tol.witness_gap, 1e-4)
     family = _family(group)
     root_d = np.sqrt(group.order)
     rng = np.random.default_rng(seed)
     used = 0
     directions = 0
-    trigger = max(3.0 * gap_tol, 1e-4)
     mixed = np.eye(group.order, dtype=complex) / group.order
     while used < budget:
         directions += 1
@@ -541,9 +539,7 @@ def find_conv_gap_witness(
                 best_score = score
                 best_matrix = current
         if best_matrix is not None and best_score > trigger:
-            verified = _verify_outside_candidate(
-                family, best_matrix, gap_tol, positivity_tol, membership_tol
-            )
+            verified = _verify_outside_candidate(family, best_matrix, tol)
             if verified is not None:
                 rho, witness, gap, conv_residual = verified
                 return GapWitness(

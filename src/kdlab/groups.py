@@ -38,7 +38,7 @@ LARGE_FACTOR = 64
 def _integers(values: Iterable, what: str) -> tuple[int, ...]:
     """values as Python ints; a float, a string or another non-integer raises."""
     try:
-        return tuple(operator.index(v) for v in values)
+        return tuple(map(operator.index, values))
     except TypeError as exc:
         raise ValueError(f"{what} must be integers: {exc}") from None
 
@@ -140,7 +140,7 @@ class FiniteAbelianGroup:
         (index,) = _integers([index], "element indices")
         if not 0 <= index < self.order:
             raise ValueError(f"element index {index} out of range for {self}")
-        return tuple(int(v) for v in self.residues[index])
+        return tuple(self.residues[index].tolist())
 
     def element(self, residues: Sequence[int]) -> "Element":
         return Element(self, self._reduced(residues))
@@ -176,6 +176,16 @@ class FiniteAbelianGroup:
         return cls(tuple(obj["factors"]))
 
 
+def _residue_tuple(group: FiniteAbelianGroup, values: Iterable, what: str) -> tuple[int, ...]:
+    """values as one in-range Python int per factor of group."""
+    values = _integers(values, what)
+    if len(values) != len(group.factors):
+        raise ValueError(f"{what} tuple length does not match the number of factors")
+    if min(values) < 0 or not all(map(operator.lt, values, group.factors)):
+        raise ValueError(f"{what} {values} out of range for {group}")
+    return values
+
+
 def _check_same_group(a, b) -> None:
     if a.group != b.group:
         raise GroupMismatchError(f"operands live on different groups: {a.group} vs {b.group}")
@@ -189,10 +199,7 @@ class Element:
     residues: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.residues) != len(self.group.factors):
-            raise ValueError("residue tuple length does not match the number of factors")
-        if any(not 0 <= r < n for r, n in zip(self.residues, self.group.factors)):
-            raise ValueError(f"residues {self.residues} out of range for {self.group}")
+        object.__setattr__(self, "residues", _residue_tuple(self.group, self.residues, "residues"))
 
     @property
     def index(self) -> int:
@@ -220,10 +227,7 @@ class Character:
     label: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.label) != len(self.group.factors):
-            raise ValueError("label tuple length does not match the number of factors")
-        if any(not 0 <= c < n for c, n in zip(self.label, self.group.factors)):
-            raise ValueError(f"label {self.label} out of range for {self.group}")
+        object.__setattr__(self, "label", _residue_tuple(self.group, self.label, "label"))
 
     @property
     def index(self) -> int:

@@ -23,7 +23,7 @@ from .errors import GroupMismatchError, NotAStateError, PreconditionError
 from .groups import FiniteAbelianGroup
 from .harmonic import GFunction
 from .jsonio import decode_array, encode_array, finite_array, finite_complex
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, Tolerances
 
 
 class Operator:
@@ -120,19 +120,20 @@ class Operator:
         return cls(declared, decode_array(obj["kernel"], (d, d)))
 
 
-def check_state(rho: Operator, tol: float = DEFAULT.positivity) -> None:
-    """Validate the state preconditions, naming the violated one."""
+def check_state(rho: Operator, tol: Tolerances = DEFAULT) -> None:
+    """Validate the state preconditions at ``tol.positivity``, naming the violated one."""
+    bound = tol.positivity
     if not np.isfinite(rho.kernel).all():
         raise NotAStateError("kernel has NaN or infinite entries")
     scale = max(1.0, float(np.max(np.abs(rho.kernel))) / rho.group.order)
     herm = float(np.max(np.abs(rho.kernel - rho.kernel.conj().T))) / rho.group.order
-    if herm > tol * scale:
+    if herm > bound * scale:
         raise NotAStateError(f"not Hermitian: max |K - K*| / |G| = {herm:.3e}")
     tr = rho.trace()
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > bound:
         raise NotAStateError(f"trace is {tr:.12g}, expected 1")
     eigs = np.linalg.eigvalsh((rho.matrix + rho.matrix.conj().T) / 2)
-    if eigs.min() < -tol:
+    if eigs.min() < -bound:
         raise NotAStateError(f"not positive semidefinite: lowest eigenvalue {eigs.min():.3e}")
 
 

@@ -5,6 +5,13 @@ algebra at 1e-10, state positivity at 1e-9, membership residuals at
 1e-8 and witness gaps at 1e-6.  Each level absorbs the noise of the
 computations below it, so a gap certified at 1e-6 survives the 1e-9
 slack in the feasibility checks that produced it.
+
+Every function that decides a verdict takes one record, ``tol=DEFAULT``,
+and reads its own level(s) from it; the command line builds the record
+from its ``--tol-*`` flags.  A level must be finite.  A negative level
+is a bound no residual or violation meets: under a negative membership
+level no point is inside the span or hull, and one is outside only with
+a gap above rounding, inconclusive otherwise.
 """
 
 from __future__ import annotations
@@ -25,8 +32,7 @@ class Tolerances:
     recognition: float = 1e-7   # pure-family overlap deficit
 
     def __post_init__(self):
-        # NaN would fail every comparison and infinity pass every one; a
-        # negative bound stays legal, one that no check can meet.
+        # NaN would fail every comparison and infinity pass every one.
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):

@@ -15,6 +15,7 @@ from kdlab.circle import (
     geometric_weights,
 )
 from kdlab.errors import NotHermitianError, PreconditionError
+from kdlab.tolerances import DEFAULT
 
 from conftest import child_env
 
@@ -113,7 +114,7 @@ def test_classicality_agrees_with_search():
             op = BandLimitedOperator.from_diagonal(K, diag / diag.sum())
         else:
             op = _random_band_state(K, rng)
-        verdict = circle_is_classical(op, tol=1e-9).is_classical
+        verdict = circle_is_classical(op, DEFAULT.override(positivity=1e-9)).is_classical
         search = circle_negativity_search(op, 1024).violation <= 1e-9
         assert verdict == search
 

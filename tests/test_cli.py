@@ -555,6 +555,7 @@ def _tolerance_inputs(tmp_path):
     circular = Operator.pure_state(GFunction(z2, [1.0, 1.0j]))
     near = enumerate_kd_positive_pure(z2)[0].vector.values + np.array([0.0, 1e-3])
     return {
+        "mixed": _write(tmp_path, "mixed.json", mixed.to_json()),
         "slightly-negative": _write(tmp_path, "neg.json",
                                     (mixed * (1 - p) + negative * p).to_json()),
         "slightly-complex": _write(tmp_path, "complex.json",
@@ -595,6 +596,10 @@ _NEGATIVE_Z2 = ["--group", "Z2", "--state", "slightly-negative"]
     (["member", "conv", *_NEGATIVE_Z2, "--tol-positivity", "1e-5"],
      ["--tol-membership", "nan"], 3, 2),
     (["verify", "all", "--group", "Z2"], ["--tol-structural", "inf"], 0, 2),
+    # a negative bound is met by no residual: the mixed state is not inside,
+    # and its exact fit certifies no gap (these used to exit 3 and 2)
+    (["member", "conv", "--group", "Z2", "--state", "mixed"], ["--tol-membership", "-1"], 0, 4),
+    (["member", "span", "--group", "Z2", "--operator", "mixed"], ["--tol-membership", "-1"], 0, 4),
 ])
 def test_each_tolerance_flag_changes_its_outcome(argv, flag, default_code, code, tmp_path, capsys):
     inputs = _tolerance_inputs(tmp_path)

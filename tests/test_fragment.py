@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from kdlab.circle import circle_is_classical, geometric_state
 from kdlab.classify import (
     _family,
     enumerate_kd_positive_pure,
@@ -18,6 +20,7 @@ from kdlab.fragment import (
     _project_simplex,
     _random_direction,
     _simplex_nnls,
+    _verify_outside_candidate,
     conv_membership,
     find_conv_gap_witness,
     is_kd_positive_state,
@@ -31,6 +34,7 @@ from kdlab.harmonic import GFunction
 from kdlab.jsonio import encode_array
 from kdlab.kd import _kd_table, multiplication_operator
 from kdlab.operators import Operator, check_state
+from kdlab.tolerances import DEFAULT, Tolerances
 from kdlab.verify import verify_group
 from kdlab.weyl import WHElement, wh_unitary
 
@@ -263,6 +267,83 @@ def test_conv_membership_reports_iterations(battery_group):
     assert 0 < result.iterations < 50 * n + 200
     assert "iterations" not in result.to_json()
     assert span_membership(rho).iterations is None
+
+
+def test_negative_membership_bound_leaves_inside_points_inconclusive(battery_group):
+    # -1 is a bound no residual meets, so nothing is inside; the residual
+    # of a point in the hull or span is zero or rounding and certifies no
+    # gap (an exact fit used to divide by zero, a rounding one to say "outside")
+    group = battery_group
+    bound = DEFAULT.override(membership=-1.0)
+    family = enumerate_kd_positive_pure(group)
+    rng = np.random.default_rng(211)
+    states = [m.projector() for m in family[:40]]
+    states += [Operator.identity(group) * (1.0 / group.order), _family_mixture(group, rng, k=min(5, len(family)))]
+    for rho in states:
+        hull = conv_membership(rho, bound)
+        assert hull.verdict == "inconclusive"
+        assert np.isfinite(hull.gap) and np.isfinite(hull.witness.kernel).all()
+        assert span_membership(rho, bound).verdict == "inconclusive"
+
+
+def test_negative_membership_bound_keeps_outside_verdicts():
+    group = parse_group("Z2xZ2")
+    bound = DEFAULT.override(membership=-1.0)
+    op = _off_support_op(group)
+    assert span_membership(op).verdict == "outside"
+    assert span_membership(op, bound).to_json() == span_membership(op).to_json()
+    state = find_conv_gap_witness(group, seed=0, budget=100).state
+    assert conv_membership(state).verdict == "outside"
+    assert conv_membership(state, bound).to_json() == conv_membership(state).to_json()
+
+
+def _comparable(value):
+    if isinstance(value, tuple):
+        return [_comparable(v) for v in value]
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return repr(value)
+
+
+DECIDER_LEVELS = {
+    "is_kd_real": {"structural"},
+    "is_kd_positive_state": {"positivity"},
+    "check_state": {"positivity"},
+    "span_membership": {"membership"},
+    "conv_membership": {"membership", "positivity"},
+    "recognize_kd_positive_pure": {"recognition"},
+    "circle_is_classical": {"positivity"},
+    "find_conv_gap_witness": {"witness_gap", "positivity", "membership"},
+    "_verify_outside_candidate": {"witness_gap", "positivity", "membership"},
+}
+
+
+def _decide(name, tol):
+    z2xz2, z4 = parse_group("Z2xZ2"), parse_group("Z4")
+    mixed = Operator.identity(z4) * 0.25
+    return {
+        "is_kd_real": lambda: is_kd_real(random_hermitian(z4, np.random.default_rng(5)), tol),
+        "is_kd_positive_state": lambda: is_kd_positive_state(mixed, tol),
+        "check_state": lambda: check_state(mixed, tol),
+        "span_membership": lambda: span_membership(_off_support_op(z4), tol),
+        "conv_membership": lambda: conv_membership(mixed, tol),
+        "recognize_kd_positive_pure":
+            lambda: recognize_kd_positive_pure(enumerate_kd_positive_pure(z4)[3].vector, tol),
+        "circle_is_classical": lambda: circle_is_classical(geometric_state(0.3, 4), tol),
+        "find_conv_gap_witness": lambda: find_conv_gap_witness(z2xz2, seed=0, budget=100, tol=tol),
+        "_verify_outside_candidate": lambda: _verify_outside_candidate(
+            _family(z2xz2), find_conv_gap_witness(z2xz2, seed=0, budget=100).state.matrix, tol),
+    }[name]()
+
+
+@pytest.mark.parametrize("extreme", [-1.0, 1e9])
+@pytest.mark.parametrize("name", list(DECIDER_LEVELS))
+def test_each_decider_reads_only_its_own_levels(name, extreme):
+    # every level the decider does not read is set where any check that
+    # read it would fail (-1) or pass (1e9); the result must not move
+    levels = DECIDER_LEVELS[name]
+    others = {f.name: extreme for f in dataclasses.fields(Tolerances) if f.name not in levels}
+    assert _comparable(_decide(name, DEFAULT.override(**others))) == _comparable(_decide(name, DEFAULT))
 
 
 def test_one_lattice_and_one_family_per_group():
@@ -563,7 +644,7 @@ def test_project_moves_negative_state():
     assert result.converged
     assert result.distance > 0.05
     check_state(result.state)
-    assert is_kd_positive_state(result.state, tol=1e-8).is_positive
+    assert is_kd_positive_state(result.state, DEFAULT.override(positivity=1e-8)).is_positive
 
 
 def test_project_idempotent(battery_group):
@@ -719,7 +800,8 @@ def test_witness_search_none_within_budget():
     assert find_conv_gap_witness(parse_group("Z3"), seed=0, budget=300) is None
     # so must a positivity bound no polished candidate can meet, not even
     # its trace check: each candidate is rejected, the budget runs out
-    assert find_conv_gap_witness(parse_group("Z2xZ2"), budget=100, positivity_tol=1e-16) is None
+    assert find_conv_gap_witness(parse_group("Z2xZ2"), budget=100,
+                                 tol=DEFAULT.override(positivity=1e-16)) is None
 
 
 def test_witness_search_rejects_negative_budget():

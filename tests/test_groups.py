@@ -11,6 +11,8 @@ from kdlab.errors import (
     UnsupportedOrderError,
 )
 from kdlab.groups import (
+    Character,
+    Element,
     FiniteAbelianGroup,
     Subgroup,
     annihilator,
@@ -234,11 +236,14 @@ def test_subgroup_rejects_non_integer_indices(entry):
     lambda z4, v: z4.character_by_index(v),
     lambda z4, v: Subgroup.from_generators(z4, [v]),
     lambda z4, v: v in Subgroup(z4, (0, 2)),
+    lambda z4, v: Element(z4, (v,)),
+    lambda z4, v: Character(z4, (v,)),
 ], ids=["factors", "element", "character", "index_of", "element_by_index",
-        "character_by_index", "from_generators", "contains"])
+        "character_by_index", "from_generators", "contains", "Element", "Character"])
 def test_integer_inputs_reject_non_integers(read, bad):
     # int() used to truncate these: a factor 2.5 made Z2, a residue 1.5 the
-    # residue 1, a generator 1.5 all of Z4; inf overflowed
+    # residue 1, a generator 1.5 all of Z4; inf overflowed; Element(Z4, (1.5,))
+    # was built and printed (1.5)
     with pytest.raises(ValueError, match="must be integers"):
         read(parse_group("Z4"), bad)
 
@@ -250,6 +255,16 @@ def test_subgroup_stores_python_ints(entry):
     assert all(type(i) is int for i in sub.elements)
     assert repr(sub) == "Subgroup[0, 2] of Z4"
     assert sub == Subgroup(parse_group("Z4"), (0, 2))
+
+
+@pytest.mark.parametrize("entry", [1, np.int64(1), np.uint8(1)], ids=["int", "int64", "uint8"])
+@pytest.mark.parametrize("kind", [Element, Character])
+def test_element_and_character_store_python_ints(kind, entry):
+    z2xz4 = parse_group("Z2xZ4")
+    value = kind(z2xz4, [entry, 3])
+    assert value == kind(z2xz4, (1, 3))
+    assert all(type(r) is int for r in (value.residues if kind is Element else value.label))
+    assert repr(value).endswith("(1,3)")
 
 
 def test_subgroup_membership():
