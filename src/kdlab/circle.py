@@ -5,9 +5,11 @@ with counting measure; the Fourier basis is z |-> z^k.  A band-limited
 operator keeps modes k in [-K, K] and is stored as the coefficient
 matrix c[k, l] of sum c_{kl} |k><l|.  Its phase-space table has the
 closed form KD_A(z, m) = sum_k c_{km} z^{k-m}, a trigonometric
-polynomial in z of degree at most 2K, so positivity and reality can be
-decided on a uniform grid of more than 4K points, one alias-free inverse
-FFT per column, plus local refinement instead of discretizing the group.
+polynomial in z of degree at most 2K.  The negativity search reports the
+extremes of the table on a uniform grid of more than 4K points (one
+alias-free inverse FFT per column), refined locally; it certifies no
+bound, since a dip between grid points can be missed.  Classicality is
+decided exactly, by the diagonal test, not by the search.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NotHermitianError, PreconditionError
-from .jsonio import decode_array, encode_array, finite_array, unit_phase
+from .jsonio import decode_array, encode_array, finite_array, hermitian_defect, unit_phase
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -58,7 +60,7 @@ class BandLimitedOperator:
         return complex(self.coeffs[k + self.K, l + self.K])
 
     def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.coeffs - self.coeffs.conj().T)) <= DEFAULT.structural)
+        return hermitian_defect(self.coeffs) <= DEFAULT.structural
 
     def trace(self) -> complex:
         return complex(np.trace(self.coeffs))
@@ -157,12 +159,12 @@ def circle_negativity_search(
 ) -> NegativitySearchResult:
     """Scan the phase-space table for imaginary parts and negative reals.
 
-    The table column at mode m is a trigonometric polynomial of degree
-    at most 2K, so a uniform grid of at least 4K + 4 points cannot skip
-    a sign change; the worst grid points are then sharpened by bounded
-    local minimization.  The grid holds more points than the 4K + 1
-    frequencies k - m, so one unscaled inverse DFT per column evaluates
-    every grid value without aliasing.
+    Reports the worst grid values, each sharpened by bounded local
+    minimization around its grid point.  The grid holds more points than
+    the 4K + 1 frequencies k - m of a column, so one unscaled inverse DFT
+    per column evaluates every grid value without aliasing.  The result
+    is no certificate: a deeper minimum between other grid points is not
+    seen, so a violation of zero does not prove a nonnegative table.
     """
     grid_size = _integer(grid_size, "grid size", 4 * op.K + 4)
     # Row m + K holds c_{km} at frequency (k - m) mod grid_size.
@@ -207,9 +209,8 @@ class CircleClassicalResult:
 def circle_is_classical(op: BandLimitedOperator, tol: Tolerances = DEFAULT) -> CircleClassicalResult:
     """Decide classicality: diagonal coefficients, none below -tol.positivity.
 
-    For band-limited operators the phase-space table of a diagonal
-    operator is constant in z and equals the diagonal, so this test
-    agrees with the grid search at matching tolerance.
+    The phase-space table of a diagonal operator is constant in z and
+    equals the diagonal, so the test is exact and reads no grid.
     """
     if not op.is_hermitian():
         raise NotHermitianError("classicality test requires a Hermitian operator")

@@ -320,7 +320,7 @@ def cmd_circle_search(args) -> int:
 def cmd_verify_all(args) -> int:
     group = parse_group(args.group)
     tol = _tolerances(args)
-    report = verify_group(group, seed=args.seed, tolerances=tol)
+    report = verify_group(group, seed=args.seed, tol=tol)
     _emit(args, report.to_json())
     return EXIT_OK if report.all_passed else EXIT_INCONCLUSIVE
 

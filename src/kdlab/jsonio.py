@@ -4,7 +4,8 @@ Complex scalars travel as ``{"re": float, "im": float}`` objects and
 complex arrays as flat row-major lists of such pairs.  Every value type
 reads its arrays through `finite_array` and its unit phases through
 `unit_phase`, so a wrong shape, a NaN or an infinity is rejected the same
-way whether it comes from a file or a constructor.
+way whether it comes from a file or a constructor; every Hermitian test
+reads one relative `hermitian_defect`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ def unit_phase(z, what: str) -> complex:
     if not abs(abs(z) - 1.0) <= DEFAULT.exact:  # NaN fails this too
         raise PreconditionError(f"{what} must lie on the unit circle, got |z| = {abs(z)!r}")
     return z
+
+
+def hermitian_defect(matrix: np.ndarray) -> float:
+    """max |M - M*| / max(1, max |M|), so rounding reads the same at any scale."""
+    return float(np.max(np.abs(matrix - matrix.conj().T))) / max(1.0, float(np.max(np.abs(matrix))))
 
 
 def encode_array(values: np.ndarray) -> list:

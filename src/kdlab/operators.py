@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GroupMismatchError, NotAStateError, PreconditionError
 from .groups import FiniteAbelianGroup
 from .harmonic import GFunction
-from .jsonio import decode_array, encode_array, finite_array, finite_complex
+from .jsonio import decode_array, encode_array, finite_array, finite_complex, hermitian_defect
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -83,9 +83,7 @@ class Operator:
         return (self - other).hs_norm()
 
     def is_hermitian(self) -> bool:
-        m = self.matrix
-        scale = max(1.0, float(np.max(np.abs(m))))
-        return bool(np.max(np.abs(m - m.conj().T)) <= DEFAULT.structural * scale)
+        return hermitian_defect(self.matrix) <= DEFAULT.structural
 
     def __add__(self, other: "Operator") -> "Operator":
         if other.group != self.group:
@@ -121,18 +119,23 @@ class Operator:
 
 
 def check_state(rho: Operator, tol: Tolerances = DEFAULT) -> None:
-    """Validate the state preconditions at ``tol.positivity``, naming the violated one."""
-    bound = tol.positivity
+    """Validate the state preconditions, naming the violated one.
+
+    They are tested at ``tol.positivity`` but never below rounding
+    (``DEFAULT.exact``): a tighter or negative bound is left to the
+    verdict that reads it, so it cannot reject an exact state.
+    """
+    bound = max(tol.positivity, DEFAULT.exact)
     if not np.isfinite(rho.kernel).all():
         raise NotAStateError("kernel has NaN or infinite entries")
-    scale = max(1.0, float(np.max(np.abs(rho.kernel))) / rho.group.order)
-    herm = float(np.max(np.abs(rho.kernel - rho.kernel.conj().T))) / rho.group.order
-    if herm > bound * scale:
-        raise NotAStateError(f"not Hermitian: max |K - K*| / |G| = {herm:.3e}")
+    m = rho.matrix
+    herm = hermitian_defect(m)
+    if herm > bound:
+        raise NotAStateError(f"not Hermitian: max |M - M*| / max(1, max |M|) = {herm:.3e}")
     tr = rho.trace()
     if abs(tr - 1.0) > bound:
         raise NotAStateError(f"trace is {tr:.12g}, expected 1")
-    eigs = np.linalg.eigvalsh((rho.matrix + rho.matrix.conj().T) / 2)
+    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
     if eigs.min() < -bound:
         raise NotAStateError(f"not positive semidefinite: lowest eigenvalue {eigs.min():.3e}")
 

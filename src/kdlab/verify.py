@@ -1,11 +1,12 @@
 """Named invariant checks and the report they assemble.
 
-Each check is a pure function of (group, rng) returning a measured
-value that must stay on the right side of a threshold read from the
-tolerances.  Checks draw their randomness from a generator seeded by
-(run seed, crc32 of the check name), so the report is reproducible and
-independent of execution order.  Check names and anchors are stable
-identifiers: the anchor states the mathematical fact being verified.
+Each check is a pure function of (group, rng, tol) returning a measured
+value bounded by the level of the run's tolerance record that the check
+names (0.5 for a count); the deciders it calls read that same record.
+Checks draw their randomness from a generator seeded by (run seed, crc32
+of the check name), so the report is reproducible and independent of
+execution order.  Check names and anchors are stable identifiers: the
+anchor states the mathematical fact being verified.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ def _table_diff(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> float:
 # checks
 
 
-def _check_pairing_bicharacter(group, rng):
+def _check_pairing_bicharacter(group, rng, tol):
     X = group.char_table
     add = group.add_table
     worst = 0.0
@@ -77,7 +78,7 @@ def _check_pairing_bicharacter(group, rng):
     return worst
 
 
-def _check_subgroup_closure(group, rng):
+def _check_subgroup_closure(group, rng, tol):
     bad = 0
     subgroups = enumerate_subgroups(group)
     for sub in subgroups:
@@ -90,7 +91,7 @@ def _check_subgroup_closure(group, rng):
     return float(bad)
 
 
-def _check_annihilator_duality(group, rng):
+def _check_annihilator_duality(group, rng, tol):
     worst = 0
     for sub in enumerate_subgroups(group):
         ann = annihilator(group, sub)
@@ -101,7 +102,7 @@ def _check_annihilator_duality(group, rng):
     return float(worst)
 
 
-def _check_fourier_roundtrip(group, rng):
+def _check_fourier_roundtrip(group, rng, tol):
     worst = 0.0
     for _ in range(50):
         psi = GFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
@@ -110,7 +111,7 @@ def _check_fourier_roundtrip(group, rng):
     return worst
 
 
-def _check_plancherel(group, rng):
+def _check_plancherel(group, rng, tol):
     worst = 0.0
     for _ in range(50):
         psi = GFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
@@ -118,7 +119,7 @@ def _check_plancherel(group, rng):
     return worst
 
 
-def _check_subgroup_density_transform(group, rng):
+def _check_subgroup_density_transform(group, rng, tol):
     worst = 0.0
     for sub in enumerate_subgroups(group):
         hat = fourier(haar_density(group, sub))
@@ -128,7 +129,7 @@ def _check_subgroup_density_transform(group, rng):
     return worst
 
 
-def _check_wh_representation(group, rng):
+def _check_wh_representation(group, rng, tol):
     worst = 0.0
     for _ in range(30):
         a, b = _random_wh(group, rng), _random_wh(group, rng)
@@ -138,7 +139,7 @@ def _check_wh_representation(group, rng):
     return worst
 
 
-def _check_wh_unitarity(group, rng):
+def _check_wh_unitarity(group, rng, tol):
     eye = Operator.identity(group)
     worst = 0.0
     for _ in range(30):
@@ -149,7 +150,7 @@ def _check_wh_unitarity(group, rng):
     return worst
 
 
-def _check_wh_kd_translation(group, rng):
+def _check_wh_kd_translation(group, rng, tol):
     diff = group.diff_table
     worst = 0.0
     for _ in range(30):
@@ -162,7 +163,7 @@ def _check_wh_kd_translation(group, rng):
     return worst
 
 
-def _check_kd_roundtrip(group, rng):
+def _check_kd_roundtrip(group, rng, tol):
     worst = 0.0
     for _ in range(50):
         op = _random_operator(group, rng)
@@ -171,7 +172,7 @@ def _check_kd_roundtrip(group, rng):
     return worst
 
 
-def _check_kd_unitarity(group, rng):
+def _check_kd_unitarity(group, rng, tol):
     worst = 0.0
     for _ in range(50):
         a, b = _random_operator(group, rng), _random_operator(group, rng)
@@ -179,7 +180,7 @@ def _check_kd_unitarity(group, rng):
     return worst
 
 
-def _check_symplectic_involution(group, rng):
+def _check_symplectic_involution(group, rng, tol):
     worst = 0.0
     for _ in range(50):
         d = group.order
@@ -189,7 +190,7 @@ def _check_symplectic_involution(group, rng):
     return worst
 
 
-def _check_char_fn_factorization(group, rng):
+def _check_char_fn_factorization(group, rng, tol):
     worst = 0.0
     for _ in range(30):
         op = _random_operator(group, rng)
@@ -198,7 +199,7 @@ def _check_char_fn_factorization(group, rng):
     return worst
 
 
-def _check_adjoint_conjugation(group, rng):
+def _check_adjoint_conjugation(group, rng, tol):
     worst = 0.0
     for _ in range(30):
         op = _random_operator(group, rng)
@@ -208,7 +209,7 @@ def _check_adjoint_conjugation(group, rng):
     return worst
 
 
-def _check_state_marginals(group, rng):
+def _check_state_marginals(group, rng, tol):
     worst = 0.0
     for _ in range(30):
         rho = _random_state(group, rng)
@@ -222,7 +223,7 @@ def _check_state_marginals(group, rng):
     return worst
 
 
-def _check_product_symbol_quantization(group, rng):
+def _check_product_symbol_quantization(group, rng, tol):
     worst = 0.0
     for _ in range(30):
         f = GFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
@@ -232,7 +233,7 @@ def _check_product_symbol_quantization(group, rng):
     return worst
 
 
-def _check_wigner_real(group, rng):
+def _check_wigner_real(group, rng, tol):
     worst = 0.0
     for _ in range(30):
         op = _random_hermitian(group, rng)
@@ -241,7 +242,7 @@ def _check_wigner_real(group, rng):
     return worst
 
 
-def _check_half_order_parity_guard(group, rng):
+def _check_half_order_parity_guard(group, rng, tol):
     op = _random_hermitian(group, rng)
     try:
         char_fn(op, "half")
@@ -250,13 +251,13 @@ def _check_half_order_parity_guard(group, rng):
     return 1.0
 
 
-def _check_family_count(group, rng):
+def _check_family_count(group, rng, tol):
     family = enumerate_kd_positive_pure(group)
     expected = group.order * len(enumerate_subgroups(group))
     return float(abs(len(family) - expected) + (len(set(family)) != len(family)))
 
 
-def _check_family_indicator(group, rng):
+def _check_family_indicator(group, rng, tol):
     worst = 0.0
     for member in enumerate_kd_positive_pure(group):
         table = kd(member.projector())
@@ -264,60 +265,62 @@ def _check_family_indicator(group, rng):
     return worst
 
 
-def _check_family_positivity(group, rng):
+def _check_family_positivity(group, rng, tol):
     worst = 0.0
     for member in enumerate_kd_positive_pure(group):
-        worst = max(worst, is_kd_positive_state(member.projector()).worst_violation)
+        worst = max(worst, is_kd_positive_state(member.projector(), tol).worst_violation)
     return worst
 
 
-def _check_recognition_roundtrip(group, rng):
+def _check_recognition_roundtrip(group, rng, tol):
     failures = 0
     for member in enumerate_kd_positive_pure(group):
-        hit = recognize_kd_positive_pure(member.vector)
+        hit = recognize_kd_positive_pure(member.vector, tol)
         if hit is None or hit.key != member.key:
             failures += 1
     for _ in range(20):
         v = rng.normal(size=group.order) + 1j * rng.normal(size=group.order)
         psi = GFunction(group, v).normalized()
-        hit = recognize_kd_positive_pure(psi)
-        if hit is not None:
-            overlap = abs(hit.vector.inner(psi)) / 1.0
-            if overlap <= 1.0 - 1e-7:
-                failures += 1
+        hit = recognize_kd_positive_pure(psi, tol)
+        if hit is not None and abs(hit.vector.inner(psi)) <= 1.0 - tol.recognition:
+            failures += 1
     return float(failures)
 
 
-def _check_real_dimension(group, rng):
+def _check_real_dimension(group, rng, tol):
     tables = [m.indicator_table().values.real.ravel() for m in enumerate_kd_positive_pure(group)]
     rank = np.linalg.matrix_rank(np.stack(tables))
     return float(abs(rank - kd_real_dimension(group)))
 
 
-def _check_projector_membership(group, rng):
+def _check_projector_membership(group, rng, tol):
     worst = 0.0
     for member in enumerate_kd_positive_pure(group):
-        res = conv_membership(member.projector())
+        res = conv_membership(member.projector(), tol)
         if res.verdict != "inside":
             return float("inf")
         worst = max(worst, res.residual)
     return worst
 
 
-def _check_mixed_membership(group, rng):
+def _check_mixed_membership(group, rng, tol):
     mixed = Operator.from_matrix(group, np.eye(group.order, dtype=complex) / group.order)
-    res = conv_membership(mixed)
+    res = conv_membership(mixed, tol)
     return res.residual if res.verdict == "inside" else float("inf")
 
 
-def _check_certificate_reconstruction(group, rng):
+def _family_mixtures(group, rng) -> tuple[np.ndarray, list[Operator]]:
+    """The family projector stack and ten random Dirichlet mixtures of it."""
     projectors = np.stack([m.projector().matrix for m in enumerate_kd_positive_pure(group)])
+    mixtures = [np.tensordot(rng.dirichlet(np.ones(len(projectors))), projectors, axes=1) for _ in range(10)]
+    return projectors, [Operator.from_matrix(group, matrix) for matrix in mixtures]
+
+
+def _check_certificate_reconstruction(group, rng, tol):
+    projectors, mixtures = _family_mixtures(group, rng)
     worst = 0.0
-    for _ in range(10):
-        weights = rng.dirichlet(np.ones(len(projectors)))
-        matrix = np.tensordot(weights, projectors, axes=1)
-        rho = Operator.from_matrix(group, matrix)
-        res = conv_membership(rho)
+    for rho in mixtures:
+        res = conv_membership(rho, tol)
         if res.verdict != "inside" or res.weights is None:
             return float("inf")
         rebuilt = np.tensordot(res.weights, projectors, axes=1)
@@ -325,20 +328,17 @@ def _check_certificate_reconstruction(group, rng):
     return worst
 
 
-def _check_span_consistency(group, rng):
-    projectors = np.stack([m.projector().matrix for m in enumerate_kd_positive_pure(group)])
+def _check_span_consistency(group, rng, tol):
     worst = 0.0
-    for _ in range(10):
-        weights = rng.dirichlet(np.ones(len(projectors)))
-        matrix = np.tensordot(weights, projectors, axes=1)
-        res = span_membership(Operator.from_matrix(group, matrix))
+    for op in _family_mixtures(group, rng)[1]:
+        res = span_membership(op, tol)
         if res.verdict != "inside":
             return float("inf")
         worst = max(worst, res.residual)
     return worst
 
 
-def _check_circle_diagonal_forward(group, rng):
+def _check_circle_diagonal_forward(group, rng, tol):
     worst = 0.0
     for _ in range(10):
         diag = rng.dirichlet(np.ones(9))
@@ -347,7 +347,7 @@ def _check_circle_diagonal_forward(group, rng):
     return worst
 
 
-def _check_circle_offdiagonal_violation(group, rng):
+def _check_circle_offdiagonal_violation(group, rng, tol):
     smallest = np.inf
     for _ in range(10):
         n = 9
@@ -363,10 +363,13 @@ def _check_circle_offdiagonal_violation(group, rng):
 class Check:
     name: str
     anchor: str
-    fn: Callable
-    tolerance: Callable[[Tolerances], float]
-    direction: str = "le"                    # pass iff measured <= tol ("ge": >=)
+    fn: Callable                             # (group, rng, tol) -> measured value
+    level: str | None                        # the Tolerances field bounding it; None: a count, bound 0.5
+    direction: str = "le"                    # pass iff measured <= bound ("ge": >=)
     applies: Callable[[FiniteAbelianGroup], bool] = lambda group: True
+
+    def bound(self, tol: Tolerances) -> float:
+        return 0.5 if self.level is None else getattr(tol, self.level)
 
 
 def _odd(group: FiniteAbelianGroup) -> bool:
@@ -375,63 +378,63 @@ def _odd(group: FiniteAbelianGroup) -> bool:
 
 CHECKS: tuple[Check, ...] = (
     Check("group-pairing-bicharacter", "character pairing is multiplicative in both slots with unit modulus",
-          _check_pairing_bicharacter, lambda t: t.exact),
+          _check_pairing_bicharacter, "exact"),
     Check("group-subgroup-closure", "enumerated subgroups are closed, contain zero, and are distinct",
-          _check_subgroup_closure, lambda t: 0.5),
+          _check_subgroup_closure, None),
     Check("group-annihilator-duality", "annihilator orders multiply to the group order and double annihilator returns the subgroup",
-          _check_annihilator_duality, lambda t: 0.5),
+          _check_annihilator_duality, None),
     Check("harmonic-fourier-roundtrip", "inverse transform undoes the transform pointwise",
-          _check_fourier_roundtrip, lambda t: t.structural),
+          _check_fourier_roundtrip, "structural"),
     Check("harmonic-plancherel", "the transform preserves the weighted norm",
-          _check_plancherel, lambda t: t.structural),
+          _check_plancherel, "structural"),
     Check("harmonic-subgroup-density-transform", "normalized subgroup indicators transform to annihilator indicators",
-          _check_subgroup_density_transform, lambda t: t.structural),
+          _check_subgroup_density_transform, "structural"),
     Check("weyl-representation", "displacement unitaries compose by the twisted group law",
-          _check_wh_representation, lambda t: t.structural),
+          _check_wh_representation, "structural"),
     Check("weyl-unitarity", "displacements are unitary and the group inverse gives the adjoint",
-          _check_wh_unitarity, lambda t: t.structural),
+          _check_wh_unitarity, "structural"),
     Check("weyl-kd-translation", "conjugating by a displacement translates the phase-space table",
-          _check_wh_kd_translation, lambda t: t.structural),
+          _check_wh_kd_translation, "structural"),
     Check("kd-roundtrip", "the inverse table map recovers the kernel",
-          _check_kd_roundtrip, lambda t: t.structural),
+          _check_kd_roundtrip, "structural"),
     Check("kd-unitarity", "the table map preserves Hilbert-Schmidt inner products",
-          _check_kd_unitarity, lambda t: t.structural),
+          _check_kd_unitarity, "structural"),
     Check("kd-symplectic-involution", "the symplectic transform applied twice is the identity",
-          _check_symplectic_involution, lambda t: t.structural),
+          _check_symplectic_involution, "structural"),
     Check("kd-char-fn-factorization", "tables factor through the symplectic transform of ordered characteristic functions",
-          _check_char_fn_factorization, lambda t: t.structural),
+          _check_char_fn_factorization, "structural"),
     Check("kd-adjoint-conjugation", "the anti-ordered table is the conjugate of the adjoint's table",
-          _check_adjoint_conjugation, lambda t: t.structural),
+          _check_adjoint_conjugation, "structural"),
     Check("kd-state-marginals", "table marginals reproduce position and momentum laws with unit mass",
-          _check_state_marginals, lambda t: t.structural),
+          _check_state_marginals, "structural"),
     Check("kd-product-symbol-quantization", "quantizing a product symbol returns exactly that table",
-          _check_product_symbol_quantization, lambda t: t.structural),
+          _check_product_symbol_quantization, "structural"),
     Check("kd-wigner-real", "the half-ordered table of a Hermitian operator is real on odd-order groups",
-          _check_wigner_real, lambda t: t.structural, applies=_odd),
+          _check_wigner_real, "structural", applies=_odd),
     Check("kd-half-order-parity-guard", "the half ordering is rejected on groups with even-order factors",
-          _check_half_order_parity_guard, lambda t: 0.5, applies=lambda g: not _odd(g)),
+          _check_half_order_parity_guard, None, applies=lambda g: not _odd(g)),
     Check("pure-family-count", "the family has order times subgroup-count distinct members",
-          _check_family_count, lambda t: 0.5),
+          _check_family_count, None),
     Check("pure-family-indicator", "each family table is exactly a coset-rectangle indicator",
-          _check_family_indicator, lambda t: t.exact),
+          _check_family_indicator, "exact"),
     Check("pure-family-positivity", "each family projector passes the positivity test",
-          _check_family_positivity, lambda t: t.positivity),
+          _check_family_positivity, "positivity"),
     Check("pure-recognition-roundtrip", "recognition returns each member and rejects generic vectors",
-          _check_recognition_roundtrip, lambda t: 0.5),
+          _check_recognition_roundtrip, None),
     Check("fragment-real-dimension", "family span dimension equals the phase-count dimension formula",
-          _check_real_dimension, lambda t: 0.5),
+          _check_real_dimension, None),
     Check("fragment-projector-membership", "every family projector lies in the hull",
-          _check_projector_membership, lambda t: t.membership),
+          _check_projector_membership, "membership"),
     Check("fragment-mixed-membership", "the maximally mixed state lies in the hull",
-          _check_mixed_membership, lambda t: t.membership),
+          _check_mixed_membership, "membership"),
     Check("fragment-certificate-reconstruction", "inside certificates rebuild the queried state",
-          _check_certificate_reconstruction, lambda t: t.membership),
+          _check_certificate_reconstruction, "membership"),
     Check("fragment-span-consistency", "hull members lie in the real span",
-          _check_span_consistency, lambda t: t.membership),
+          _check_span_consistency, "membership"),
     Check("circle-diagonal-forward", "diagonal band operators show no table negativity",
-          _check_circle_diagonal_forward, lambda t: t.exact),
+          _check_circle_diagonal_forward, "exact"),
     Check("circle-offdiagonal-violation", "generic non-diagonal band states show a table violation",
-          _check_circle_offdiagonal_violation, lambda t: t.witness_gap, direction="ge"),
+          _check_circle_offdiagonal_violation, "witness_gap", direction="ge"),
 )
 
 
@@ -494,42 +497,29 @@ def _check_rng(seed: int, name: str) -> np.random.Generator:
 
 
 def run_check(check: Check, group: FiniteAbelianGroup, seed: int,
-              tolerances: Tolerances = DEFAULT) -> CheckResult:
+              tol: Tolerances = DEFAULT) -> CheckResult:
     """Run one check; a check that raises is reported as an error row,
     so one broken check cannot abort the rest of the report."""
-    rng = _check_rng(seed, check.name)
-    threshold = check.tolerance(tolerances)
+    bound = check.bound(tol)
+    measured = message = None
     try:
-        measured = float(check.fn(group, rng))
+        measured = float(check.fn(group, _check_rng(seed, check.name), tol))
     except Exception:
-        return CheckResult(
-            name=check.name,
-            anchor=check.anchor,
-            status="error",
-            measured=None,
-            tolerance=threshold,
-            direction=check.direction,
-            message=traceback.format_exc(),
-        )
-    if check.direction == "le":
-        ok = measured <= threshold
+        message = traceback.format_exc()
+    if measured is None:
+        status = "error"
+    elif (measured <= bound) if check.direction == "le" else (measured >= bound):
+        status = "pass"
     else:
-        ok = measured >= threshold
-    return CheckResult(
-        name=check.name,
-        anchor=check.anchor,
-        status="pass" if ok else "fail",
-        measured=measured,
-        tolerance=threshold,
-        direction=check.direction,
-    )
+        status = "fail"
+    return CheckResult(check.name, check.anchor, status, measured, bound, check.direction, message)
 
 
 def verify_group(group: FiniteAbelianGroup, seed: int = 0,
-                 tolerances: Tolerances = DEFAULT) -> VerificationReport:
+                 tol: Tolerances = DEFAULT) -> VerificationReport:
     """Run every applicable check against one group, sorted by name."""
     results = [
-        run_check(check, group, seed, tolerances)
+        run_check(check, group, seed, tol)
         for check in sorted(CHECKS, key=lambda c: c.name)
         if check.applies(group)
     ]

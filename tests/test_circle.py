@@ -228,6 +228,18 @@ def test_classicality_requires_hermitian():
         circle_is_classical(BandLimitedOperator(1, c))
 
 
+def test_hermitian_test_is_relative_to_the_largest_coefficient():
+    # m = x x* is Hermitian up to rounding relative to its entries; scaled
+    # by 1e6 that rounding is far above 1e-10 in absolute terms
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(129, 129)) + 1j * rng.normal(size=(129, 129))
+    m = x @ x.conj().T
+    for scale in (1.0, 1e6):
+        op = BandLimitedOperator(64, scale * m)
+        assert op.is_hermitian()
+        assert not circle_is_classical(op).is_classical
+
+
 def test_hs_norm_dual_route():
     # Frobenius norm of the coefficients equals the phase-space L2 norm
     rng = np.random.default_rng(197)

@@ -3,8 +3,10 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,10 +447,10 @@ def test_verify_all_green(capsys):
 
 
 def test_verify_all_reports_raising_check(monkeypatch, capsys):
-    def broken(group, rng):
+    def broken(group, rng, tol):
         raise RuntimeError("deliberately broken check")
 
-    raising = verify.Check("zz-broken", "a check that raises", broken, lambda t: t.exact)
+    raising = verify.Check("zz-broken", "a check that raises", broken, "exact")
     monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + (raising,))
     code, out, _ = _run(capsys, ["verify", "all", "--group", "Z3", "--format", "json"])
     assert code == 4
@@ -600,6 +602,9 @@ _NEGATIVE_Z2 = ["--group", "Z2", "--state", "slightly-negative"]
     # and its exact fit certifies no gap (these used to exit 3 and 2)
     (["member", "conv", "--group", "Z2", "--state", "mixed"], ["--tol-membership", "-1"], 0, 4),
     (["member", "span", "--group", "Z2", "--operator", "mixed"], ["--tol-membership", "-1"], 0, 4),
+    # the state preconditions hold at rounding; a negative bound only fails the
+    # verdict (this used to exit 2 with "not Hermitian")
+    (["check", "kd-positive", "--group", "Z2", "--state", "mixed"], ["--tol-positivity", "-1"], 0, 3),
 ])
 def test_each_tolerance_flag_changes_its_outcome(argv, flag, default_code, code, tmp_path, capsys):
     inputs = _tolerance_inputs(tmp_path)
@@ -613,13 +618,62 @@ def test_verify_tolerance_flag_bounds_its_rows(name, capsys):
     # a bound no measurement meets fails exactly the rows that read it
     checks = [c for c in verify.CHECKS if c.applies(parse_group("Z2"))]
     unmet = 1e9 if name == "witness_gap" else -1.0
-    expected = {c.name for c in checks if c.tolerance(DEFAULT.override(**{name: unmet})) == unmet}
+    expected = {c.name for c in checks if c.level == name}
     assert expected
     argv = ["verify", "all", "--group", "Z2", "--format", "json"]
     assert _run(capsys, argv)[0] == 0
     code, out, _ = _run(capsys, argv + [f"--tol-{name.replace('_', '-')}", str(unmet)])
     assert code == 4
     assert {c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"} == expected
+
+
+def test_verify_rows_pass_the_run_record_to_every_decider(monkeypatch):
+    custom = DEFAULT.override(positivity=2e-9, membership=2e-8, recognition=2e-7)
+    seen = {}
+
+    def spy(name, decider):
+        def call(*args, **kwargs):
+            seen.setdefault(name, []).append(kwargs.get("tol", args[1] if len(args) > 1 else None))
+            return decider(*args, **kwargs)
+        return call
+
+    names = ["conv_membership", "span_membership", "is_kd_positive_state", "recognize_kd_positive_pure"]
+    for name in names:
+        monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
+    report = verify.verify_group(parse_group("Z2xZ2"), tol=custom)
+    assert report.all_passed
+    assert sorted(seen) == sorted(names)
+    assert all(tol is custom for calls in seen.values() for tol in calls)
+
+
+def test_verify_rows_refuse_what_the_subcommand_refuses(tmp_path, capsys):
+    # below the rounding of a family projector's table, hull membership refuses
+    # the projector; the verify rows that ask for it are error rows saying so
+    flag = ["--tol-positivity", "1e-20"]
+    code, out, _ = _run(capsys, ["verify", "all", "--group", "Z2xZ2", "--format", "json", *flag])
+    assert code == 4
+    rows = {row["name"]: row for row in json.loads(out)["checks"]}
+    member = enumerate_kd_positive_pure(parse_group("Z2xZ2"))[5].projector()
+    path = _write(tmp_path, "member.json", member.to_json())
+    code, _, err = _run(capsys, ["member", "conv", "--group", "Z2xZ2", "--state", path, *flag])
+    assert code == 2
+    refusal = err.strip().splitlines()[-1].split(": ", 1)[1]
+    for name in ("fragment-projector-membership", "fragment-certificate-reconstruction"):
+        assert rows[name]["status"] == "error"
+        assert refusal.split(" (")[0] in rows[name]["message"]
+
+
+def test_readme_check_table_matches_the_registry():
+    def rendered(check):
+        if check.level is None:
+            return "exact"
+        return f"{'<=' if check.direction == 'le' else '>='} {check.bound(DEFAULT):.0e}"
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Verification checks", 1)[1]
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.+) \| (.+) \|$", table, flags=re.M)
+    assert {name: (anchor, bound) for name, anchor, bound in rows} == {
+        c.name: (c.anchor, rendered(c)) for c in verify.CHECKS}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -297,6 +297,17 @@ def test_negative_membership_bound_keeps_outside_verdicts():
     assert conv_membership(state, bound).to_json() == conv_membership(state).to_json()
 
 
+@pytest.mark.parametrize("name", BATTERY)
+def test_negative_positivity_bound_fails_the_verdict_not_the_preconditions(name):
+    group = parse_group(name)
+    mixed = Operator.identity(group) * (1.0 / group.order)
+    bound = DEFAULT.override(positivity=-1.0)
+    check_state(mixed, bound)
+    assert not is_kd_positive_state(mixed, bound).is_positive
+    with pytest.raises(NotAStateError, match="trace"):
+        check_state(mixed * 2.0, bound)
+
+
 def _comparable(value):
     if isinstance(value, tuple):
         return [_comparable(v) for v in value]
