@@ -18,12 +18,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GroupMismatchError, PreconditionError
+from .errors import PreconditionError
 from .groups import (
     Character,
     Element,
     FiniteAbelianGroup,
     Subgroup,
+    _check_group,
     annihilator,
     coset_labels,
     enumerate_subgroups,
@@ -91,8 +92,7 @@ def make_subgroup_state(subgroup: Subgroup, g: Element, chi: Character) -> KdPur
     which the canonical representative fixes).
     """
     group = subgroup.group
-    if g.group != group or chi.group != group:
-        raise GroupMismatchError("coset data lives on a different group")
+    _check_group(group, g, chi)
     labels = coset_labels(group, subgroup)
     g_rep = group.element_by_index(int(labels[g.index]))
     chi_rep = group.character_by_index(int(coset_labels(group, annihilator(group, subgroup))[chi.index]))

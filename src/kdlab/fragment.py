@@ -97,6 +97,11 @@ class KdPositivityResult:
 
 def is_kd_positive_state(rho: Operator, tol: Tolerances = DEFAULT) -> KdPositivityResult:
     """True when the state's KD table is real and nonnegative within ``tol.positivity``."""
+    return _kd_positivity(rho, tol)[0]
+
+
+def _kd_positivity(rho: Operator, tol: Tolerances) -> tuple[KdPositivityResult, np.ndarray]:
+    """``is_kd_positive_state`` and the KD table it read."""
     check_state(rho, tol)
     table = _kd_table(rho.group, rho.kernel)
     max_imag = float(np.max(np.abs(table.imag)))
@@ -106,7 +111,7 @@ def is_kd_positive_state(rho: Operator, tol: Tolerances = DEFAULT) -> KdPositivi
         worst_violation=max(max_imag, -min(min_real, 0.0)),
         max_abs_imag=max_imag,
         min_real=min_real,
-    )
+    ), table
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +286,7 @@ def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResul
     bound and above rounding (``DEFAULT.exact``), certifies separation.
     States that are not KD-positive at ``tol.positivity`` are rejected.
     """
-    probe = is_kd_positive_state(rho, tol)
+    probe, table = _kd_positivity(rho, tol)
     if not probe.is_positive:
         raise NotKdPositiveError(
             "hull membership asked for a state outside the KD-positive set "
@@ -289,7 +294,6 @@ def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResul
         )
     group = rho.group
     family = _family(group)
-    table = _kd_table(group, rho.kernel)
     lam, converged, iterations = _simplex_nnls(family, family.pair(table.real))
     # the imaginary part, which no real combination reaches, stays in r
     r = table - family.combine(lam)

@@ -6,7 +6,8 @@ matrix in the package is laid out in that order.  Characters are labeled
 by tuples with the same moduli through the pairing
 ``chi_c(g) = prod_j exp(2*pi*i*c_j*g_j/n_j)``, so the dual group shares
 the element indexing and subgroups of the dual are ordinary
-:class:`Subgroup` values over label indices.
+:class:`Subgroup` values over label indices.  Operands of every operation
+pass ``_check_group``, whose ``GroupMismatchError`` names both groups.
 """
 
 from __future__ import annotations
@@ -186,9 +187,11 @@ def _residue_tuple(group: FiniteAbelianGroup, values: Iterable, what: str) -> tu
     return values
 
 
-def _check_same_group(a, b) -> None:
-    if a.group != b.group:
-        raise GroupMismatchError(f"operands live on different groups: {a.group} vs {b.group}")
+def _check_group(group: FiniteAbelianGroup, *operands) -> None:
+    """Raise ``GroupMismatchError`` naming the first operand not on group."""
+    for x in operands:
+        if x.group != group:
+            raise GroupMismatchError(f"{type(x).__name__} lives on {x.group}, expected {group}")
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,7 @@ class Element:
         return self.group.index_of(self.residues)
 
     def __add__(self, other: "Element") -> "Element":
-        _check_same_group(self, other)
+        _check_group(self.group, other)
         return self.group.element([a + b for a, b in zip(self.residues, other.residues)])
 
     def __neg__(self) -> "Element":
@@ -234,14 +237,14 @@ class Character:
         return self.group.index_of(self.label)
 
     def __mul__(self, other: "Character") -> "Character":
-        _check_same_group(self, other)
+        _check_group(self.group, other)
         return self.group.character([a + b for a, b in zip(self.label, other.label)])
 
     def conjugate(self) -> "Character":
         return self.group.character([-c for c in self.label])
 
     def __call__(self, g: Element) -> complex:
-        _check_same_group(self, g)
+        _check_group(self.group, g)
         return complex(self.group.char_table[self.index, g.index])
 
     def __repr__(self) -> str:
@@ -281,8 +284,7 @@ class Subgroup:
 
     def __contains__(self, item) -> bool:
         if isinstance(item, Element):
-            if item.group != self.group:
-                raise GroupMismatchError(f"element {item} belongs to {item.group}, not {self.group}")
+            _check_group(self.group, item)
             index = item.index
         else:
             (index,) = _integers([item], "element indices")
@@ -294,8 +296,7 @@ class Subgroup:
         members: tuple[int, ...] = (0,)
         for g in generators:
             if isinstance(g, Element):
-                if g.group != group:
-                    raise GroupMismatchError(f"generator {g} belongs to {g.group}, not {group}")
+                _check_group(group, g)
                 index = g.index
             else:
                 (index,) = _integers([g], "generator indices")
@@ -375,8 +376,7 @@ def annihilator(group: FiniteAbelianGroup, subgroup: Subgroup) -> Subgroup:
     Decided exactly on the integer phase table, so no float tolerance is
     involved.
     """
-    if subgroup.group != group:
-        raise GroupMismatchError("subgroup belongs to a different group")
+    _check_group(group, subgroup)
     cols = group.char_phase[:, list(subgroup.elements)]
     labels = np.nonzero(~cols.any(axis=1))[0]
     return Subgroup(group, tuple(int(c) for c in labels))
@@ -389,8 +389,7 @@ def coset_labels(group: FiniteAbelianGroup, subgroup: Subgroup) -> np.ndarray:
     labels are the minimal-index representatives.  Read on the dual, with
     ``subgroup`` a subgroup of label indices, it labels character cosets.
     """
-    if subgroup.group != group:
-        raise GroupMismatchError("subgroup belongs to a different group")
+    _check_group(group, subgroup)
     return group.add_table[:, list(subgroup.elements)].min(axis=1)
 
 
@@ -407,8 +406,7 @@ class Doubling:
     invertible: bool
 
     def halve(self, g: Element) -> Element:
-        if g.group != self.group:
-            raise GroupMismatchError("element belongs to a different group")
+        _check_group(self.group, g)
         return self.group.element_by_index(int(self.halve_table[g.index]))
 
     @cached_property

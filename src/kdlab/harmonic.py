@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatchError
-from .groups import FiniteAbelianGroup, Subgroup
+from .groups import FiniteAbelianGroup, Subgroup, _check_group
 from .jsonio import decode_array, encode_array, finite_array
 
 
@@ -35,8 +34,7 @@ class GFunction:
         return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))
 
     def inner(self, other: "GFunction") -> complex:
-        if self.group != other.group:
-            raise GroupMismatchError("functions live on different groups")
+        _check_group(self.group, other)
         return complex(np.vdot(self.values, other.values) / self.group.order)
 
     def normalized(self) -> "GFunction":
@@ -70,8 +68,7 @@ class DualFunction:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2)))
 
     def inner(self, other: "DualFunction") -> complex:
-        if self.group != other.group:
-            raise GroupMismatchError("functions live on different groups")
+        _check_group(self.group, other)
         return complex(np.vdot(self.values, other.values))
 
     def total_mass(self) -> complex:
@@ -101,8 +98,7 @@ def haar_density(group: FiniteAbelianGroup, subgroup: Subgroup) -> GFunction:
     """Density (|G|/|H|) * 1_H: the probability Haar measure of H against
     the ambient normalized counting measure.  Its Fourier transform is
     exactly the indicator of the annihilator of H."""
-    if subgroup.group != group:
-        raise GroupMismatchError("subgroup belongs to a different group")
+    _check_group(group, subgroup)
     values = np.zeros(group.order, dtype=complex)
     values[list(subgroup.elements)] = group.order / subgroup.order
     return GFunction(group, values)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, doubling
+from .groups import FiniteAbelianGroup, _check_group, doubling
 from .harmonic import DualFunction, GFunction, fourier, inverse_fourier
 from .operators import Operator, PhaseSpaceFunction, _computed, check_state
 from .weyl import WHElement, wh_unitary
@@ -149,8 +149,7 @@ def kohn_nirenberg(f: GFunction, h: DualFunction) -> Operator:
     Equal to multiplication by f composed with the Fourier multiplier by
     h; the two factors do not commute in general.
     """
-    if f.group != h.group:
-        raise ValueError("symbol factors live on different groups")
+    _check_group(f.group, h)
     group = f.group
     u = inverse_fourier(h).values
     kernel = f.values[:, None] * u[group.diff_table]

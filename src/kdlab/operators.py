@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, NotAStateError, PreconditionError
-from .groups import FiniteAbelianGroup
+from .groups import FiniteAbelianGroup, _check_group
 from .harmonic import GFunction
 from .jsonio import decode_array, encode_array, finite_array, finite_complex, hermitian_defect
 from .tolerances import DEFAULT, Tolerances
@@ -53,13 +53,11 @@ class Operator:
         return self.kernel / self.group.order
 
     def apply(self, psi: GFunction) -> GFunction:
-        if psi.group != self.group:
-            raise GroupMismatchError("function lives on a different group")
+        _check_group(self.group, psi)
         return GFunction(self.group, self.kernel @ psi.values / self.group.order)
 
     def compose(self, other: "Operator") -> "Operator":
-        if other.group != self.group:
-            raise GroupMismatchError("operators live on different groups")
+        _check_group(self.group, other)
         return Operator(self.group, self.kernel @ other.kernel / self.group.order)
 
     def __matmul__(self, other: "Operator") -> "Operator":
@@ -72,8 +70,7 @@ class Operator:
         return complex(np.trace(self.kernel) / self.group.order)
 
     def hs_inner(self, other: "Operator") -> complex:
-        if other.group != self.group:
-            raise GroupMismatchError("operators live on different groups")
+        _check_group(self.group, other)
         return complex(np.vdot(self.kernel, other.kernel) / self.group.order**2)
 
     def hs_norm(self) -> float:
@@ -86,13 +83,11 @@ class Operator:
         return hermitian_defect(self.matrix) <= DEFAULT.structural
 
     def __add__(self, other: "Operator") -> "Operator":
-        if other.group != self.group:
-            raise GroupMismatchError("operators live on different groups")
+        _check_group(self.group, other)
         return Operator(self.group, self.kernel + other.kernel)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        if other.group != self.group:
-            raise GroupMismatchError("operators live on different groups")
+        _check_group(self.group, other)
         return Operator(self.group, self.kernel - other.kernel)
 
     def __mul__(self, scalar) -> "Operator":
@@ -155,8 +150,7 @@ class PhaseSpaceFunction:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.group.order))
 
     def inner(self, other: "PhaseSpaceFunction") -> complex:
-        if self.group != other.group:
-            raise GroupMismatchError("tables live on different groups")
+        _check_group(self.group, other)
         return complex(np.vdot(self.values, other.values) / self.group.order)
 
     def total_mass(self) -> complex:
@@ -169,13 +163,11 @@ class PhaseSpaceFunction:
         return float(np.min(self.values.real))
 
     def __sub__(self, other: "PhaseSpaceFunction") -> "PhaseSpaceFunction":
-        if self.group != other.group:
-            raise GroupMismatchError("tables live on different groups")
+        _check_group(self.group, other)
         return PhaseSpaceFunction(self.group, self.values - other.values)
 
     def __add__(self, other: "PhaseSpaceFunction") -> "PhaseSpaceFunction":
-        if self.group != other.group:
-            raise GroupMismatchError("tables live on different groups")
+        _check_group(self.group, other)
         return PhaseSpaceFunction(self.group, self.values + other.values)
 
     def to_json(self) -> dict:

@@ -309,22 +309,26 @@ def _check_mixed_membership(group, rng, tol):
     return res.residual if res.verdict == "inside" else float("inf")
 
 
+def _mix(vectors: np.ndarray, weights) -> np.ndarray:
+    """Matrix of sum_i w_i |v_i><v_i| / |G|, the weighted family projectors, without their stack."""
+    return (vectors.T * weights) @ vectors.conj() / vectors.shape[1]
+
+
 def _family_mixtures(group, rng) -> tuple[np.ndarray, list[Operator]]:
-    """The family projector stack and ten random Dirichlet mixtures of it."""
-    projectors = np.stack([m.projector().matrix for m in enumerate_kd_positive_pure(group)])
-    mixtures = [np.tensordot(rng.dirichlet(np.ones(len(projectors))), projectors, axes=1) for _ in range(10)]
-    return projectors, [Operator.from_matrix(group, matrix) for matrix in mixtures]
+    """The family member vectors and ten random Dirichlet mixtures of their projectors."""
+    vectors = np.stack([m.vector.values for m in enumerate_kd_positive_pure(group)])
+    mixtures = [_mix(vectors, rng.dirichlet(np.ones(len(vectors)))) for _ in range(10)]
+    return vectors, [Operator.from_matrix(group, matrix) for matrix in mixtures]
 
 
 def _check_certificate_reconstruction(group, rng, tol):
-    projectors, mixtures = _family_mixtures(group, rng)
+    vectors, mixtures = _family_mixtures(group, rng)
     worst = 0.0
     for rho in mixtures:
         res = conv_membership(rho, tol)
         if res.verdict != "inside" or res.weights is None:
             return float("inf")
-        rebuilt = np.tensordot(res.weights, projectors, axes=1)
-        worst = max(worst, Operator.from_matrix(group, rebuilt).hs_distance(rho))
+        worst = max(worst, Operator.from_matrix(group, _mix(vectors, res.weights)).hs_distance(rho))
     return worst
 
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatchError
-from .groups import Character, Element, FiniteAbelianGroup
+from .groups import Character, Element, FiniteAbelianGroup, _check_group
 from .jsonio import decode_complex, encode_complex, unit_phase
 from .operators import Operator
 
@@ -30,8 +29,7 @@ class WHElement:
     z: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.g.group != self.chi.group:
-            raise GroupMismatchError("element and character live on different groups")
+        _check_group(self.g.group, self.chi)
         object.__setattr__(self, "z", unit_phase(self.z, "central phase"))
 
     @property
@@ -56,8 +54,7 @@ def wh_identity(group: FiniteAbelianGroup) -> WHElement:
 
 
 def wh_mul(a: WHElement, b: WHElement) -> WHElement:
-    if a.group != b.group:
-        raise GroupMismatchError("displacements live on different groups")
+    _check_group(a.group, b)
     z = a.z * b.z * np.conj(b.chi(a.g))
     return WHElement(a.g + b.g, a.chi * b.chi, z)
 
@@ -79,7 +76,6 @@ def wh_unitary(a: WHElement) -> Operator:
 
 def wh_conjugate(op: Operator, a: WHElement) -> Operator:
     """U(a) A U(a)^*; translates phase space by (g, chi) regardless of z."""
-    if op.group != a.group:
-        raise GroupMismatchError("operator and displacement live on different groups")
+    _check_group(op.group, a)
     u = wh_unitary(a)
     return u @ op @ u.adjoint()

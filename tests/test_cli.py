@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -644,6 +645,19 @@ def test_verify_rows_pass_the_run_record_to_every_decider(monkeypatch):
     assert report.all_passed
     assert sorted(seen) == sorted(names)
     assert all(tol is custom for calls in seen.values() for tol in calls)
+
+
+def test_verify_mixture_rows_build_no_projector_stack():
+    # a stack of the 448 family projectors of Z64 would take 29 MB
+    group = parse_group("Z64")
+    check = next(c for c in verify.CHECKS if c.name == "fragment-span-consistency")
+    assert verify.run_check(check, group, 0).status == "pass"    # family and caches built first
+    tracemalloc.start()
+    result = verify.run_check(check, group, 0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert result.status == "pass"
+    assert peak < 8 * 2**20
 
 
 def test_verify_rows_refuse_what_the_subcommand_refuses(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from kdlab import fragment
 from kdlab.circle import circle_is_classical, geometric_state
 from kdlab.classify import (
     _family,
@@ -498,6 +499,21 @@ def test_span_membership_on_a_large_family_stacks_no_tables():
     every = np.stack([m.vector.values for m in family])
     rebuilt = (every.T * weights) @ every.conj() / d
     assert np.max(np.abs(rebuilt - inside.matrix)) <= 1e-8
+
+
+def test_hull_query_reads_one_kd_table(monkeypatch):
+    # the positivity probe's table is the one the hull solve reads
+    calls = []
+
+    def counted(group, kernel):
+        calls.append(group)
+        return _kd_table(group, kernel)
+
+    group = parse_group("Z6")
+    monkeypatch.setattr(fragment, "_kd_table", counted)
+    result = conv_membership(_family_mixture(group, np.random.default_rng(3)))
+    assert result.verdict == "inside"
+    assert len(calls) == 1
 
 
 def test_membership_result_json_shapes():

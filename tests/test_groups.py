@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kdlab.classify import make_subgroup_state
 from kdlab.errors import (
     GroupMismatchError,
     GroupSpecError,
@@ -16,12 +17,17 @@ from kdlab.groups import (
     FiniteAbelianGroup,
     Subgroup,
     annihilator,
+    coset_labels,
     coset_reps,
     doubling,
     enumerate_subgroups,
     pair,
     parse_group,
 )
+from kdlab.harmonic import DualFunction, GFunction, haar_density
+from kdlab.kd import kohn_nirenberg
+from kdlab.operators import Operator, PhaseSpaceFunction
+from kdlab.weyl import WHElement, wh_conjugate, wh_identity, wh_mul
 
 from conftest import BATTERY, brute_force_subgroups, char_oracle, divisor_count
 
@@ -89,6 +95,52 @@ def test_mixed_group_arithmetic_rejected():
     b = parse_group("Z2xZ2").element([1, 0])
     with pytest.raises(GroupMismatchError):
         a + b
+
+
+def _function(kind, group):
+    return kind(group, np.ones(group.order, dtype=complex))
+
+
+def _table(group):
+    return PhaseSpaceFunction(group, np.ones((group.order,) * 2, dtype=complex))
+
+
+# Each site of a group-agreement check, called with operands on groups a and b.
+MISMATCH_SITES = {
+    "Element.__add__": lambda a, b: a.zero + b.zero,
+    "Character.__mul__": lambda a, b: a.trivial_character * b.trivial_character,
+    "Character.__call__": lambda a, b: a.trivial_character(b.zero),
+    "Subgroup.__contains__": lambda a, b: b.zero in Subgroup(a, (0,)),
+    "Subgroup.from_generators": lambda a, b: Subgroup.from_generators(a, [b.zero]),
+    "annihilator": lambda a, b: annihilator(a, Subgroup(b, (0,))),
+    "coset_labels": lambda a, b: coset_labels(a, Subgroup(b, (0,))),
+    "Doubling.halve": lambda a, b: doubling(a).halve(b.zero),
+    "GFunction.inner": lambda a, b: _function(GFunction, a).inner(_function(GFunction, b)),
+    "DualFunction.inner": lambda a, b: _function(DualFunction, a).inner(_function(DualFunction, b)),
+    "haar_density": lambda a, b: haar_density(a, Subgroup(b, (0,))),
+    "Operator.apply": lambda a, b: Operator.identity(a).apply(_function(GFunction, b)),
+    "Operator.compose": lambda a, b: Operator.identity(a).compose(Operator.identity(b)),
+    "Operator.hs_inner": lambda a, b: Operator.identity(a).hs_inner(Operator.identity(b)),
+    "Operator.__add__": lambda a, b: Operator.identity(a) + Operator.identity(b),
+    "Operator.__sub__": lambda a, b: Operator.identity(a) - Operator.identity(b),
+    "PhaseSpaceFunction.inner": lambda a, b: _table(a).inner(_table(b)),
+    "PhaseSpaceFunction.__add__": lambda a, b: _table(a) + _table(b),
+    "PhaseSpaceFunction.__sub__": lambda a, b: _table(a) - _table(b),
+    "WHElement.__post_init__": lambda a, b: WHElement(a.zero, b.trivial_character),
+    "wh_mul": lambda a, b: wh_mul(wh_identity(a), wh_identity(b)),
+    "wh_conjugate": lambda a, b: wh_conjugate(Operator.identity(a), wh_identity(b)),
+    "kohn_nirenberg": lambda a, b: kohn_nirenberg(_function(GFunction, a), _function(DualFunction, b)),
+    "make_subgroup_state": lambda a, b: make_subgroup_state(Subgroup(a, (0,)), b.zero, a.trivial_character),
+}
+
+
+@pytest.mark.parametrize("site", MISMATCH_SITES)
+def test_group_mismatch_names_both_groups(site):
+    # Z4 and Z2xZ2 have the same order, so only the group check tells them apart
+    z4, z2xz2 = parse_group("Z4"), parse_group("Z2xZ2")
+    with pytest.raises(GroupMismatchError) as caught:
+        MISMATCH_SITES[site](z4, z2xz2)
+    assert "Z4" in str(caught.value) and "Z2xZ2" in str(caught.value)
 
 
 def test_pairing_examples():
