@@ -128,6 +128,7 @@ class MembershipResult:
     span_dimension: int | None = None
     converged: bool | None = None      # hull solves: the active-set optimality test passed
     iterations: int | None = None      # hull solves: active-set iterations used
+    fallbacks: int | None = None       # hull solves: iterations solved by the dense KKT fallback
 
     def to_json(self) -> dict:
         payload: dict = {"verdict": self.verdict, "residual": self.residual}
@@ -191,16 +192,29 @@ def span_membership(op: Operator, tol: Tolerances = DEFAULT) -> MembershipResult
     return MembershipResult("inconclusive", residual, span_dimension=int(rank))
 
 
+# Relative Schur pivot sigma / G_jj, or reciprocal condition number of a warm
+# start's support block, below which the passive columns count as dependent:
+# an inverse taken past it would lose ten of its sixteen digits.
+PIVOT_FLOOR = 1e-10
+
+
 def _simplex_nnls(family, corr, lam0=None):
     """Least squares over the probability simplex by active sets.
 
     Minimizes ``||y - A lam||`` subject to ``lam >= 0`` and
     ``sum(lam) = 1``, given ``A^T Re(y)`` and, from ``family.overlaps``,
-    the columns of ``A^T A`` of the passive set, which hold the KKT block
-    and, as no weight lies off that set, the gradient.  The passive-set
-    subproblem keeps the equality constraint in its KKT system; negative
-    subproblem solutions trigger the usual interpolation step back to
-    the feasible region.
+    the columns of ``A^T A`` of the passive set, which hold its Gram
+    block G_P and, as no weight lies off that set, the gradient.  With
+    a = G_P^-1 c_P and b = G_P^-1 1, the passive-set subproblem, which
+    keeps the equality constraint, solves to s = a - nu b with
+    nu = (1^T a - 1) / 1^T b.  G_P^-1 is carried across iterations,
+    bordered when a member joins and downdated by the Schur complement
+    of the dropped block when members leave, so an iteration costs
+    O(k^2) (Lawson & Hanson, *Solving Least Squares Problems*, 1974, for
+    the active-set frame).  Negative subproblem solutions trigger the
+    usual interpolation step back to the feasible region.  A pivot or a
+    warm start's conditioning below ``PIVOT_FLOOR`` marks dependent
+    columns and sends the rest of the call to the dense KKT solve.
 
     Parameters
     ----------
@@ -214,9 +228,10 @@ def _simplex_nnls(family, corr, lam0=None):
         weights may, where the optimum is not unique.  Without it the
         search starts from the single best vertex.
 
-    Returns (weights, converged, iterations), where iterations counts
-    the subproblem solves, at most 50 n + 200.  Callers form the residual
-    from the weights.
+    Returns (weights, converged, (iterations, fallbacks)), where
+    iterations counts the subproblem solves, at most 50 n + 200, and
+    fallbacks those of them made by the dense KKT solve.  Callers form
+    the residual from the weights.
     """
     n = corr.size
     # The Gram diagonal is all ones and bounds every entry (a rectangle has
@@ -227,54 +242,78 @@ def _simplex_nnls(family, corr, lam0=None):
     if lam0 is None:
         lam0 = np.zeros(n)
         lam0[start] = 1.0
-    passive = [int(i) for i in np.flatnonzero(lam0)]
-    cols = family.overlaps(np.array(passive))       # Gram columns of the passive set
+    passive = np.flatnonzero(lam0)
+    cols = family.overlaps(passive)                 # Gram columns of the passive set
+    block = cols[passive]
+    inv = np.linalg.inv(block) if np.linalg.cond(block) * PIVOT_FLOOR <= 1.0 else None
     lam = lam0
     converged = False
-    iterations = 0
+    iterations = fallbacks = 0
     for iterations in range(1, 50 * n + 201):
-        idx = np.array(passive)
-        k = idx.size
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = cols[idx]
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.append(corr[idx], 1.0)
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        s, nu = sol[:k], float(sol[k])
+        if inv is not None:
+            a = inv @ corr[passive]
+            b = inv.sum(axis=1)
+            nu = (a.sum() - 1.0) / b.sum()
+            s = a - nu * b
+        else:
+            fallbacks += 1
+            k = passive.size
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = cols[passive]
+            kkt[:k, k] = 1.0
+            kkt[k, :k] = 1.0
+            sol, *_ = np.linalg.lstsq(kkt, np.append(corr[passive], 1.0), rcond=None)
+            s, nu = sol[:k], float(sol[k])
         if s.min() >= -1e-12:
             lam = np.zeros(n)
-            lam[idx] = np.clip(s, 0.0, None)
+            lam[passive] = np.clip(s, 0.0, None)
             lam /= lam.sum()
-            grad = corr - cols @ lam[idx]
+            grad = corr - cols @ lam[passive]
             slack = grad - nu
-            slack[idx] = -np.inf
+            slack[passive] = -np.inf
             j = int(np.argmax(slack))
             if slack[j] <= 1e-12 * scale:
                 converged = True
                 break
-            passive.append(j)
-            cols = np.column_stack([cols, family.overlaps(np.array([j]))])
+            col = family.overlaps(np.array([j]))[:, 0]
+            if inv is not None:
+                # bordered inverse: [[inv, 0], [0, 0]] + w w^T / sigma with w = (-u, 1)
+                u = inv @ col[passive]
+                sigma = col[j] - col[passive] @ u
+                if sigma > PIVOT_FLOOR * col[j]:
+                    w = np.append(-u, 1.0)
+                    bordered = np.outer(w, w / sigma)
+                    bordered[:-1, :-1] += inv
+                    inv = bordered
+                else:
+                    inv = None
+            passive = np.append(passive, j)
+            cols = np.column_stack([cols, col])
         else:
-            lam_p = lam[idx]
+            lam_p = lam[passive]
             with np.errstate(divide="ignore", invalid="ignore"):
                 steps = np.where(s < 0, lam_p / np.maximum(lam_p - s, 1e-300), np.inf)
             alpha = min(max(float(np.min(steps)), 0.0), 1.0)
             lam_p = lam_p + alpha * (s - lam_p)
             keep = lam_p > 1e-14
             lam = np.zeros(n)
-            lam[idx[keep]] = lam_p[keep]
-            passive = [int(i) for i in idx[keep]]
+            lam[passive[keep]] = lam_p[keep]
+            if inv is not None:
+                # the kept block's inverse: the Schur complement of the dropped block in inv
+                d = inv[:, ~keep]     # inv is symmetric, so d.T holds the dropped rows
+                inv = (inv - d @ np.linalg.solve(d[~keep], d.T))[np.ix_(keep, keep)]
+            passive = passive[keep]
             cols = cols[:, keep]
-            if not passive:
-                passive = [start]
-                cols = family.overlaps(np.array(passive))
+            if not passive.size:
+                passive = np.array([start])
+                cols = family.overlaps(passive)
+                inv = None if inv is None else 1.0 / cols[passive]
                 lam[:] = 0.0
                 lam[start] = 1.0
     total = lam.sum()
     if total > 0:
         lam = lam / total
-    return lam, converged, iterations
+    return lam, converged, (iterations, fallbacks)
 
 
 def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResult:
@@ -294,21 +333,19 @@ def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResul
         )
     group = rho.group
     family = _family(group)
-    lam, converged, iterations = _simplex_nnls(family, family.pair(table.real))
+    lam, converged, (iterations, fallbacks) = _simplex_nnls(family, family.pair(table.real))
     # the imaginary part, which no real combination reaches, stays in r
     r = table - family.combine(lam)
     residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
     if residual <= tol.membership:
-        return MembershipResult(
-            "inside", residual, weights=lam, converged=converged, iterations=iterations
-        )
+        return MembershipResult("inside", residual, weights=lam, converged=converged,
+                                iterations=iterations, fallbacks=fallbacks)
     w = r / residual if residual > 0.0 else r   # unit norm; r = 0 needs a negative bound
     gap = float(np.vdot(w, table).real) / group.order - float(np.max(family.pair(w.real)))
     witness = Operator(group, _kd_kernel(group, w))
     verdict = "outside" if converged and gap > max(tol.membership, DEFAULT.exact) else "inconclusive"
-    return MembershipResult(
-        verdict, residual, witness=witness, gap=gap, converged=converged, iterations=iterations
-    )
+    return MembershipResult(verdict, residual, witness=witness, gap=gap, converged=converged,
+                            iterations=iterations, fallbacks=fallbacks)
 
 
 # ---------------------------------------------------------------------------

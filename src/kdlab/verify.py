@@ -288,8 +288,11 @@ def _check_recognition_roundtrip(group, rng, tol):
 
 
 def _check_real_dimension(group, rng, tol):
-    tables = [m.indicator_table().values.real.ravel() for m in enumerate_kd_positive_pure(group)]
-    rank = np.linalg.matrix_rank(np.stack(tables))
+    members = enumerate_kd_positive_pure(group)
+    tables = np.empty((len(members), group.order ** 2))    # filled in place, so only one stack is held
+    for row, member in zip(tables, members):
+        row[:] = member.indicator_table().values.real.ravel()
+    rank = np.linalg.matrix_rank(tables)
     return float(abs(rank - kd_real_dimension(group)))
 
 

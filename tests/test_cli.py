@@ -660,6 +660,20 @@ def test_verify_mixture_rows_build_no_projector_stack():
     assert peak < 8 * 2**20
 
 
+def test_real_dimension_row_builds_one_stack():
+    # one (448, 4096) float stack of Z64's member tables takes 14 MiB; a list
+    # of its rows and their stacked copy took two
+    group = parse_group("Z64")
+    rng = np.random.default_rng(0)
+    assert verify._check_real_dimension(group, rng, DEFAULT) == 0.0    # family built first
+    tracemalloc.start()
+    measured = verify._check_real_dimension(group, rng, DEFAULT)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert measured == 0.0
+    assert peak < 21 * 2**20
+
+
 def test_verify_rows_refuse_what_the_subcommand_refuses(tmp_path, capsys):
     # below the rounding of a family projector's table, hull membership refuses
     # the projector; the verify rows that ask for it are error rows saying so

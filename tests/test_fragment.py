@@ -537,6 +537,165 @@ class _GramFamily:
         return self.gram[:, idx]
 
 
+def _reference_simplex_nnls(family, corr, lam0=None):
+    """The dense active-set solve: one minimum-norm ``lstsq`` on the whole
+    (k + 1)-square KKT system per iteration, with no carried inverse."""
+    n = corr.size
+    scale = max(1.0, float(np.max(np.abs(corr))))
+    start = int(np.argmax(2.0 * corr - 1.0))
+    if lam0 is None:
+        lam0 = np.zeros(n)
+        lam0[start] = 1.0
+    passive = [int(i) for i in np.flatnonzero(lam0)]
+    cols = family.overlaps(np.array(passive))
+    lam = lam0
+    converged = False
+    iterations = 0
+    for iterations in range(1, 50 * n + 201):
+        idx = np.array(passive)
+        k = idx.size
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = cols[idx]
+        kkt[:k, k] = 1.0
+        kkt[k, :k] = 1.0
+        rhs = np.append(corr[idx], 1.0)
+        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        s, nu = sol[:k], float(sol[k])
+        if s.min() >= -1e-12:
+            lam = np.zeros(n)
+            lam[idx] = np.clip(s, 0.0, None)
+            lam /= lam.sum()
+            grad = corr - cols @ lam[idx]
+            slack = grad - nu
+            slack[idx] = -np.inf
+            j = int(np.argmax(slack))
+            if slack[j] <= 1e-12 * scale:
+                converged = True
+                break
+            passive.append(j)
+            cols = np.column_stack([cols, family.overlaps(np.array([j]))])
+        else:
+            lam_p = lam[idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps = np.where(s < 0, lam_p / np.maximum(lam_p - s, 1e-300), np.inf)
+            alpha = min(max(float(np.min(steps)), 0.0), 1.0)
+            lam_p = lam_p + alpha * (s - lam_p)
+            keep = lam_p > 1e-14
+            lam = np.zeros(n)
+            lam[idx[keep]] = lam_p[keep]
+            passive = [int(i) for i in idx[keep]]
+            cols = cols[:, keep]
+            if not passive:
+                passive = [start]
+                cols = family.overlaps(np.array(passive))
+                lam[:] = 0.0
+                lam[start] = 1.0
+    total = lam.sum()
+    if total > 0:
+        lam = lam / total
+    return lam, converged, iterations
+
+
+def _compare_with_reference(family, corr, residual_of, lam0=None):
+    """Solve both ways; the residuals must agree within 1e-12 of the scale."""
+    lam, converged, (iterations, fallbacks) = _simplex_nnls(family, corr, lam0=lam0)
+    ref, ref_converged, _ = _reference_simplex_nnls(family, corr, lam0=lam0)
+    scale = max(1.0, float(np.max(np.abs(corr))))
+    assert converged and ref_converged
+    assert lam.min() >= 0.0
+    assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+    assert abs(residual_of(lam) - residual_of(ref)) <= 1e-12 * scale
+    return lam, fallbacks
+
+
+def test_simplex_nnls_matches_dense_reference_on_the_battery(battery_group):
+    # the mixed state cold, then an ascent path cold and warm from the
+    # previous step's weights, as the witness search solves it
+    group = battery_group
+    d = group.order
+    ctx = _family(group)
+
+    def solve(table, lam0=None):
+        lam, fallbacks = _compare_with_reference(
+            ctx, ctx.pair(table.real), lambda w: np.linalg.norm(table - ctx.combine(w)), lam0)
+        assert fallbacks == 0
+        return lam
+
+    solve(_kd_table(group, np.eye(d, dtype=complex)))
+    direction = _random_direction(group, np.random.default_rng(223))
+    current = np.eye(d, dtype=complex) / d
+    previous = None
+    for _ in range(6):
+        current, _, _ = _dykstra(group, current + 0.25 * direction, 12, 1e-12)
+        table = _kd_table(group, current * d)
+        lam = solve(table)
+        if previous is not None:
+            solve(table, previous)
+        previous = lam
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2", "Z3xZ3xZ3"])
+def test_simplex_nnls_matches_dense_reference_on_full_mixtures(name):
+    # dense mixtures of every member: the passive set grows to kd_real_dimension
+    group = parse_group(name)
+    ctx = _family(group)
+    n = len(ctx.R)
+    rng = np.random.default_rng(227)
+    for _ in range(10):
+        table = ctx.combine(rng.dirichlet(np.ones(n)))
+        _, fallbacks = _compare_with_reference(
+            ctx, ctx.pair(table), lambda w: np.linalg.norm(table - ctx.combine(w)))
+        assert fallbacks == 0
+
+
+def test_simplex_nnls_matches_dense_reference_on_gram_problems():
+    # random least-squares problems, half of them with dependent columns,
+    # where a joining column's pivot vanishes and the dense solve takes over
+    rng = np.random.default_rng(229)
+    for trial in range(40):
+        m, n = int(rng.integers(5, 30)), int(rng.integers(2, 25))
+        if trial % 2:
+            rank = int(rng.integers(1, min(m, n) + 1))
+            a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        else:
+            a = rng.normal(size=(m, n))
+        y = a @ rng.dirichlet(np.ones(n)) if trial % 4 < 2 else rng.normal(size=m)
+        _compare_with_reference(_GramFamily(a.T @ a), a.T @ y, lambda w: np.linalg.norm(y - a @ w))
+
+
+def test_simplex_nnls_falls_back_on_a_dependent_warm_start(battery_group):
+    # the uniform start's support is the whole family, whose Gram block is
+    # singular (more members than kd_real_dimension), so no inverse exists
+    group = battery_group
+    ctx = _family(group)
+    n = len(ctx.R)
+    table = _kd_table(group, np.eye(group.order, dtype=complex))
+    _, fallbacks = _compare_with_reference(
+        ctx, ctx.pair(table.real), lambda w: np.linalg.norm(table - ctx.combine(w)), np.full(n, 1.0 / n))
+    assert n > kd_real_dimension(group)
+    assert fallbacks > 0
+
+
+def test_cold_hull_solve_calls_no_lstsq(monkeypatch):
+    # the mixed state of Z64 takes 64 active-set iterations, each of which
+    # was one dense KKT lstsq; the carried inverse needs none
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    group = parse_group("Z64")
+    result = conv_membership(Operator.identity(group) * (1.0 / group.order))
+    assert result.verdict == "inside"
+    assert result.iterations == 64
+    assert result.fallbacks == 0
+    assert calls == []
+    assert "fallbacks" not in result.to_json()
+
+
 def test_simplex_nnls_against_penalty_oracle():
     # scipy's plain NNLS with a heavy sum-penalty row approximates the
     # simplex-constrained optimum; residuals must match closely
