@@ -19,18 +19,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NotHermitianError, PreconditionError
-from .jsonio import decode_array, encode_array, finite_array, hermitian_defect, unit_phase
+from .jsonio import decode_array, encode_array, finite_array, hermitian_defect, integer, unit_phase
 from .tolerances import DEFAULT, Tolerances
-
-
-def _integer(value, what: str, minimum: int | None = None) -> int:
-    try:
-        value = operator.index(value)  # an integer, not a float or a string
-    except TypeError:
-        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
-    if minimum is not None and value < minimum:
-        raise PreconditionError(f"{what} {value} is below its minimum {minimum}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -44,14 +34,14 @@ class BandLimitedOperator:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "K", _integer(self.K, "band limit", 0))
+        object.__setattr__(self, "K", integer(self.K, "band limit", 0))
         c = finite_array(self.coeffs, (2 * self.K + 1,) * 2, "coefficient matrix")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_diagonal(cls, K: int, diagonal) -> "BandLimitedOperator":
-        K = _integer(K, "band limit", 0)
+        K = integer(K, "band limit", 0)
         return cls(K, np.diag(finite_array(diagonal, (2 * K + 1,), "diagonal")))
 
     def coefficient(self, k: int, l: int) -> complex:
@@ -78,13 +68,14 @@ class BandLimitedOperator:
 
     @classmethod
     def from_json(cls, payload: dict) -> "BandLimitedOperator":
-        K = operator.index(payload["K"])  # an integer, not a float or a string
+        # a non-integer K is a malformed payload, a negative one a precondition
+        K = integer(operator.index(payload["K"]), "band limit", 0)
         return cls(K, decode_array(payload["coeffs"], (2 * K + 1, 2 * K + 1)))
 
 
 def circle_kd_eval(op: BandLimitedOperator, m: int, z: complex) -> complex:
     """Evaluate the phase-space table at (z, m): sum_k c_{km} z^{k-m}."""
-    m = _integer(m, "mode")
+    m = integer(m, "mode")
     if abs(m) > op.K:
         raise PreconditionError(f"mode {m} outside band [-{op.K}, {op.K}]")
     z = unit_phase(z, "evaluation point")
@@ -166,7 +157,7 @@ def circle_negativity_search(
     is no certificate: a deeper minimum between other grid points is not
     seen, so a violation of zero does not prove a nonnegative table.
     """
-    grid_size = _integer(grid_size, "grid size", 4 * op.K + 4)
+    grid_size = integer(grid_size, "grid size", 4 * op.K + 4)
     # Row m + K holds c_{km} at frequency (k - m) mod grid_size.
     rows = np.arange(2 * op.K + 1)
     spectrum = np.zeros((rows.size, grid_size), dtype=complex)
@@ -228,7 +219,7 @@ def geometric_weights(decay: float, K: int) -> np.ndarray:
     """Normalized weights e^{-decay k}, k = 0..K."""
     if not 0 < decay < np.inf:  # NaN fails this too
         raise PreconditionError(f"decay rate must be positive and finite, got {decay!r}")
-    w = np.exp(-decay * np.arange(_integer(K, "band limit", 0) + 1))
+    w = np.exp(-decay * np.arange(integer(K, "band limit", 0) + 1))
     return w / w.sum()
 
 

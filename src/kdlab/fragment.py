@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import _family
-from .errors import NotAStateError, NotHermitianError, NotKdPositiveError, PreconditionError
+from .errors import NotAStateError, NotHermitianError, NotKdPositiveError
 from .groups import FiniteAbelianGroup
+from .jsonio import integer
 from .kd import _kd_kernel, _kd_table, char_fn, kd_inverse, symplectic_fourier
 from .operators import Operator, PhaseSpaceFunction, check_state
 from .tolerances import DEFAULT, Tolerances
@@ -304,12 +305,6 @@ def _simplex_nnls(family, corr, lam0=None):
                 inv = (inv - d @ np.linalg.solve(d[~keep], d.T))[np.ix_(keep, keep)]
             passive = passive[keep]
             cols = cols[:, keep]
-            if not passive.size:
-                passive = np.array([start])
-                cols = family.overlaps(passive)
-                inv = None if inv is None else 1.0 / cols[passive]
-                lam[:] = 0.0
-                lam[start] = 1.0
     total = lam.sum()
     if total > 0:
         lam = lam / total
@@ -428,10 +423,9 @@ def project_onto_kdpos(
     so the limit is the metric projection onto the intersection.  The
     returned state is exactly positive with unit trace; `residual`
     reports its remaining KD violation and `converged` whether the two
-    sets met within tol.  At least one iteration is required.
+    sets met within tol.  max_iter is an integer of at least 1.
     """
-    if max_iter < 1:
-        raise PreconditionError(f"projection needs at least one iteration, got max_iter={max_iter}")
+    max_iter = integer(max_iter, "projection iteration count", 1)
     if not rho0.is_hermitian():
         raise NotHermitianError("projection input must be Hermitian")
     group = rho0.group
@@ -542,12 +536,12 @@ def find_conv_gap_witness(
     polished tightly and certified by an independent verification
     (strict feasibility, fresh hull solve, direct re-evaluation of the
     separating gap against all family members) at the positivity,
-    membership and witness_gap levels of tol.  The budget counts ascent
-    steps and may not be negative; None means no verified witness within
-    the budget, never a proof of absence.
+    membership and witness_gap levels of tol.  The seed and the budget,
+    which counts ascent steps, are integers of at least 0; None means no
+    verified witness within the budget, never a proof of absence.
     """
-    if budget < 0:
-        raise PreconditionError(f"witness search budget must be nonnegative, got {budget}")
+    seed = integer(seed, "seed", 0)
+    budget = integer(budget, "witness search budget", 0)
     trigger = max(3.0 * tol.witness_gap, 1e-4)
     family = _family(group)
     root_d = np.sqrt(group.order)

@@ -31,10 +31,6 @@ from .errors import (
 
 SUBGROUP_ORDER_BOUND = 512
 
-# From this cyclic factor size on, a transform over the factor axes runs
-# faster as an FFT than as a product with the |G| x |G| character table.
-LARGE_FACTOR = 64
-
 
 def _integers(values: Iterable, what: str) -> tuple[int, ...]:
     """values as Python ints; a float, a string or another non-integer raises."""
@@ -67,11 +63,6 @@ class FiniteAbelianGroup:
 
     def __repr__(self) -> str:
         return "x".join(f"Z{n}" for n in self.factors)
-
-    @cached_property
-    def has_large_factor(self) -> bool:
-        """Whether some cyclic factor has at least ``LARGE_FACTOR`` elements."""
-        return max(self.factors) >= LARGE_FACTOR
 
     @cached_property
     def residues(self) -> np.ndarray:

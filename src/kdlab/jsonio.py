@@ -2,15 +2,17 @@
 
 Complex scalars travel as ``{"re": float, "im": float}`` objects and
 complex arrays as flat row-major lists of such pairs.  Every value type
-reads its arrays through `finite_array` and its unit phases through
-`unit_phase`, so a wrong shape, a NaN or an infinity is rejected the same
-way whether it comes from a file or a constructor; every Hermitian test
-reads one relative `hermitian_defect`.
+reads its arrays through `finite_array`, its unit phases through
+`unit_phase` and its scalar integer parameters through `integer`, so a
+wrong shape, a NaN, an infinity or a fractional count is rejected the
+same way whether it comes from a file or a constructor; every Hermitian
+test reads one relative `hermitian_defect`.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
@@ -45,6 +47,17 @@ def finite_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise PreconditionError(f"{what} has NaN or infinite entries")
     return arr
+
+
+def integer(value, what: str, minimum: int | None = None) -> int:
+    """value as a Python int of at least minimum; a float, a string or NaN raises."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise PreconditionError(f"{what} {value} is below its minimum {minimum}")
+    return value
 
 
 def unit_phase(z, what: str) -> complex:

@@ -10,18 +10,10 @@ table is reached by the symplectic Fourier transform of the
 characteristic function trace(A U(g, chi, 1)) in symmetric ordering,
 which is how the two routes cross-check each other in the test suite.
 
-Every table transform here is a group DFT of the rows of a |G| x |G|
-array, forward (`_dft_rows`) or inverse (`_idft_rows`), evaluated one
-of two ways fixed per group: a dense product with the character table
-X[c, g] = chi_c(g), or, on groups with a cyclic factor of at least
-``groups.LARGE_FACTOR`` (64) elements, ``numpy.fft.fftn`` / ``ifftn``
-over the factor axes of the rows reshaped to ``(rows, *factors)``.  They
-agree up to rounding because X is the Kronecker product of the
-per-factor DFT matrices in the C-order ravel of the element indices;
-below the threshold the per-axis FFT overhead outweighs the saving over
-the O(|G|^3) product.  The pairing is symmetric, so the phase
-conj(chi(g)) at table entry [g, c] is read from X.conj(), whose strided
-transpose would cost more than the FFT itself.
+Every table transform here is a row DFT of `harmonic`, dense or FFT.
+The pairing is symmetric, so the phase conj(chi(g)) at table entry
+[g, c] is read from X.conj(), whose strided transpose would cost more
+than the FFT itself.
 """
 
 from __future__ import annotations
@@ -29,27 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import FiniteAbelianGroup, _check_group, doubling
-from .harmonic import DualFunction, GFunction, fourier, inverse_fourier
+from .harmonic import DualFunction, GFunction, _dft_rows, _idft_rows, fourier, inverse_fourier
 from .operators import Operator, PhaseSpaceFunction, _computed, check_state
 from .weyl import WHElement, wh_unitary
 
 ORDERINGS = ("standard0", "standard1", "half")
-
-
-def _dft_rows(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
-    """sum_g rows[:, g] conj(chi(g)), for every row and character chi."""
-    if group.has_large_factor:
-        shaped = rows.reshape(-1, *group.factors)
-        return np.fft.fftn(shaped, axes=tuple(range(1, shaped.ndim))).reshape(rows.shape)
-    return rows @ group.char_table.conj()
-
-
-def _idft_rows(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
-    """(1/|G|) sum_chi rows[:, chi] chi(g), for every row and element g."""
-    if group.has_large_factor:
-        shaped = rows.reshape(-1, *group.factors)
-        return np.fft.ifftn(shaped, axes=tuple(range(1, shaped.ndim))).reshape(rows.shape)
-    return (rows @ group.char_table) / group.order
 
 
 def _kd_table(group: FiniteAbelianGroup, kernel: np.ndarray) -> np.ndarray:

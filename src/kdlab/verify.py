@@ -23,6 +23,7 @@ from .errors import UnsupportedOrderError
 from .fragment import conv_membership, is_kd_positive_state, kd_real_dimension, span_membership
 from .groups import FiniteAbelianGroup, annihilator, enumerate_subgroups
 from .harmonic import DualFunction, GFunction, fourier, haar_density, inverse_fourier
+from .jsonio import integer
 from .kd import akd, char_fn, kd, kd_inverse, kohn_nirenberg, marginals, symplectic_fourier
 from .operators import Operator, PhaseSpaceFunction
 from .tolerances import DEFAULT, Tolerances
@@ -525,6 +526,7 @@ def run_check(check: Check, group: FiniteAbelianGroup, seed: int,
 def verify_group(group: FiniteAbelianGroup, seed: int = 0,
                  tol: Tolerances = DEFAULT) -> VerificationReport:
     """Run every applicable check against one group, sorted by name."""
+    seed = integer(seed, "seed", 0)  # before any check: a bad seed is no failed check
     results = [
         run_check(check, group, seed, tol)
         for check in sorted(CHECKS, key=lambda c: c.name)

@@ -148,6 +148,12 @@ def test_geometric_band_limit_must_be_a_nonnegative_integer(K):
         BandLimitedOperator.from_diagonal(K, np.ones(6))
 
 
+def test_negative_band_limit_in_json_is_a_precondition():
+    # rejected by the band limit's own minimum, before any reshape
+    with pytest.raises(PreconditionError, match="below its minimum 0"):
+        BandLimitedOperator.from_json({"K": -1, "coeffs": []})
+
+
 def test_band_limit_accepts_numpy_integers():
     op = BandLimitedOperator(np.int64(1), np.eye(3) / 3)
     assert type(op.K) is int

@@ -260,6 +260,23 @@ def test_non_integer_group_input_is_config_error(tmp_path, capsys, argv, kind, b
     assert "Traceback" not in err
 
 
+def test_negative_band_limit_is_precondition_error(tmp_path, capsys):
+    # checked before the coefficients are decoded, so numpy's reshape
+    # never sees a negative dimension
+    path = _write(tmp_path, "band.json", {"K": -1, "coeffs": encode_array(np.eye(3) / 3)})
+    code, out, err = _run(capsys, ["circle", "check", "--input", path])
+    assert code == 2
+    assert out == "" and "band limit -1 is below its minimum 0" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "all", "--group", "Z2"],
+                                  ["witness", "search", "--group", "Z2"]])
+def test_negative_seed_is_precondition_error(capsys, argv):
+    code, out, err = _run(capsys, [*argv, "--seed", "-1"])
+    assert code == 2
+    assert out == "" and "seed -1 is below its minimum 0" in err
+
+
 @pytest.mark.parametrize("K", [1.5, "1"])
 def test_non_integer_band_limit_is_config_error(tmp_path, capsys, K):
     path = _write(tmp_path, "band.json", {"K": K, "coeffs": encode_array(np.eye(3) / 3)})

@@ -865,7 +865,7 @@ def test_project_requires_an_iteration():
     # with no step taken the input itself, not KD-positive here, would
     # come back as the projected state
     rho = Operator.pure_state(GFunction(parse_group("Z2"), [1.2, np.sqrt(0.56)]))
-    for max_iter in (0, -3):
+    for max_iter in (0, -3, 2.5, np.nan):
         with pytest.raises(PreconditionError):
             project_onto_kdpos(rho, max_iter=max_iter)
     assert project_onto_kdpos(rho, max_iter=1).iterations == 1
@@ -995,6 +995,22 @@ def test_witness_search_rejects_negative_budget():
     with pytest.raises(PreconditionError):
         find_conv_gap_witness(group, seed=0, budget=-5)
     assert find_conv_gap_witness(group, seed=0, budget=0) is None
+
+
+@pytest.mark.parametrize("budget", [np.nan, 2.5, np.inf, "3"])
+def test_witness_search_rejects_non_integer_budget(budget):
+    # a NaN budget would otherwise read as "budget exhausted", and an
+    # infinite one would never end on a group without a hull gap
+    with pytest.raises(PreconditionError, match="budget must be an integer"):
+        find_conv_gap_witness(parse_group("Z2"), seed=0, budget=budget)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.nan, "0"])
+@pytest.mark.parametrize("run", [find_conv_gap_witness, verify_group])
+def test_bad_seed_is_rejected_before_any_step(run, seed):
+    # not a raw TypeError, and not a report of 28 error rows
+    with pytest.raises(PreconditionError, match="seed"):
+        run(parse_group("Z2"), seed=seed)
 
 
 def test_witness_json_shape():

@@ -7,7 +7,15 @@ import pytest
 from kdlab.circle import BandLimitedOperator
 from kdlab.errors import NotAStateError, PreconditionError, UnsupportedOrderError
 from kdlab.groups import doubling, parse_group
-from kdlab.harmonic import DualFunction, GFunction
+from kdlab.harmonic import (
+    LARGE_FACTOR,
+    DualFunction,
+    GFunction,
+    _dft_rows,
+    _idft_rows,
+    fourier,
+    inverse_fourier,
+)
 from kdlab.kd import (
     _kd_kernel,
     _kd_table,
@@ -423,7 +431,7 @@ def test_constructors_reject_non_finite_values(build, bad):
 @pytest.mark.parametrize("name", LARGE_FACTOR_GROUPS)
 def test_fft_route_matches_dense_products(name):
     group = parse_group(name)
-    assert group.has_large_factor
+    assert max(group.factors) >= LARGE_FACTOR
     assert np.array_equal(group.char_table, group.char_table.T)
     rng = np.random.default_rng(109)
     op = random_operator(group, rng)
@@ -432,6 +440,20 @@ def test_fft_route_matches_dense_products(name):
     assert np.max(np.abs(table - _dense_table(group, op.kernel))) <= 1e-12 * scale
     back = _kd_kernel(group, table)
     assert np.max(np.abs(back - _dense_kernel(group, table))) <= 1e-12 * scale
+    # fourier and inverse_fourier are the one-row case: each equals, bit
+    # for bit, its row of a batched row transform
+    d = group.order
+    X = group.char_table
+    rows = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    forward, inverse = _dft_rows(group, rows), _idft_rows(group, rows)
+    for i, values in enumerate(rows):
+        scale = float(np.max(np.abs(values)))
+        hat = fourier(GFunction(group, values)).values
+        back = inverse_fourier(DualFunction(group, values)).values
+        assert np.max(np.abs(hat - X.conj() @ values / d)) <= 1e-12 * scale
+        assert np.max(np.abs(back - X.T @ values)) <= 1e-12 * scale
+        assert np.array_equal(hat, forward[i] / d)
+        assert np.array_equal(back, inverse[i] * d)
 
 
 @pytest.mark.parametrize("name", LARGE_FACTOR_GROUPS)
@@ -491,7 +513,7 @@ def test_transforms_wrap_fresh_arrays_and_refuse_overflow(name):
 def test_small_groups_keep_dense_products_bit_for_bit(name):
     # the pinned seed-0 witnesses depend on these exact bits
     group = parse_group(name)
-    assert not group.has_large_factor
+    assert max(group.factors) < LARGE_FACTOR
     rng = np.random.default_rng(127)
     kernel = random_operator(group, rng).kernel
     table = _kd_table(group, kernel)
