@@ -1,8 +1,9 @@
 """Named invariant checks and the report they assemble.
 
-Each check is a pure function of (group, rng, tol) returning a measured
-value bounded by the level of the run's tolerance record that the check
-names (0.5 for a count); the deciders it calls read that same record.
+Each check is a generator of (group, rng, tol) yielding its measurements;
+`run_check` keeps the worst one and bounds it by the level of the run's
+tolerance record that the check names (0.5 for a count).  The deciders a
+check calls read that same record.
 Checks draw their randomness from a generator seeded by (run seed, crc32
 of the check name), so the report is reproducible and independent of
 execution order.  Check names and anchors are stable identifiers: the
@@ -20,7 +21,9 @@ import numpy as np
 
 from .classify import enumerate_kd_positive_pure, recognize_kd_positive_pure
 from .errors import UnsupportedOrderError
-from .fragment import conv_membership, is_kd_positive_state, kd_real_dimension, span_membership
+from .fragment import (
+    MembershipResult, conv_membership, is_kd_positive_state, kd_real_dimension, span_membership,
+)
 from .groups import FiniteAbelianGroup, annihilator, enumerate_subgroups
 from .harmonic import DualFunction, GFunction, fourier, haar_density, inverse_fourier
 from .jsonio import integer
@@ -59,8 +62,14 @@ def _random_wh(group: FiniteAbelianGroup, rng) -> WHElement:
     return WHElement(g, chi, z)
 
 
-def _table_diff(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> float:
-    return float(np.max(np.abs(a.values - b.values)))
+def _table_diff(a: np.ndarray, b) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def _inside(res: MembershipResult, measure: Callable = lambda res: res.residual) -> float:
+    """What `measure` reads of a membership result that says inside (its
+    residual by default), else infinity."""
+    return measure(res) if res.verdict == "inside" else np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +79,11 @@ def _table_diff(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> float:
 def _check_pairing_bicharacter(group, rng, tol):
     X = group.char_table
     add = group.add_table
-    worst = 0.0
     for _ in range(50):
         c, c2, g, g2 = rng.integers(group.order, size=4)
-        worst = max(worst, abs(X[c, add[g, g2]] - X[c, g] * X[c, g2]))
-        worst = max(worst, abs(X[add[c, c2], g] - X[c, g] * X[c2, g]))
-    worst = max(worst, float(np.max(np.abs(np.abs(X) - 1.0))))
-    return worst
+        yield abs(X[c, add[g, g2]] - X[c, g] * X[c, g2])
+        yield abs(X[add[c, c2], g] - X[c, g] * X[c2, g])
+    yield _table_diff(np.abs(X), 1.0)
 
 
 def _check_subgroup_closure(group, rng, tol):
@@ -89,158 +96,127 @@ def _check_subgroup_closure(group, rng, tol):
             bad += 1
     if len(set(s.elements for s in subgroups)) != len(subgroups):
         bad += 1
-    return float(bad)
+    yield bad
 
 
 def _check_annihilator_duality(group, rng, tol):
-    worst = 0
     for sub in enumerate_subgroups(group):
         ann = annihilator(group, sub)
-        worst = max(worst, abs(sub.order * ann.order - group.order))
+        yield abs(sub.order * ann.order - group.order)
         double = annihilator(group, ann)
-        if double.elements != sub.elements:
-            worst = max(worst, 1)
-    return float(worst)
+        yield double.elements != sub.elements
 
 
 def _check_fourier_roundtrip(group, rng, tol):
-    worst = 0.0
     for _ in range(50):
         psi = GFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
         back = inverse_fourier(fourier(psi))
-        worst = max(worst, float(np.max(np.abs(back.values - psi.values))))
-    return worst
+        yield _table_diff(back.values, psi.values)
 
 
 def _check_plancherel(group, rng, tol):
-    worst = 0.0
     for _ in range(50):
         psi = GFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
-        worst = max(worst, abs(psi.norm() - fourier(psi).norm()))
-    return worst
+        yield abs(psi.norm() - fourier(psi).norm())
 
 
 def _check_subgroup_density_transform(group, rng, tol):
-    worst = 0.0
     for sub in enumerate_subgroups(group):
         hat = fourier(haar_density(group, sub))
         target = np.zeros(group.order, dtype=complex)
         target[list(annihilator(group, sub).elements)] = 1.0
-        worst = max(worst, float(np.max(np.abs(hat.values - target))))
-    return worst
+        yield _table_diff(hat.values, target)
 
 
 def _check_wh_representation(group, rng, tol):
-    worst = 0.0
     for _ in range(30):
         a, b = _random_wh(group, rng), _random_wh(group, rng)
         lhs = wh_unitary(a) @ wh_unitary(b)
         rhs = wh_unitary(wh_mul(a, b))
-        worst = max(worst, float(np.max(np.abs(lhs.kernel - rhs.kernel))))
-    return worst
+        yield _table_diff(lhs.kernel, rhs.kernel)
 
 
 def _check_wh_unitarity(group, rng, tol):
     eye = Operator.identity(group)
-    worst = 0.0
     for _ in range(30):
         a = _random_wh(group, rng)
         u = wh_unitary(a)
-        worst = max(worst, float(np.max(np.abs((u @ u.adjoint()).kernel - eye.kernel))))
-        worst = max(worst, float(np.max(np.abs(wh_unitary(wh_inv(a)).kernel - u.adjoint().kernel))))
-    return worst
+        yield _table_diff((u @ u.adjoint()).kernel, eye.kernel)
+        yield _table_diff(wh_unitary(wh_inv(a)).kernel, u.adjoint().kernel)
 
 
 def _check_wh_kd_translation(group, rng, tol):
     diff = group.diff_table
-    worst = 0.0
     for _ in range(30):
         op = _random_operator(group, rng)
         a = _random_wh(group, rng)
         moved = kd(wh_conjugate(op, a)).values
         table = kd(op).values
         translated = table[np.ix_(diff[:, a.g.index], diff[:, a.chi.index])]
-        worst = max(worst, float(np.max(np.abs(moved - translated))))
-    return worst
+        yield _table_diff(moved, translated)
 
 
 def _check_kd_roundtrip(group, rng, tol):
-    worst = 0.0
     for _ in range(50):
         op = _random_operator(group, rng)
         back = kd_inverse(kd(op))
-        worst = max(worst, float(np.max(np.abs(back.kernel - op.kernel))))
-    return worst
+        yield _table_diff(back.kernel, op.kernel)
 
 
 def _check_kd_unitarity(group, rng, tol):
-    worst = 0.0
     for _ in range(50):
         a, b = _random_operator(group, rng), _random_operator(group, rng)
-        worst = max(worst, abs(a.hs_inner(b) - kd(a).inner(kd(b))))
-    return worst
+        yield abs(a.hs_inner(b) - kd(a).inner(kd(b)))
 
 
 def _check_symplectic_involution(group, rng, tol):
-    worst = 0.0
     for _ in range(50):
         d = group.order
         table = PhaseSpaceFunction(group, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         twice = symplectic_fourier(symplectic_fourier(table))
-        worst = max(worst, _table_diff(twice, table))
-    return worst
+        yield _table_diff(twice.values, table.values)
 
 
 def _check_char_fn_factorization(group, rng, tol):
-    worst = 0.0
     for _ in range(30):
         op = _random_operator(group, rng)
-        worst = max(worst, _table_diff(kd(op), symplectic_fourier(char_fn(op, "standard1"))))
-        worst = max(worst, _table_diff(akd(op), symplectic_fourier(char_fn(op, "standard0"))))
-    return worst
+        yield _table_diff(kd(op).values, symplectic_fourier(char_fn(op, "standard1")).values)
+        yield _table_diff(akd(op).values, symplectic_fourier(char_fn(op, "standard0")).values)
 
 
 def _check_adjoint_conjugation(group, rng, tol):
-    worst = 0.0
     for _ in range(30):
         op = _random_operator(group, rng)
         lhs = akd(op).values
         rhs = kd(op.adjoint()).values.conj()
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        yield _table_diff(lhs, rhs)
 
 
 def _check_state_marginals(group, rng, tol):
-    worst = 0.0
     for _ in range(30):
         rho = _random_state(group, rng)
         position, momentum = marginals(rho)
-        worst = max(worst, float(np.max(np.abs(position - np.diag(rho.kernel).real))))
+        yield _table_diff(position, np.diag(rho.kernel).real)
         for c in range(group.order):
             chi_vec = GFunction(group, group.char_table[c].copy())
             born = chi_vec.inner(rho.apply(chi_vec)).real
-            worst = max(worst, abs(momentum[c] - born))
-        worst = max(worst, abs(kd(rho).total_mass() - 1.0))
-    return worst
+            yield abs(momentum[c] - born)
+        yield abs(kd(rho).total_mass() - 1.0)
 
 
 def _check_product_symbol_quantization(group, rng, tol):
-    worst = 0.0
     for _ in range(30):
         f = GFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
         h = DualFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
         table = kd(kohn_nirenberg(f, h)).values
-        worst = max(worst, float(np.max(np.abs(table - np.outer(f.values, h.values)))))
-    return worst
+        yield _table_diff(table, np.outer(f.values, h.values))
 
 
 def _check_wigner_real(group, rng, tol):
-    worst = 0.0
     for _ in range(30):
         op = _random_hermitian(group, rng)
         wig = symplectic_fourier(char_fn(op, "half"))
-        worst = max(worst, float(np.max(np.abs(wig.values.imag))))
-    return worst
+        yield np.max(np.abs(wig.values.imag))
 
 
 def _check_half_order_parity_guard(group, rng, tol):
@@ -248,29 +224,26 @@ def _check_half_order_parity_guard(group, rng, tol):
     try:
         char_fn(op, "half")
     except UnsupportedOrderError:
-        return 0.0
-    return 1.0
+        yield 0
+    else:
+        yield 1
 
 
 def _check_family_count(group, rng, tol):
     family = enumerate_kd_positive_pure(group)
     expected = group.order * len(enumerate_subgroups(group))
-    return float(abs(len(family) - expected) + (len(set(family)) != len(family)))
+    yield abs(len(family) - expected) + (len(set(family)) != len(family))
 
 
 def _check_family_indicator(group, rng, tol):
-    worst = 0.0
     for member in enumerate_kd_positive_pure(group):
         table = kd(member.projector())
-        worst = max(worst, _table_diff(table, member.indicator_table()))
-    return worst
+        yield _table_diff(table.values, member.indicator_table().values)
 
 
 def _check_family_positivity(group, rng, tol):
-    worst = 0.0
     for member in enumerate_kd_positive_pure(group):
-        worst = max(worst, is_kd_positive_state(member.projector(), tol).worst_violation)
-    return worst
+        yield is_kd_positive_state(member.projector(), tol).worst_violation
 
 
 def _check_recognition_roundtrip(group, rng, tol):
@@ -285,7 +258,7 @@ def _check_recognition_roundtrip(group, rng, tol):
         hit = recognize_kd_positive_pure(psi, tol)
         if hit is not None and abs(hit.vector.inner(psi)) <= 1.0 - tol.recognition:
             failures += 1
-    return float(failures)
+    yield failures
 
 
 def _check_real_dimension(group, rng, tol):
@@ -294,23 +267,17 @@ def _check_real_dimension(group, rng, tol):
     for row, member in zip(tables, members):
         row[:] = member.indicator_table().values.real.ravel()
     rank = np.linalg.matrix_rank(tables)
-    return float(abs(rank - kd_real_dimension(group)))
+    yield abs(rank - kd_real_dimension(group))
 
 
 def _check_projector_membership(group, rng, tol):
-    worst = 0.0
     for member in enumerate_kd_positive_pure(group):
-        res = conv_membership(member.projector(), tol)
-        if res.verdict != "inside":
-            return float("inf")
-        worst = max(worst, res.residual)
-    return worst
+        yield _inside(conv_membership(member.projector(), tol))
 
 
 def _check_mixed_membership(group, rng, tol):
     mixed = Operator.from_matrix(group, np.eye(group.order, dtype=complex) / group.order)
-    res = conv_membership(mixed, tol)
-    return res.residual if res.verdict == "inside" else float("inf")
+    yield _inside(conv_membership(mixed, tol))
 
 
 def _mix(vectors: np.ndarray, weights) -> np.ndarray:
@@ -327,51 +294,38 @@ def _family_mixtures(group, rng) -> tuple[np.ndarray, list[Operator]]:
 
 def _check_certificate_reconstruction(group, rng, tol):
     vectors, mixtures = _family_mixtures(group, rng)
-    worst = 0.0
     for rho in mixtures:
         res = conv_membership(rho, tol)
-        if res.verdict != "inside" or res.weights is None:
-            return float("inf")
-        worst = max(worst, Operator.from_matrix(group, _mix(vectors, res.weights)).hs_distance(rho))
-    return worst
+        yield _inside(res, lambda inside: Operator.from_matrix(group, _mix(vectors, inside.weights)).hs_distance(rho))
 
 
 def _check_span_consistency(group, rng, tol):
-    worst = 0.0
     for op in _family_mixtures(group, rng)[1]:
-        res = span_membership(op, tol)
-        if res.verdict != "inside":
-            return float("inf")
-        worst = max(worst, res.residual)
-    return worst
+        yield _inside(span_membership(op, tol))
 
 
 def _check_circle_diagonal_forward(group, rng, tol):
-    worst = 0.0
     for _ in range(10):
         diag = rng.dirichlet(np.ones(9))
         op = circ.BandLimitedOperator.from_diagonal(4, diag)
-        worst = max(worst, circ.circle_negativity_search(op, 64).violation)
-    return worst
+        yield circ.circle_negativity_search(op, 64).violation
 
 
 def _check_circle_offdiagonal_violation(group, rng, tol):
-    smallest = np.inf
     for _ in range(10):
         n = 9
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         m = x @ x.conj().T
         m /= np.trace(m).real
         op = circ.BandLimitedOperator(4, m)
-        smallest = min(smallest, circ.circle_negativity_search(op, 64).violation)
-    return float(smallest)
+        yield circ.circle_negativity_search(op, 64).violation
 
 
 @dataclass(frozen=True)
 class Check:
     name: str
     anchor: str
-    fn: Callable                             # (group, rng, tol) -> measured value
+    fn: Callable                             # (group, rng, tol) -> its measurements, the worst kept
     level: str | None                        # the Tolerances field bounding it; None: a count, bound 0.5
     direction: str = "le"                    # pass iff measured <= bound ("ge": >=)
     applies: Callable[[FiniteAbelianGroup], bool] = lambda group: True
@@ -506,12 +460,15 @@ def _check_rng(seed: int, name: str) -> np.random.Generator:
 
 def run_check(check: Check, group: FiniteAbelianGroup, seed: int,
               tol: Tolerances = DEFAULT) -> CheckResult:
-    """Run one check; a check that raises is reported as an error row,
-    so one broken check cannot abort the rest of the report."""
+    """Run one check and keep its worst measurement: the largest for a "le"
+    row, the smallest for a "ge" row, NaN if any is NaN.  A check that
+    raises or measures nothing is reported as an error row, so one broken
+    check cannot abort the rest of the report."""
     bound = check.bound(tol)
+    keep = np.max if check.direction == "le" else np.min
     measured = message = None
     try:
-        measured = float(check.fn(group, _check_rng(seed, check.name), tol))
+        measured = float(keep([float(x) for x in check.fn(group, _check_rng(seed, check.name), tol)]))
     except Exception:
         message = traceback.format_exc()
     if measured is None:
@@ -527,6 +484,7 @@ def verify_group(group: FiniteAbelianGroup, seed: int = 0,
                  tol: Tolerances = DEFAULT) -> VerificationReport:
     """Run every applicable check against one group, sorted by name."""
     seed = integer(seed, "seed", 0)  # before any check: a bad seed is no failed check
+    pure_states = len(enumerate_kd_positive_pure(group))  # and a group over the subgroup bound runs none
     results = [
         run_check(check, group, seed, tol)
         for check in sorted(CHECKS, key=lambda c: c.name)
@@ -535,7 +493,7 @@ def verify_group(group: FiniteAbelianGroup, seed: int = 0,
     return VerificationReport(
         group=repr(group),
         seed=seed,
-        pure_states=len(enumerate_kd_positive_pure(group)),
+        pure_states=pure_states,
         checks=results,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )

@@ -21,7 +21,7 @@ from kdlab.harmonic import GFunction
 from kdlab.jsonio import dumps, encode_array
 from kdlab.kd import kd
 from kdlab.operators import Operator
-from kdlab.errors import PreconditionError
+from kdlab.errors import PreconditionError, SubgroupBoundError
 from kdlab.tolerances import DEFAULT, Tolerances
 
 from conftest import child_env
@@ -486,6 +486,42 @@ def test_verify_all_reports_raising_check(monkeypatch, capsys):
     assert "error" in out
 
 
+@pytest.mark.parametrize("measurements, level, direction, status, measured", [
+    ((0.0, 2.0), "exact", "le", "fail", 2.0),            # the largest, not the first
+    ((5.0, 1e-9), "witness_gap", "ge", "fail", 1e-9),    # the smallest for a >= row
+    ((0.0, math.nan), "exact", "le", "fail", None),      # NaN after a passing sample
+    ((math.nan, 0.0), "witness_gap", "ge", "fail", None),
+    ((), "exact", "le", "error", None),                  # a check that measures nothing
+])
+def test_verify_row_keeps_its_worst_measurement(measurements, level, direction, status, measured,
+                                                monkeypatch, capsys):
+    def fn(group, rng, tol):
+        yield from measurements
+
+    row = verify.Check("zz-row", "a row of fixed measurements", fn, level, direction)
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + (row,))
+    code, out, _ = _run(capsys, ["verify", "all", "--group", "Z3", "--format", "json"])
+    assert code == 4
+    rows = {check["name"]: check for check in json.loads(out)["checks"]}
+    assert rows["zz-row"]["status"] == status
+    assert [name for name, check in rows.items() if check["status"] != "pass"] == ["zz-row"]
+    if measured is not None:
+        assert rows["zz-row"]["measured"] == measured
+    elif status == "fail":
+        assert math.isnan(rows["zz-row"]["measured"])
+    else:
+        assert rows["zz-row"]["measured"] is None
+        assert "Traceback" in rows["zz-row"]["message"]
+
+
+def test_verify_over_the_subgroup_bound_runs_no_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "run_check", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SubgroupBoundError):
+        verify.verify_group(parse_group("Z1024"))
+    assert calls == []
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = str(tmp_path / "info.json")
     code, out, _ = _run(capsys, ["group", "info", "--group", "Z2", "--format", "json",
@@ -681,10 +717,10 @@ def test_real_dimension_row_builds_one_stack():
     # one (448, 4096) float stack of Z64's member tables takes 14 MiB; a list
     # of its rows and their stacked copy took two
     group = parse_group("Z64")
-    rng = np.random.default_rng(0)
-    assert verify._check_real_dimension(group, rng, DEFAULT) == 0.0    # family built first
+    check = next(c for c in verify.CHECKS if c.name == "fragment-real-dimension")
+    assert verify.run_check(check, group, 0).measured == 0.0    # family built first
     tracemalloc.start()
-    measured = verify._check_real_dimension(group, rng, DEFAULT)
+    measured = verify.run_check(check, group, 0).measured
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert measured == 0.0
