@@ -13,13 +13,14 @@ decided exactly, by the diagonal test, not by the search.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import NotHermitianError, PreconditionError
-from .jsonio import decode_array, encode_array, finite_array, hermitian_defect, integer, unit_phase
+from .jsonio import (
+    decode_array, encode_array, finite_array, hermitian_defect, integer, json_number, unit_phase,
+)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -69,7 +70,7 @@ class BandLimitedOperator:
     @classmethod
     def from_json(cls, payload: dict) -> "BandLimitedOperator":
         # a non-integer K is a malformed payload, a negative one a precondition
-        K = integer(operator.index(payload["K"]), "band limit", 0)
+        K = integer(json_number(payload["K"], (int,)), "band limit", 0)
         return cls(K, decode_array(payload["coeffs"], (2 * K + 1, 2 * K + 1)))
 
 
@@ -118,6 +119,11 @@ class NegativitySearchResult:
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
+# Cells (2K + 1) * grid of the negativity scan, at most: each complex array
+# of the scan then holds at most 64 MiB.  At the smallest grid, 4K + 4, the
+# bound admits band limits up to K = 723.
+MAX_SCAN_CELLS = 2**22
+
 
 def _refine(fun, theta0: float, spacing: float) -> tuple[float, float]:
     """Minimize a smooth 2pi-periodic function near a grid minimizer.
@@ -156,8 +162,15 @@ def circle_negativity_search(
     per column evaluates every grid value without aliasing.  The result
     is no certificate: a deeper minimum between other grid points is not
     seen, so a violation of zero does not prove a nonnegative table.
+    The scan holds (2K + 1) * grid_size cells, at most ``MAX_SCAN_CELLS``.
     """
     grid_size = integer(grid_size, "grid size", 4 * op.K + 4)
+    cells = (2 * op.K + 1) * grid_size
+    if cells > MAX_SCAN_CELLS:
+        raise PreconditionError(
+            f"grid size {grid_size} over {2 * op.K + 1} modes makes {cells} cells, "
+            f"above the scan bound {MAX_SCAN_CELLS}"
+        )
     # Row m + K holds c_{km} at frequency (k - m) mod grid_size.
     rows = np.arange(2 * op.K + 1)
     spectrum = np.zeros((rows.size, grid_size), dtype=complex)

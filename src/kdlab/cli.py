@@ -435,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = circle_sub.add_parser("search", help="grid search for table violations")
     _add_common(p, group=False)
     p.add_argument("--input", required=True, help="band operator JSON file")
-    p.add_argument("--grid", type=int, default=1024, help="grid size (at least 4K+4)")
+    p.add_argument("--grid", type=int, default=1024,
+                   help=f"grid size (at least 4K+4, and (2K+1) x grid at most {circ.MAX_SCAN_CELLS})")
     p.set_defaults(fn=cmd_circle_search)
 
     verify_p = top.add_parser("verify", help="named invariant suites")

@@ -19,7 +19,10 @@ Hull membership is a least-squares problem over the probability simplex
 solved by an active-set method, and projection onto the KD-positive
 states alternates, Dykstra style, between the spectral state set and the
 polyhedron of real nonnegative KD tables, a plain clamp in these
-coordinates.
+coordinates.  The spectral step needs an eigendecomposition only when
+its result may lose rank: while Weyl's inequality, applied against the
+last matrix decomposed, proves every shifted eigenvalue positive, the
+projection onto the states is the shift H - sI, PSD by that proof.
 """
 
 from __future__ import annotations
@@ -366,39 +369,68 @@ def _project_simplex(values: np.ndarray) -> np.ndarray:
     return np.maximum(values - shifts[k - 1], 0.0)
 
 
-def _project_states(matrix: np.ndarray) -> np.ndarray:
-    herm = (matrix + matrix.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    w = _project_simplex(vals)
-    return (vecs * w) @ vecs.conj().T
-
-
 def _project_kd_nonneg(group: FiniteAbelianGroup, matrix: np.ndarray) -> np.ndarray:
     # Both maps are linear and the clamp is positively homogeneous, so
     # the 1/|G| scaling of the table needs no undoing.
     return _kd_kernel(group, np.maximum(_kd_table(group, matrix).real, 0.0))
 
 
+def _frobenius(matrix: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex matrix, bit for bit, without its dispatch."""
+    flat = matrix.reshape(-1)
+    re, im = flat.real, flat.imag
+    return float(np.sqrt(re.dot(re) + im.dot(im)))
+
+
 def _dykstra(group: FiniteAbelianGroup, m0: np.ndarray, max_iter: int, tol: float):
     """Dykstra alternation between the state set and the KD polyhedron.
 
     Returns (state-side iterate, set gap, iterations); the first output
-    is exactly positive semidefinite with unit trace.
+    is positive semidefinite with unit trace, to rounding.
+
+    The spectral step projects H = herm(x + p) onto {PSD, trace 1}: it
+    shifts the eigenvalues down by the simplex threshold and clips them
+    at zero.  While every shifted eigenvalue stays positive, the
+    threshold is s = (tr H - 1) / d and the projection is H - s I, with
+    no eigenvectors needed.  Weyl's inequality (Horn & Johnson, *Matrix
+    Analysis*, Thm 4.3.1) bounds lambda_min(H) >= lambda_min(A) -
+    ||H - A||_2 >= lambda_min(A) - ||H - A||_F for the last matrix A
+    that went through ``eigh``, so when that bound clears s by more than
+    the rounding of A's eigenvalues, ``DEFAULT.exact`` max(1, ||A||_2),
+    the shift is the projection and its result is PSD by proof.
+    Otherwise ``eigh`` runs and A moves to H.  The bound is tried only
+    after a full-rank projection of A: after a rank-deficient one,
+    lambda_min(A) <= (tr A - 1) / d, and as |tr(H - A)| / d <=
+    ||H - A||_F the test could not pass.
     """
+    d = m0.shape[0]
     x = m0
-    p = np.zeros_like(m0)
-    q = np.zeros_like(m0)
+    p = np.zeros(m0.shape, dtype=complex)
+    q = np.zeros(m0.shape, dtype=complex)
     y = x
+    anchor = None               # (A, lambda_min(A), rounding margin) after a full-rank projection
     gap = np.inf
     its = 0
     for its in range(1, max_iter + 1):
-        xp = x + p
-        y = _project_states(xp)
-        p = xp - y
-        yq = y + q
-        x = _project_kd_nonneg(group, yq)
-        q = yq - x
-        gap = float(np.linalg.norm(y - x))
+        p += x                  # x + p
+        herm = p + p.conj().T
+        herm /= 2.0
+        shift = (herm.trace().real - 1.0) / d
+        if anchor is not None and anchor[1] - shift - _frobenius(herm - anchor[0]) > anchor[2]:
+            y = herm
+            y.reshape(-1)[:: d + 1] -= shift
+        else:
+            vals, vecs = np.linalg.eigh(herm)
+            w = _project_simplex(vals)
+            y = (vecs * w) @ vecs.conj().T
+            anchor = None
+            if w[0] > 0.0:      # full rank
+                anchor = (herm, vals[0], DEFAULT.exact * max(1.0, abs(vals[0]), abs(vals[-1])))
+        p -= y                  # x + p - y
+        q += y                  # y + q
+        x = _project_kd_nonneg(group, q)
+        q -= x                  # y + q - x
+        gap = _frobenius(y - x)
         if gap <= tol:
             break
     return y, gap, its
@@ -421,9 +453,11 @@ def project_onto_kdpos(
     Alternates between the spectral projection onto {PSD, trace 1} and
     the clamp onto {KD real and nonnegative} with Dykstra corrections,
     so the limit is the metric projection onto the intersection.  The
-    returned state is exactly positive with unit trace; `residual`
-    reports its remaining KD violation and `converged` whether the two
-    sets met within tol.  max_iter is an integer of at least 1.
+    returned state is positive semidefinite with unit trace, to rounding:
+    by its clipped spectrum, or by the Weyl bound of `_dykstra`'s shift
+    step.  `residual` reports its remaining KD violation and `converged`
+    whether the two sets met within tol.  max_iter is an integer of at
+    least 1.
     """
     max_iter = integer(max_iter, "projection iteration count", 1)
     if not rho0.is_hermitian():

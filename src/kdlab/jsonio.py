@@ -6,7 +6,11 @@ reads its arrays through `finite_array`, its unit phases through
 `unit_phase` and its scalar integer parameters through `integer`, so a
 wrong shape, a NaN, an infinity or a fractional count is rejected the
 same way whether it comes from a file or a constructor; every Hermitian
-test reads one relative `hermitian_defect`.
+test reads one relative `hermitian_defect`.  The real parts of a file's
+complex entries and a band file's K are read through `json_number`: a
+bool or a string in a number's place is a malformed payload, and an
+integer too large for a float is a violated precondition, as an
+infinity is.
 """
 
 from __future__ import annotations
@@ -28,12 +32,26 @@ def encode_complex(z: complex) -> dict:
 def decode_complex(obj) -> complex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
         raise ValueError(f"expected a {{re, im}} pair, got {obj!r}")
-    return finite_complex(obj.get("re", 0.0), obj.get("im", 0.0))
+    return finite_complex(json_number(obj.get("re", 0.0)), json_number(obj.get("im", 0.0)))
+
+
+def json_number(value, kinds: tuple[type, ...] = (int, float)):
+    """value if it is a JSON number of one of kinds; a bool or a string raises TypeError.
+
+    ``json`` reads true as a bool, which is an int to Python, so bools are
+    turned away by name.
+    """
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
 
 
 def finite_complex(re, im) -> complex:
-    """Complex number from two real parts, rejecting NaN and infinities."""
-    z = complex(float(re), float(im))
+    """Complex number from two real parts, rejecting NaN, infinities and overflow."""
+    try:
+        z = complex(float(re), float(im))
+    except OverflowError:
+        raise PreconditionError("number too large for a float") from None
     if not np.isfinite(z):
         raise PreconditionError(f"non-finite number {z!r}")
     return z
@@ -50,8 +68,10 @@ def finite_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 
 def integer(value, what: str, minimum: int | None = None) -> int:
-    """value as a Python int of at least minimum; a float, a string or NaN raises."""
+    """value as a Python int of at least minimum; a bool, a float, a string or NaN raises."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise PreconditionError(f"{what} must be an integer, got {value!r}") from None

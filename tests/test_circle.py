@@ -1,10 +1,12 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kdlab.circle import (
+    MAX_SCAN_CELLS,
     BandLimitedOperator,
     _refine,
     circle_is_classical,
@@ -126,6 +128,20 @@ def test_grid_size_precondition():
     circle_negativity_search(op, 4 * 5 + 4)
 
 
+def test_grid_cell_bound_is_checked_before_the_scan():
+    # K = 1 keeps the scan small should the check be missing
+    op = _vacuum(1)
+    grid = MAX_SCAN_CELLS // 3 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="above the scan bound"):
+            circle_negativity_search(op, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("grid", [24.5, 25.0, "32", None])
 def test_grid_size_must_be_an_integer(grid):
     with pytest.raises(PreconditionError):
@@ -146,6 +162,14 @@ def test_geometric_band_limit_must_be_a_nonnegative_integer(K):
             fn(0.3, K)
     with pytest.raises(PreconditionError):
         BandLimitedOperator.from_diagonal(K, np.ones(6))
+
+
+def test_band_limit_rejects_bools():
+    # (3, 3) == (2 * True + 1,) * 2, so the shape check alone lets True in
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        BandLimitedOperator(True, np.eye(3) / 3)
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        geometric_weights(0.3, True)
 
 
 def test_negative_band_limit_in_json_is_a_precondition():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kdlab.classify import enumerate_kd_positive_pure
-from kdlab import verify
+from kdlab import circle, verify
 from kdlab import cli
 from kdlab.cli import build_parser, main
 from kdlab.groups import parse_group
@@ -235,6 +235,53 @@ def test_non_finite_input_file_is_precondition_error(tmp_path, capsys, argv, kin
     code, out, err = _run_with_input(tmp_path, capsys, argv, dumps(payload))
     assert code == 2
     assert out == "" and "non-finite" in err
+
+
+def _with_number(kind, value):
+    """The valid payload of kind with its first real part replaced by value."""
+    payload, _, entries = _input_kinds()[kind]
+    if kind == "element":
+        payload["z"]["re"] = value
+    else:
+        payload[entries][0]["re"] = value
+    return payload
+
+
+@pytest.mark.parametrize("argv, kind", _FILE_READERS,
+                         ids=_FILE_READER_IDS)
+def test_overflowing_input_number_is_precondition_error(tmp_path, capsys, argv, kind):
+    # a 401-digit integer literal used to escape as an OverflowError traceback
+    code, out, err = _run_with_input(tmp_path, capsys, argv, dumps(_with_number(kind, 10**400)))
+    assert code == 2
+    assert out == "" and "too large for a float" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "string"])
+@pytest.mark.parametrize("argv, kind", _FILE_READERS,
+                         ids=_FILE_READER_IDS)
+def test_non_numeric_input_number_is_config_error(tmp_path, capsys, argv, kind, bad):
+    # true and "1" used to be read as 1.0
+    code, out, err = _run_with_input(tmp_path, capsys, argv, dumps(_with_number(kind, bad)))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid ") and "expected a number" in err
+
+
+@pytest.mark.parametrize("K", [True, False])
+def test_bool_band_limit_is_config_error(tmp_path, capsys, K):
+    path = _write(tmp_path, "band.json", {"K": K, "coeffs": encode_array(np.eye(3) / 3)})
+    code, out, err = _run(capsys, ["circle", "check", "--input", path])
+    assert code == 1
+    assert out == "" and err.startswith("error: invalid band operator")
+
+
+def test_oversized_circle_grid_is_precondition_error(tmp_path, capsys):
+    path = _write(tmp_path, "band.json", {"K": 1, "coeffs": encode_array(np.eye(3) / 3)})
+    grid = circle.MAX_SCAN_CELLS // 3 + 1
+    code, out, err = _run(capsys, ["circle", "search", "--input", path, "--grid", str(grid)])
+    assert code == 2
+    assert out == "" and "above the scan bound" in err
 
 
 # The readers whose files carry integers: group factors, or residues.

@@ -810,6 +810,87 @@ def test_lean_dykstra_step_matches_reference(battery_group):
         assert np.max(np.abs(lean - _reference_project_kd_nonneg(group, matrix))) <= 1e-12
 
 
+def _reference_dykstra(group, m0, max_iter, tol):
+    """The alternation with an ``eigh`` on every iteration."""
+    x = m0
+    p = np.zeros_like(m0)
+    q = np.zeros_like(m0)
+    y = x
+    gap = np.inf
+    its = 0
+    for its in range(1, max_iter + 1):
+        xp = x + p
+        herm = (xp + xp.conj().T) / 2.0
+        vals, vecs = np.linalg.eigh(herm)
+        y = (vecs * _project_simplex(vals)) @ vecs.conj().T
+        p = xp - y
+        yq = y + q
+        x = _project_kd_nonneg(group, yq)
+        q = yq - x
+        gap = float(np.linalg.norm(y - x))
+        if gap <= tol:
+            break
+    return y, gap, its
+
+
+def _counting_eigh(monkeypatch):
+    """Count the ``np.linalg.eigh`` calls made from now on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_shift_step_matches_always_eigh_reference(battery_group):
+    # random full-rank states, witness-like steps off the mixed state, and
+    # nearly pure states, whose iterates start full rank and can lose rank
+    # on the way, where the shift must hand back to eigh
+    group = battery_group
+    d = group.order
+    rng = np.random.default_rng(227)
+    starts = [random_state(group, rng).matrix for _ in range(3)]
+    starts += [np.eye(d) / d + 0.25 * _random_direction(group, rng) for _ in range(3)]
+    for _ in range(3):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        starts.append(0.9 * np.outer(v, v.conj()) / np.vdot(v, v).real + 0.1 * np.eye(d) / d)
+    for m0 in starts:
+        for max_iter in (12, 300):
+            y, gap, its = _dykstra(group, m0, max_iter, 1e-12)
+            ref_y, ref_gap, ref_its = _reference_dykstra(group, m0, max_iter, 1e-12)
+            assert np.max(np.abs(y - ref_y)) <= 1e-12
+            assert abs(gap - ref_gap) <= 1e-12
+            assert its == ref_its
+
+
+def test_full_rank_projection_skips_most_eigh_calls(monkeypatch):
+    group = parse_group("Z8")
+    rho = random_state(group, np.random.default_rng(229))
+    assert np.linalg.eigvalsh(rho.matrix)[0] > 1e-6
+    calls = _counting_eigh(monkeypatch)
+    result = project_onto_kdpos(rho, max_iter=100, tol=0.0)
+    assert result.iterations == 100
+    assert 1 <= len(calls) <= 10
+    check_state(result.state)
+
+
+def test_rank_one_projection_takes_eigh_every_iteration(battery_group, monkeypatch):
+    # a pure state never anchors the shift test, so the run is the reference's, bit for bit
+    group = battery_group
+    family = enumerate_kd_positive_pure(group)
+    m0 = family[len(family) // 2].projector().matrix
+    ref_y, ref_gap, ref_its = _reference_dykstra(group, m0, 20, -1.0)
+    calls = _counting_eigh(monkeypatch)
+    y, gap, its = _dykstra(group, m0, 20, -1.0)
+    assert len(calls) == its == ref_its == 20
+    assert np.array_equal(y, ref_y)
+    assert gap == ref_gap
+
+
 def test_project_keeps_members_fixed(battery_group):
     group = battery_group
     rng = np.random.default_rng(167)
@@ -1003,6 +1084,18 @@ def test_witness_search_rejects_non_integer_budget(budget):
     # infinite one would never end on a group without a hull gap
     with pytest.raises(PreconditionError, match="budget must be an integer"):
         find_conv_gap_witness(parse_group("Z2"), seed=0, budget=budget)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: find_conv_gap_witness(parse_group("Z2"), seed=True),
+    lambda: find_conv_gap_witness(parse_group("Z2"), budget=True),
+    lambda: project_onto_kdpos(Operator.identity(parse_group("Z2")) * 0.5, max_iter=True),
+    lambda: verify_group(parse_group("Z2"), seed=False),
+], ids=["seed", "budget", "max_iter", "verify-seed"])
+def test_bool_counts_are_rejected(call):
+    # operator.index(True) is 1, so a bool used to pass as a count
+    with pytest.raises(PreconditionError, match="must be an integer, got (True|False)"):
+        call()
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, np.nan, "0"])
