@@ -132,7 +132,6 @@ class MembershipResult:
     span_dimension: int | None = None
     converged: bool | None = None      # hull solves: the active-set optimality test passed
     iterations: int | None = None      # hull solves: active-set iterations used
-    fallbacks: int | None = None       # hull solves: iterations solved by the dense KKT fallback
 
     def to_json(self) -> dict:
         payload: dict = {"verdict": self.verdict, "residual": self.residual}
@@ -216,14 +215,21 @@ def _simplex_nnls(family, corr, lam0=None):
     of the dropped block when members leave, so an iteration costs
     O(k^2) (Lawson & Hanson, *Solving Least Squares Problems*, 1974, for
     the active-set frame).  Negative subproblem solutions trigger the
-    usual interpolation step back to the feasible region.  A pivot or a
-    warm start's conditioning below ``PIVOT_FLOOR`` marks dependent
-    columns and sends the rest of the call to the dense KKT solve.
+    usual interpolation step back to the feasible region.  The passive
+    columns lead one buffer that doubles when full.
+
+    Unit trace keeps G_P nonsingular in exact arithmetic: a linear
+    relation Pi_j = sum_p mu_p Pi_p has sum_p mu_p = 1 (take traces),
+    and every passive gradient equals nu at a passive-set solution, so
+    such a j has slack nu sum_p mu_p - nu = 0 and never joins.  Hence a
+    joining pivot sigma / G_jj at or below ``PIVOT_FLOOR`` ends the
+    solve unconverged, and a warm start whose support block is that
+    badly conditioned, as no output of this solver is, restarts cold.
 
     Parameters
     ----------
     family : the members, such as the family record; every member
-        has unit norm and no overlap exceeds one
+        has unit trace and unit norm, and no overlap exceeds one
     corr : (n,) precomputed A^T Re(y)
     lam0 : (n,) optional feasible start (nonnegative, summing to one),
         such as the solution for a nearby target.  Its support is the
@@ -232,10 +238,9 @@ def _simplex_nnls(family, corr, lam0=None):
         weights may, where the optimum is not unique.  Without it the
         search starts from the single best vertex.
 
-    Returns (weights, converged, (iterations, fallbacks)), where
-    iterations counts the subproblem solves, at most 50 n + 200, and
-    fallbacks those of them made by the dense KKT solve.  Callers form
-    the residual from the weights.
+    Returns (weights, converged, iterations), where iterations counts
+    the subproblem solves, at most 50 n + 200.  Callers form the
+    residual from the weights.
     """
     n = corr.size
     # The Gram diagonal is all ones and bounds every entry (a rectangle has
@@ -243,36 +248,29 @@ def _simplex_nnls(family, corr, lam0=None):
     # vertex, argmax 2 corr_i - ||Pi_i||^2, need only corr.
     scale = max(1.0, float(np.max(np.abs(corr))))
     start = int(np.argmax(2.0 * corr - 1.0))
-    if lam0 is None:
+    if lam0 is not None:
+        passive = np.flatnonzero(lam0)
+        buffer = family.overlaps(passive)           # Gram columns of the passive set lead it
+    if lam0 is None or np.linalg.cond(buffer[passive]) * PIVOT_FLOOR > 1.0:
+        # a cold start, or a dependent warm start, which restarts cold
         lam0 = np.zeros(n)
         lam0[start] = 1.0
-    passive = np.flatnonzero(lam0)
-    cols = family.overlaps(passive)                 # Gram columns of the passive set
-    block = cols[passive]
-    inv = np.linalg.inv(block) if np.linalg.cond(block) * PIVOT_FLOOR <= 1.0 else None
+        passive = np.array([start])
+        buffer = family.overlaps(passive)
     lam = lam0
+    inv = np.linalg.inv(buffer[passive])
     converged = False
-    iterations = fallbacks = 0
+    iterations = 0
     for iterations in range(1, 50 * n + 201):
-        if inv is not None:
-            a = inv @ corr[passive]
-            b = inv.sum(axis=1)
-            nu = (a.sum() - 1.0) / b.sum()
-            s = a - nu * b
-        else:
-            fallbacks += 1
-            k = passive.size
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = cols[passive]
-            kkt[:k, k] = 1.0
-            kkt[k, :k] = 1.0
-            sol, *_ = np.linalg.lstsq(kkt, np.append(corr[passive], 1.0), rcond=None)
-            s, nu = sol[:k], float(sol[k])
+        a = inv @ corr[passive]
+        b = inv.sum(axis=1)
+        nu = (a.sum() - 1.0) / b.sum()
+        s = a - nu * b
         if s.min() >= -1e-12:
             lam = np.zeros(n)
             lam[passive] = np.clip(s, 0.0, None)
             lam /= lam.sum()
-            grad = corr - cols @ lam[passive]
+            grad = corr - buffer[:, :passive.size] @ lam[passive]
             slack = grad - nu
             slack[passive] = -np.inf
             j = int(np.argmax(slack))
@@ -280,19 +278,22 @@ def _simplex_nnls(family, corr, lam0=None):
                 converged = True
                 break
             col = family.overlaps(np.array([j]))[:, 0]
-            if inv is not None:
-                # bordered inverse: [[inv, 0], [0, 0]] + w w^T / sigma with w = (-u, 1)
-                u = inv @ col[passive]
-                sigma = col[j] - col[passive] @ u
-                if sigma > PIVOT_FLOOR * col[j]:
-                    w = np.append(-u, 1.0)
-                    bordered = np.outer(w, w / sigma)
-                    bordered[:-1, :-1] += inv
-                    inv = bordered
-                else:
-                    inv = None
+            # bordered inverse: [[inv, 0], [0, 0]] + w w^T / sigma with w = (-u, 1)
+            u = inv @ col[passive]
+            sigma = col[j] - col[passive] @ u
+            if sigma <= PIVOT_FLOOR * col[j]:
+                break
+            w = np.append(-u, 1.0)
+            bordered = np.outer(w, w / sigma)
+            bordered[:-1, :-1] += inv
+            inv = bordered
+            k = passive.size
+            if k == buffer.shape[1]:
+                grown = np.empty((n, min(2 * k, n)))
+                grown[:, :k] = buffer
+                buffer = grown
+            buffer[:, k] = col
             passive = np.append(passive, j)
-            cols = np.column_stack([cols, col])
         else:
             lam_p = lam[passive]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -302,16 +303,15 @@ def _simplex_nnls(family, corr, lam0=None):
             keep = lam_p > 1e-14
             lam = np.zeros(n)
             lam[passive[keep]] = lam_p[keep]
-            if inv is not None:
-                # the kept block's inverse: the Schur complement of the dropped block in inv
-                d = inv[:, ~keep]     # inv is symmetric, so d.T holds the dropped rows
-                inv = (inv - d @ np.linalg.solve(d[~keep], d.T))[np.ix_(keep, keep)]
+            # the kept block's inverse: the Schur complement of the dropped block in inv
+            d = inv[:, ~keep]     # inv is symmetric, so d.T holds the dropped rows
+            inv = (inv - d @ np.linalg.solve(d[~keep], d.T))[np.ix_(keep, keep)]
             passive = passive[keep]
-            cols = cols[:, keep]
+            buffer[:, :passive.size] = buffer[:, np.flatnonzero(keep)]
     total = lam.sum()
     if total > 0:
         lam = lam / total
-    return lam, converged, (iterations, fallbacks)
+    return lam, converged, iterations
 
 
 def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResult:
@@ -331,19 +331,17 @@ def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResul
         )
     group = rho.group
     family = _family(group)
-    lam, converged, (iterations, fallbacks) = _simplex_nnls(family, family.pair(table.real))
+    lam, converged, iterations = _simplex_nnls(family, family.pair(table.real))
     # the imaginary part, which no real combination reaches, stays in r
     r = table - family.combine(lam)
     residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
     if residual <= tol.membership:
-        return MembershipResult("inside", residual, weights=lam, converged=converged,
-                                iterations=iterations, fallbacks=fallbacks)
+        return MembershipResult("inside", residual, weights=lam, converged=converged, iterations=iterations)
     w = r / residual if residual > 0.0 else r   # unit norm; r = 0 needs a negative bound
     gap = float(np.vdot(w, table).real) / group.order - float(np.max(family.pair(w.real)))
     witness = Operator(group, _kd_kernel(group, w))
     verdict = "outside" if converged and gap > max(tol.membership, DEFAULT.exact) else "inconclusive"
-    return MembershipResult(verdict, residual, witness=witness, gap=gap, converged=converged,
-                            iterations=iterations, fallbacks=fallbacks)
+    return MembershipResult(verdict, residual, witness=witness, gap=gap, converged=converged, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

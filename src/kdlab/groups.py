@@ -32,10 +32,17 @@ from .errors import (
 SUBGROUP_ORDER_BOUND = 512
 
 
+def _index(value) -> int:
+    """``operator.index``, which reads a bool as 0 or 1, with bools refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
 def _integers(values: Iterable, what: str) -> tuple[int, ...]:
-    """values as Python ints; a float, a string or another non-integer raises."""
+    """values as Python ints; a bool, a float, a string or another non-integer raises."""
     try:
-        return tuple(map(operator.index, values))
+        return tuple(map(_index, values))
     except TypeError as exc:
         raise ValueError(f"{what} must be integers: {exc}") from None
 

@@ -4,13 +4,13 @@ Complex scalars travel as ``{"re": float, "im": float}`` objects and
 complex arrays as flat row-major lists of such pairs.  Every value type
 reads its arrays through `finite_array`, its unit phases through
 `unit_phase` and its scalar integer parameters through `integer`, so a
-wrong shape, a NaN, an infinity or a fractional count is rejected the
-same way whether it comes from a file or a constructor; every Hermitian
-test reads one relative `hermitian_defect`.  The real parts of a file's
-complex entries and a band file's K are read through `json_number`: a
-bool or a string in a number's place is a malformed payload, and an
-integer too large for a float is a violated precondition, as an
-infinity is.
+wrong shape, a NaN, an infinity, a bool or string entry or a fractional
+count is rejected whether it comes from a file or a constructor; every
+Hermitian test reads one relative `hermitian_defect`.  The real parts
+of a file's complex entries and a band file's K are read through
+`json_number`: a bool or a string in a number's place is a malformed
+payload, and an integer too large for a float is a violated
+precondition, as an infinity is.
 """
 
 from __future__ import annotations
@@ -58,7 +58,15 @@ def finite_complex(re, im) -> complex:
 
 
 def finite_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Complex copy of values, of the given shape and with finite entries only."""
+    """Complex copy of values, of the given shape and with finite numeric entries only.
+
+    numpy reads True as 1 and "1" as 1.0, and a list mixing numbers with
+    bools can come out with an integer dtype, so anything but an array of
+    a numeric dtype is checked entry by entry.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iufc") and any(
+            isinstance(v, (bool, np.bool_, str, bytes)) for v in np.array(values, dtype=object).flat):
+        raise PreconditionError(f"{what} must hold numbers, not bools or strings")
     arr = np.array(values, dtype=complex)
     if arr.shape != shape:
         raise PreconditionError(f"{what} must have shape {shape}, got {arr.shape}")

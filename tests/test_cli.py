@@ -290,11 +290,11 @@ _INTEGER_READERS = [pytest.param(argv, kind, id=name)
                     if kind in ("operator", "table", "element")]
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.5, math.inf], ids=["1.5", "2.5", "inf"])
+@pytest.mark.parametrize("bad", [1.5, 2.5, math.inf, True], ids=["1.5", "2.5", "inf", "true"])
 @pytest.mark.parametrize("argv, kind", _INTEGER_READERS)
 def test_non_integer_group_input_is_config_error(tmp_path, capsys, argv, kind, bad):
     # int() used to truncate these (factors [2.5] read as Z2, g [1.5] as 1),
-    # and inf crashed with a traceback
+    # inf crashed with a traceback, and true was read as 1
     payload = _input_kinds()[kind][0]
     if kind == "element":
         payload["g"] = [bad]

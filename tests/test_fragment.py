@@ -598,14 +598,14 @@ def _reference_simplex_nnls(family, corr, lam0=None):
 
 def _compare_with_reference(family, corr, residual_of, lam0=None):
     """Solve both ways; the residuals must agree within 1e-12 of the scale."""
-    lam, converged, (iterations, fallbacks) = _simplex_nnls(family, corr, lam0=lam0)
+    lam, converged, _ = _simplex_nnls(family, corr, lam0=lam0)
     ref, ref_converged, _ = _reference_simplex_nnls(family, corr, lam0=lam0)
     scale = max(1.0, float(np.max(np.abs(corr))))
     assert converged and ref_converged
     assert lam.min() >= 0.0
     assert lam.sum() == pytest.approx(1.0, abs=1e-12)
     assert abs(residual_of(lam) - residual_of(ref)) <= 1e-12 * scale
-    return lam, fallbacks
+    return lam
 
 
 def test_simplex_nnls_matches_dense_reference_on_the_battery(battery_group):
@@ -616,10 +616,8 @@ def test_simplex_nnls_matches_dense_reference_on_the_battery(battery_group):
     ctx = _family(group)
 
     def solve(table, lam0=None):
-        lam, fallbacks = _compare_with_reference(
+        return _compare_with_reference(
             ctx, ctx.pair(table.real), lambda w: np.linalg.norm(table - ctx.combine(w)), lam0)
-        assert fallbacks == 0
-        return lam
 
     solve(_kd_table(group, np.eye(d, dtype=complex)))
     direction = _random_direction(group, np.random.default_rng(223))
@@ -643,14 +641,11 @@ def test_simplex_nnls_matches_dense_reference_on_full_mixtures(name):
     rng = np.random.default_rng(227)
     for _ in range(10):
         table = ctx.combine(rng.dirichlet(np.ones(n)))
-        _, fallbacks = _compare_with_reference(
-            ctx, ctx.pair(table), lambda w: np.linalg.norm(table - ctx.combine(w)))
-        assert fallbacks == 0
+        _compare_with_reference(ctx, ctx.pair(table), lambda w: np.linalg.norm(table - ctx.combine(w)))
 
 
-def test_simplex_nnls_matches_dense_reference_on_gram_problems():
-    # random least-squares problems, half of them with dependent columns,
-    # where a joining column's pivot vanishes and the dense solve takes over
+def _gram_problems():
+    """40 seeded least-squares problems (a, y), half of them with dependent columns."""
     rng = np.random.default_rng(229)
     for trial in range(40):
         m, n = int(rng.integers(5, 30)), int(rng.integers(2, 25))
@@ -660,20 +655,53 @@ def test_simplex_nnls_matches_dense_reference_on_gram_problems():
         else:
             a = rng.normal(size=(m, n))
         y = a @ rng.dirichlet(np.ones(n)) if trial % 4 < 2 else rng.normal(size=m)
+        yield a, y
+
+
+def test_simplex_nnls_matches_dense_reference_on_gram_problems():
+    # a row of ones gives every column the family's unit trace, so even
+    # dependent columns are never pivoted on
+    for a, y in _gram_problems():
+        a, y = np.vstack([a, np.ones(a.shape[1])]), np.append(y, 1.0)
         _compare_with_reference(_GramFamily(a.T @ a), a.T @ y, lambda w: np.linalg.norm(y - a @ w))
+
+
+def test_simplex_nnls_stops_unconverged_on_a_dependent_join(monkeypatch):
+    # without unit trace a dependent column can join; the solve stops there
+    # with feasible weights, and the hull verdict is "inconclusive"
+    stopped = 0
+    for a, y in _gram_problems():
+        family, corr = _GramFamily(a.T @ a), a.T @ y
+        lam, converged, _ = _simplex_nnls(family, corr)
+        assert lam.min() >= 0.0
+        assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+        if converged:
+            ref, _, _ = _reference_simplex_nnls(family, corr)
+            scale = max(1.0, float(np.max(np.abs(corr))))
+            assert abs(np.linalg.norm(y - a @ lam) - np.linalg.norm(y - a @ ref)) <= 1e-12 * scale
+        stopped += not converged
+    assert 0 < stopped < 40
+    monkeypatch.setattr(fragment, "PIVOT_FLOOR", 1.0)
+    group = parse_group("Z6")
+    result = conv_membership(Operator.identity(group) * (1.0 / group.order))
+    assert result.converged is False
+    assert result.verdict == "inconclusive"
+    assert result.iterations == 1
 
 
 def test_simplex_nnls_falls_back_on_a_dependent_warm_start(battery_group):
     # the uniform start's support is the whole family, whose Gram block is
-    # singular (more members than kd_real_dimension), so no inverse exists
+    # singular (more members than kd_real_dimension), so the solve falls
+    # back to the cold start from the best vertex
     group = battery_group
     ctx = _family(group)
     n = len(ctx.R)
     table = _kd_table(group, np.eye(group.order, dtype=complex))
-    _, fallbacks = _compare_with_reference(
-        ctx, ctx.pair(table.real), lambda w: np.linalg.norm(table - ctx.combine(w)), np.full(n, 1.0 / n))
+    corr = ctx.pair(table.real)
+    lam = _compare_with_reference(
+        ctx, corr, lambda w: np.linalg.norm(table - ctx.combine(w)), np.full(n, 1.0 / n))
     assert n > kd_real_dimension(group)
-    assert fallbacks > 0
+    assert np.array_equal(lam, _simplex_nnls(ctx, corr)[0])
 
 
 def test_cold_hull_solve_calls_no_lstsq(monkeypatch):
@@ -691,9 +719,7 @@ def test_cold_hull_solve_calls_no_lstsq(monkeypatch):
     result = conv_membership(Operator.identity(group) * (1.0 / group.order))
     assert result.verdict == "inside"
     assert result.iterations == 64
-    assert result.fallbacks == 0
     assert calls == []
-    assert "fallbacks" not in result.to_json()
 
 
 def test_simplex_nnls_against_penalty_oracle():

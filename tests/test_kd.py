@@ -428,6 +428,22 @@ def test_constructors_reject_non_finite_values(build, bad):
         build(parse_group("Z2"), bad)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, "1"], ids=["bool", "numpy-bool", "string"])
+@pytest.mark.parametrize("build", [
+    lambda z2, v: Operator(z2, [[1, 0], [0, v]]),
+    lambda z2, v: GFunction(z2, [v, 1.0]),
+    lambda z2, v: DualFunction(z2, [1.0, v]),
+    lambda z2, v: PhaseSpaceFunction(z2, [[1.0, 0.0], [0.0, v]]),
+    lambda z2, v: BandLimitedOperator(1, [[1.0, 0, 0], [0, v, 0], [0, 0, 1.0]]),
+    lambda z2, v: Operator(z2, np.full((2, 2), v)),
+], ids=["Operator", "GFunction", "DualFunction", "PhaseSpaceFunction", "BandLimitedOperator", "array"])
+def test_constructors_reject_bool_and_string_entries(build, bad):
+    # numpy reads True as 1 and "1" as 1.0: Operator(Z2, [["1", 0], [0, True]])
+    # was the identity
+    with pytest.raises(PreconditionError, match="not bools or strings"):
+        build(parse_group("Z2"), bad)
+
+
 @pytest.mark.parametrize("name", LARGE_FACTOR_GROUPS)
 def test_fft_route_matches_dense_products(name):
     group = parse_group(name)
