@@ -25,13 +25,14 @@ from .groups import (
     FiniteAbelianGroup,
     Subgroup,
     _check_group,
+    _wrap,
     annihilator,
     coset_labels,
     enumerate_subgroups,
 )
 from .harmonic import GFunction
 from .jsonio import encode_array
-from .operators import Operator, PhaseSpaceFunction, _wrap
+from .operators import Operator, PhaseSpaceFunction
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -181,6 +182,8 @@ def _family(group: FiniteAbelianGroup) -> _Family:
         sides[h.elements] = (reps, reps[:, None] == labels)
         for array in sides[h.elements]:
             array.setflags(write=False)
+    # one checked Element and Character per index, shared by the members
+    elements, characters = tuple(group.elements()), tuple(group.characters())
     vectors = np.zeros((d * len(subgroups), d), dtype=complex)
     members, cosets = [], []
     for h, block in zip(subgroups, vectors.reshape(len(subgroups), d, d)):
@@ -188,11 +191,10 @@ def _family(group: FiniteAbelianGroup) -> _Family:
         cosets.append((g_reps, chi_reps, g_ind, chi_ind))
         rows = _coset_vectors(block.reshape(len(g_reps), len(chi_reps), d), h, g_ind, chi_reps)
         rows.setflags(write=False)
-        chis = [group.character_by_index(c) for c in chi_reps.tolist()]
+        chis = [characters[c] for c in chi_reps.tolist()]
         for g, coset_rows in zip(g_reps.tolist(), rows):
-            g_rep = group.element_by_index(g)
             # finite by construction: unit-modulus characters times sqrt(|G| / |H|)
-            members.extend(KdPureState(h, g_rep, chi, _wrap(GFunction, group, values=v))
+            members.extend(KdPureState(h, elements[g], chi, _wrap(GFunction, group, values=v))
                            for chi, v in zip(chis, coset_rows))
     vectors.setflags(write=False)
     return _Family(group, tuple(members), vectors, tuple(cosets))

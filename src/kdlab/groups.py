@@ -8,6 +8,15 @@ by tuples with the same moduli through the pairing
 the element indexing and subgroups of the dual are ordinary
 :class:`Subgroup` values over label indices.  Operands of every operation
 pass ``_check_group``, whose ``GroupMismatchError`` names both groups.
+
+Every public constructor validates its input.  Two constructions skip
+``Subgroup``'s checks through ``_wrap``, because their index tuples are
+sorted, closed and made of Python ints by construction:
+``enumerate_subgroups`` builds each subgroup as a union of cosets of a
+smaller one, and ``annihilator`` reads its labels off the integer phase
+table, which makes them closed by duality.  The verify rows
+``group-subgroup-closure`` and ``group-annihilator-duality`` re-check
+both sets independently.
 """
 
 from __future__ import annotations
@@ -37,6 +46,18 @@ def _index(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is a bool")
     return operator.index(value)
+
+
+def _wrap(cls, group: FiniteAbelianGroup, **fields):
+    """A cls on group with these fields, neither copied nor checked.
+
+    Only for objects the library builds from data it has already checked
+    or made: never for input from outside the program, which goes through
+    the validating constructors.
+    """
+    obj = cls.__new__(cls)
+    vars(obj).update(fields, group=group)
+    return obj
 
 
 def _integers(values: Iterable, what: str) -> tuple[int, ...]:
@@ -360,7 +381,8 @@ def enumerate_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
                     if 2 * len(extended) <= small:
                         nxt.append(extended)
         frontier = nxt
-    lattice = {t: Subgroup(group, t) for t in seen}
+    # unions of cosets of a subgroup: sorted, closed tuples of Python ints
+    lattice = {t: _wrap(Subgroup, group, elements=t) for t in seen}
     for sub in list(lattice.values()):
         ann = annihilator(group, sub)
         lattice.setdefault(ann.elements, ann)
@@ -372,12 +394,13 @@ def annihilator(group: FiniteAbelianGroup, subgroup: Subgroup) -> Subgroup:
     """Characters trivial on the subgroup, as a subgroup of label indices.
 
     Decided exactly on the integer phase table, so no float tolerance is
-    involved.
+    involved.  The labels are sorted, contain the trivial character, and
+    are closed because the characters trivial on a set form a subgroup.
     """
     _check_group(group, subgroup)
     cols = group.char_phase[:, list(subgroup.elements)]
     labels = np.nonzero(~cols.any(axis=1))[0]
-    return Subgroup(group, tuple(int(c) for c in labels))
+    return _wrap(Subgroup, group, elements=tuple(labels.tolist()))
 
 
 def coset_labels(group: FiniteAbelianGroup, subgroup: Subgroup) -> np.ndarray:

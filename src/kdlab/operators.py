@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, NotAStateError, PreconditionError
-from .groups import FiniteAbelianGroup, _check_group
+from .groups import FiniteAbelianGroup, _check_group, _wrap
 from .harmonic import GFunction
 from .jsonio import decode_array, encode_array, finite_array, finite_complex, hermitian_defect
 from .tolerances import DEFAULT, Tolerances
@@ -214,13 +214,6 @@ class PhaseSpaceFunction:
         if np.isnan(values).any():
             raise ValueError("duplicate or missing (g, chi) rows")
         return cls(group, values)
-
-
-def _wrap(cls, group: FiniteAbelianGroup, **arrays):
-    """An Operator, PhaseSpaceFunction or GFunction around arrays, neither copied nor checked."""
-    obj = cls.__new__(cls)
-    vars(obj).update(arrays, group=group)
-    return obj
 
 
 def _computed(cls, group: FiniteAbelianGroup, **arrays):

@@ -1,16 +1,18 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from kdlab.classify import (
+    _family,
     enumerate_kd_positive_pure,
     family_to_json,
     make_subgroup_state,
     recognize_kd_positive_pure,
 )
 from kdlab.errors import GroupMismatchError, PreconditionError
-from kdlab.groups import Subgroup, annihilator, enumerate_subgroups, parse_group
+from kdlab.groups import Character, Element, Subgroup, annihilator, enumerate_subgroups, parse_group
 from kdlab.harmonic import GFunction
 from kdlab.kd import kd
 from kdlab.weyl import WHElement, wh_conjugate
@@ -23,6 +25,59 @@ FAMILY_SIZES = {"Z2": 4, "Z4": 12, "Z2xZ2": 20, "Z6": 24}
 def test_family_sizes_frozen(name, count):
     group = parse_group(name)
     assert len(enumerate_kd_positive_pure(group)) == count
+
+
+# sha256 of repr([(m.subgroup.elements, m.g_rep.residues, m.chi_rep.label)
+# for m in members]) and of _family(group).vectors.tobytes(), as the family
+# built them when each coset representative was its own checked Element and
+# Character: member order, representatives and vector bits must not move.
+PINNED_FAMILIES = {
+    "Z6": ("eac1ee1ed87c7ba1c38035ba7bc079c45bc064b2220aac4efd27beea224bef9c",
+           "e0cefb3c8820088a7f8d03f0a06b31d6708769ca1b85fdf778c95c9a70fd356d"),
+    "Z2xZ4": ("cc140909b05a1c12b58eb655296dffa0d0c430f20efc480d0087b4932b36720d",
+              "199b94b5e368af59b7555328900a0d7e7462ed8d37baa8bff61cb3e204436021"),
+    "Z2xZ2xZ2xZ2": ("6f8635844b53312ab0e0a99ce898c30640bdaff7020a3cf8ad6d67cf5fa8a46a",
+                    "6f96cafab5eff48a3bdce48689ff357e4dc223d43aaaa7bfb9e726aa5a7871f7"),
+    "Z3xZ3xZ3": ("d965502fae3f26e558f14a1ebe5160b40411a108fd9c9cade45068b8fc72d158",
+                 "9ae18ea6c7e3b696d168ab2d111d92844ba53a0917dbbc4fc69f341ea733c886"),
+    "Z128": ("a87996203f92c10eb15fee21b7a30f73185d21cf9de3d610c550d9c66bfbb970",
+             "a8c843b9402b2e0e177699c04d2fdd4553c94748357f0ba51a19ede0abd942f7"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_FAMILIES))
+def test_family_is_pinned(name):
+    group = parse_group(name)
+    members = enumerate_kd_positive_pure(group)
+    coset_data = [(m.subgroup.elements, m.g_rep.residues, m.chi_rep.label) for m in members]
+    digests = (hashlib.sha256(repr(coset_data).encode()).hexdigest(),
+               hashlib.sha256(_family(group).vectors.tobytes()).hexdigest())
+    assert digests == PINNED_FAMILIES[name]
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2", "Z6xZ6"])
+def test_family_checks_each_element_and_character_once(name, monkeypatch):
+    # the family builds one checked Element and Character per index and
+    # shares them, rather than one per coset representative per subgroup
+    counts = {Element: 0, Character: 0}
+
+    def counting(cls):
+        original = cls.__post_init__
+
+        def post_init(self):
+            counts[cls] += 1
+            original(self)
+        return post_init
+
+    for cls in counts:
+        monkeypatch.setattr(cls, "__post_init__", counting(cls))
+    for cached in (enumerate_subgroups, annihilator, _family):
+        cached.cache_clear()
+    group = parse_group(name)
+    members = enumerate_kd_positive_pure(group)
+    assert len(members) == group.order * len(enumerate_subgroups(group))
+    assert 0 < counts[Element] <= group.order
+    assert 0 < counts[Character] <= group.order
 
 
 def test_family_size_formula(battery_group):

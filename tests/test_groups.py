@@ -216,6 +216,17 @@ def test_subgroup_lattice_is_pinned_and_self_dual(spec):
     assert {annihilator(group, s).elements for s in subgroups} == lattice
 
 
+@pytest.mark.parametrize("spec", BATTERY + list(PINNED_LATTICES))
+def test_lattice_and_annihilators_match_the_validating_constructor(spec):
+    # enumerate_subgroups and annihilator skip Subgroup's checks; each of
+    # their results must be what the public constructor accepts and builds
+    group = parse_group(spec)
+    for sub in enumerate_subgroups(group):
+        for built in (sub, annihilator(group, sub)):
+            assert built == Subgroup(group, built.elements)
+            assert all(type(i) is int for i in built.elements)
+
+
 def test_cyclic_subgroup_count_is_divisor_count():
     for n in [2, 3, 4, 6, 8, 9, 12]:
         group = parse_group(f"Z{n}")
