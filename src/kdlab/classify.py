@@ -121,9 +121,9 @@ class _Family:
     ``members`` run in family order: subgroup, then element coset, then
     character coset.  Row i of the read-only ``vectors`` is member i's
     vector, which views it.  ``cosets`` holds per subgroup H
-    ``(g_reps, chi_reps, g_ind, chi_ind)``: the minimal-index
-    representatives and 0/1 indicators of G/H and of dual(G)/ann(H), so
-    ``g_ind[0]`` marks H and ``chi_ind[0]`` ann(H).
+    ``(g_ind, chi_ind)``: the 0/1 indicators of G/H and of dual(G)/ann(H),
+    one row per coset in family order, so ``g_ind[0]`` marks H and
+    ``chi_ind[0]`` ann(H).
 
     Member (H, g, chi) has the KD table row (x) col, the 0/1 rectangle
     (g + H) x (chi * ann(H)), so the geometry needs only the indicator
@@ -132,23 +132,26 @@ class _Family:
     ((R T) * C).sum(1) / |G|; a combination lam has the table
     (R^T diag(lam)) C; and two rectangles overlap in the product of their
     row and column overlaps, so the Gram columns of members idx are
-    (R R[idx]^T) * (C C[idx]^T) / |G|, exact overlap counts / |G|.
+    (R R[idx]^T) * (C C[idx]^T) / |G|, exact overlap counts / |G|.  The
+    minimum-norm span coefficients of T are pair(F(F(T) / N)), with F the
+    symplectic Fourier transform and N(g, chi) the number of subgroups H
+    with g in H and chi in ann(H) (see `fragment.span_membership`).
     """
 
     group: FiniteAbelianGroup
     members: tuple[KdPureState, ...] = field(repr=False)
     vectors: np.ndarray = field(repr=False)
-    cosets: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
+    cosets: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
     @cached_property
     def R(self) -> np.ndarray:
         """(n, |G|) 0/1 indicators of g + H, family order."""
-        return np.concatenate([np.repeat(g, len(chi), axis=0) for _, _, g, chi in self.cosets], dtype=float)
+        return np.concatenate([np.repeat(g, len(chi), axis=0) for g, chi in self.cosets], dtype=float)
 
     @cached_property
     def C(self) -> np.ndarray:
         """(n, |G|) 0/1 indicators of chi * ann(H), family order."""
-        return np.concatenate([np.tile(chi, (len(g), 1)) for _, _, g, chi in self.cosets], dtype=float)
+        return np.concatenate([np.tile(chi, (len(g), 1)) for g, chi in self.cosets], dtype=float)
 
     def pair(self, table: np.ndarray) -> np.ndarray:
         """HS inner products <Pi_i, A> of every member with A, from A's real KD table."""
@@ -188,7 +191,7 @@ def _family(group: FiniteAbelianGroup) -> _Family:
     members, cosets = [], []
     for h, block in zip(subgroups, vectors.reshape(len(subgroups), d, d)):
         (g_reps, g_ind), (chi_reps, chi_ind) = sides[h.elements], sides[dual[h.elements]]
-        cosets.append((g_reps, chi_reps, g_ind, chi_ind))
+        cosets.append((g_ind, chi_ind))
         rows = _coset_vectors(block.reshape(len(g_reps), len(chi_reps), d), h, g_ind, chi_reps)
         rows.setflags(write=False)
         chis = [characters[c] for c in chi_reps.tolist()]

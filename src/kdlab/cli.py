@@ -105,8 +105,6 @@ def _tolerances(args) -> Tolerances:
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
-    if isinstance(value, complex):
-        return f"{value.real:.6g}{value.imag:+.6g}i"
     if isinstance(value, (list, tuple)):
         return "(" + ", ".join(_fmt(v) for v in value) + ")"
     return str(value)
@@ -123,15 +121,13 @@ def _render_table(payload, indent: str = "") -> str:
                 lines.append(_render_table(value, indent + "  "))
             else:
                 lines.append(f"{indent}{str(key).ljust(width)}  {_fmt(value)}")
-    elif isinstance(payload, list):
+    else:
         for i, item in enumerate(payload):
             if isinstance(item, (dict, list)):
                 lines.append(f"{indent}[{i}]")
                 lines.append(_render_table(item, indent + "  "))
             else:
                 lines.append(f"{indent}{_fmt(item)}")
-    else:
-        lines.append(f"{indent}{_fmt(payload)}")
     return "\n".join(lines)
 
 

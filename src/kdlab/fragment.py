@@ -9,9 +9,10 @@ inside the set where chi(g) = 1).
 Geometry lives in KD-table coordinates: the KD map is unitary, so the
 Hilbert-Schmidt inner product of A and B is sum(conj(KD_A) KD_B) / |G|,
 and family tables are exact 0/1 rectangles, held as the two coset
-indicator stacks of the family record (see `classify._Family`).  The
-hull solver forms only the Gram columns of its passive set.  The span
-solve needs no Gram matrix at all: under the symplectic Fourier transform
+indicator stacks of the family record (see `classify._Family`), and
+both solvers read them through its `pair` and `combine`.  The hull
+solver forms only the Gram columns of its passive set.  The span solve
+needs no Gram matrix at all: under the symplectic Fourier transform
 each rectangle becomes a character product on H x ann(H), so the
 family's Gram operator is diagonal there.
 
@@ -75,11 +76,7 @@ def is_kd_real(op: Operator, tol: Tolerances = DEFAULT) -> KdRealResult:
     group = op.group
     direct = float(np.max(np.abs(_kd_table(group, op.kernel).imag)))
     support_values = char_fn(op, "standard0").values
-    off_support = group.char_phase.T != 0
-    if off_support.any():
-        support = float(np.max(np.abs(support_values[off_support])))
-    else:
-        support = 0.0
+    support = float(np.max(np.abs(support_values[group.char_phase.T != 0]), initial=0.0))
     verdict_direct = direct <= tol.structural
     verdict_support = support <= tol.structural
     return KdRealResult(
@@ -166,19 +163,14 @@ def span_membership(op: Operator, tol: Tolerances = DEFAULT) -> MembershipResult
     group = op.group
     family = _family(group)
     table = _kd_table(group, op.kernel)
-    # The symplectic Fourier transform F of member (H, a, b)'s rectangle is
-    # chi(a) conj(b(g)) on H x ann(H) and zero elsewhere, so in F coordinates
-    # the Gram operator A A^T is diagonal, |G| N(g, chi), with N counting the
-    # subgroups H that hold g and have chi in ann(H).  The minimum-norm
-    # coefficients A^T (A A^T)^+ T are F(T) / N transformed back on each
-    # H x ann(H) and read at the rectangle's corner (a, b).
-    X = group.char_table
-    parts = [(g_ind[0], chi_ind[0], a, b) for a, b, g_ind, chi_ind in family.cosets]
-    counts = sum(np.outer(h, ann) for h, ann, _, _ in parts)
+    # With F the symplectic Fourier transform, its own inverse, A A^T is
+    # diagonal under F, |G| N(g, chi), with N counting the subgroups H that
+    # hold g and have chi in ann(H); and A^T Y = |G| family.pair(Y).  So the
+    # minimum-norm coefficients A^T (A A^T)^+ T are pair(F(F(T) / N)).
+    counts = sum(np.outer(g_ind[0], chi_ind[0]) for g_ind, chi_ind in family.cosets)
     fhat = symplectic_fourier(PhaseSpaceFunction(group, table.real)).values
     q = np.divide(fhat, counts, out=np.zeros_like(fhat), where=counts > 0)
-    coeffs = np.concatenate([(X[np.ix_(b, h)] @ q[np.ix_(h, ann)] @ X[np.ix_(ann, a)].conj()).real.T.ravel()
-                             for h, ann, a, b in parts]) / group.order
+    coeffs = family.pair(symplectic_fourier(PhaseSpaceFunction(group, q)).values.real)
     rank = np.count_nonzero(counts)
     r = table - family.combine(coeffs)
     residual = float(np.linalg.norm(r)) / np.sqrt(group.order)

@@ -223,7 +223,7 @@ class Element:
     def __post_init__(self):
         object.__setattr__(self, "residues", _residue_tuple(self.group, self.residues, "residues"))
 
-    @property
+    @cached_property
     def index(self) -> int:
         return self.group.index_of(self.residues)
 
@@ -251,7 +251,7 @@ class Character:
     def __post_init__(self):
         object.__setattr__(self, "label", _residue_tuple(self.group, self.label, "label"))
 
-    @property
+    @cached_property
     def index(self) -> int:
         return self.group.index_of(self.label)
 

@@ -12,7 +12,15 @@ from kdlab.classify import (
     recognize_kd_positive_pure,
 )
 from kdlab.errors import GroupMismatchError, PreconditionError
-from kdlab.groups import Character, Element, Subgroup, annihilator, enumerate_subgroups, parse_group
+from kdlab.groups import (
+    Character,
+    Element,
+    FiniteAbelianGroup,
+    Subgroup,
+    annihilator,
+    enumerate_subgroups,
+    parse_group,
+)
 from kdlab.harmonic import GFunction
 from kdlab.kd import kd
 from kdlab.weyl import WHElement, wh_conjugate
@@ -78,6 +86,28 @@ def test_family_checks_each_element_and_character_once(name, monkeypatch):
     assert len(members) == group.order * len(enumerate_subgroups(group))
     assert 0 < counts[Element] <= group.order
     assert 0 < counts[Character] <= group.order
+
+
+def test_hashing_the_family_computes_each_index_once(monkeypatch):
+    # a member's key reads its Element's and Character's index; the members
+    # share one of each per index, and each computes its index once
+    calls = []
+    index_of = FiniteAbelianGroup.index_of
+
+    def counting(self, residues):
+        calls.append(residues)
+        return index_of(self, residues)
+
+    for cached in (enumerate_subgroups, annihilator, _family):
+        cached.cache_clear()
+    group = parse_group("Z6xZ6")
+    members = enumerate_kd_positive_pure(group)
+    monkeypatch.setattr(FiniteAbelianGroup, "index_of", counting)
+    assert len(set(members)) == len(members)
+    assert len(calls) <= 2 * group.order
+    calls.clear()
+    set(members)
+    assert calls == []
 
 
 def test_family_size_formula(battery_group):

@@ -33,7 +33,7 @@ from kdlab.fragment import (
 from kdlab.groups import annihilator, coset_reps, enumerate_subgroups, parse_group
 from kdlab.harmonic import GFunction
 from kdlab.jsonio import encode_array
-from kdlab.kd import _kd_table, multiplication_operator
+from kdlab.kd import _kd_table, char_fn, multiplication_operator
 from kdlab.operators import Operator, check_state
 from kdlab.tolerances import DEFAULT, Tolerances
 from kdlab.verify import verify_group
@@ -81,6 +81,13 @@ def test_kd_real_family_projectors(battery_group):
         result = is_kd_real(member.projector())
         assert result.is_real
         assert result.methods_agree
+
+
+def test_kd_real_on_the_trivial_group():
+    # Z1 has no point with chi(g) != 1: the support route reads nothing
+    result = is_kd_real(Operator.identity(parse_group("Z1")))
+    assert result.is_real
+    assert result.support_violation == 0.0
 
 
 def test_kd_real_requires_hermitian():
@@ -476,7 +483,7 @@ def test_hull_membership_on_a_large_family_holds_only_the_indicators():
 
 def test_span_membership_on_a_large_family_stacks_no_tables():
     # Z2^5: the 11 968 stacked member tables would take 98 MB; the solve
-    # reads the coset labels and the two indicator stacks only
+    # reads the H and ann(H) indicators and the two indicator stacks only
     group = parse_group("Z2xZ2xZ2xZ2xZ2")
     d = group.order
     family = enumerate_kd_positive_pure(group)
@@ -498,6 +505,35 @@ def test_span_membership_on_a_large_family_stacks_no_tables():
     weights = span_membership(inside).weights
     every = np.stack([m.vector.values for m in family])
     rebuilt = (every.T * weights) @ every.conj() / d
+    assert np.max(np.abs(rebuilt - inside.matrix)) <= 1e-8
+
+
+@pytest.mark.parametrize("name", BATTERY + ["Z64", "Z128", "Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z6xZ6"])
+def test_span_residual_is_the_off_support_characteristic_mass(name):
+    # The span is the KD-real operators, whose bare characteristic function
+    # vanishes where chi(g) != 1; projecting onto them zeroes exactly that
+    # mass, so the residual is its norm, read here without the family.
+    group = parse_group(name)
+    off_support = group.char_phase.T != 0
+    rng = np.random.default_rng(241)
+    for _ in range(3):
+        op = random_hermitian(group, rng)
+        c = char_fn(op, "standard0").values
+        expected = np.sqrt(np.sum(np.abs(c[off_support]) ** 2) / group.order)
+        result = span_membership(op)
+        assert abs(result.residual - expected) <= 1e-12 * max(1.0, expected)
+    if group.order < 64:
+        return
+    # Z64 and Z128 take the FFT route of the transforms
+    family = enumerate_kd_positive_pure(group)
+    picks = rng.choice(len(family), size=4, replace=False)
+    vectors = np.stack([family[i].vector.values for i in picks])
+    inside = Operator.from_matrix(group, (vectors.T * rng.normal(size=4)) @ vectors.conj() / group.order)
+    result = span_membership(inside)
+    assert result.verdict == "inside"
+    assert result.span_dimension == kd_real_dimension(group)
+    every = np.stack([m.vector.values for m in family])
+    rebuilt = (every.T * result.weights) @ every.conj() / group.order
     assert np.max(np.abs(rebuilt - inside.matrix)) <= 1e-8
 
 

@@ -90,6 +90,25 @@ def test_element_index_roundtrip(battery_group):
         assert group.index_of(el.residues) == i
 
 
+Z4, Z2XZ2 = FiniteAbelianGroup((4,)), FiniteAbelianGroup((2, 2))
+REJECTIONS = {
+    "no-factor": (lambda: FiniteAbelianGroup(()), "at least one cyclic factor"),
+    "factor-1-in-product": (lambda: FiniteAbelianGroup((3, 1)), "at least 2"),
+    "element-index-past-order": (lambda: Z4.element_by_index(4), "out of range"),
+    "negative-character-index": (lambda: Z4.character_by_index(-1), "out of range"),
+    "short-residues": (lambda: Element(Z2XZ2, (1,)), "length does not match"),
+    "long-label": (lambda: Character(Z2XZ2, (0, 0, 1)), "length does not match"),
+    "residue-past-modulus": (lambda: Element(Z4, (4,)), "out of range"),
+    "negative-label": (lambda: Character(Z4, (-1,)), "out of range"),
+}
+
+
+@pytest.mark.parametrize("make,message", list(REJECTIONS.values()), ids=list(REJECTIONS))
+def test_constructors_reject_malformed_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_mixed_group_arithmetic_rejected():
     a = parse_group("Z4").element([1])
     b = parse_group("Z2xZ2").element([1, 0])
