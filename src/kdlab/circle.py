@@ -7,9 +7,11 @@ matrix c[k, l] of sum c_{kl} |k><l|.  Its phase-space table has the
 closed form KD_A(z, m) = sum_k c_{km} z^{k-m}, a trigonometric
 polynomial in z of degree at most 2K.  The negativity search reports the
 extremes of the table on a uniform grid of more than 4K points (one
-alias-free inverse FFT per column), refined locally; it certifies no
-bound, since a dip between grid points can be missed.  Classicality is
-decided exactly, by the diagonal test, not by the search.
+alias-free inverse FFT per column), each refined by a few safeguarded
+Newton steps on its column polynomial within one grid spacing of its
+grid point; it certifies no bound, since a dip between grid points can
+be missed.  Classicality is decided exactly, by the diagonal test, not by
+the search.
 """
 from __future__ import annotations
 
@@ -117,38 +119,70 @@ class NegativitySearchResult:
         }
 
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-
 # Cells (2K + 1) * grid of the negativity scan, at most: each complex array
 # of the scan then holds at most 64 MiB.  At the smallest grid, 4K + 4, the
 # bound admits band limits up to K = 723.
 MAX_SCAN_CELLS = 2**22
 
+# The bracket sample that starts each refinement has 2 * _HALF_SAMPLE + 1
+# evenly spaced points; the middle one is the grid point itself.
+_HALF_SAMPLE = 4
 
-def _refine(fun, theta0: float, spacing: float) -> tuple[float, float]:
-    """Minimize a smooth 2pi-periodic function near a grid minimizer.
 
-    Golden-section search on [theta0 - spacing, theta0 + spacing] down to
-    a bracket of 1e-14; the grid point wins unless the search found a
-    strictly lower value, so a constant column reports the grid point.
+def _taylor(terms: np.ndarray, ifreqs: np.ndarray, theta) -> np.ndarray:
+    """Value, slope and curvature of Re sum_j a_j e^{i q_j theta}.
+
+    ``terms`` stacks a_j, i q_j a_j and -q_j^2 a_j as its three columns and
+    ``ifreqs`` holds i q_j; ``theta`` is one angle or an array of them, and
+    the three numbers run along the last axis of the result.
     """
-    a, b = theta0 - spacing, theta0 + spacing
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > 1e-14:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fun(d)
-    theta, value = (float(c), float(fc)) if fc < fd else (float(d), float(fd))
-    grid_value = float(fun(theta0))
-    if grid_value <= value:
-        return theta0, grid_value
-    return theta, value
+    return (np.exp(np.multiply.outer(theta, ifreqs)) @ terms).real
+
+
+def _column(op: BandLimitedOperator, mode: int, weight: complex):
+    """Taylor evaluator of Re(weight * KD_A(e^{i theta}, mode)), for ``_refine``."""
+    q = np.arange(-op.K, op.K + 1) - mode
+    a = weight * op.coeffs[:, mode + op.K]
+    terms = np.stack([a, 1j * q * a, -(q * q) * a], axis=1)
+    ifreqs = 1j * q
+    return lambda theta: _taylor(terms, ifreqs, theta)
+
+
+def _refine(taylor, theta0: float, spacing: float) -> tuple[float, float]:
+    """Minimize a smooth function on [theta0 - spacing, theta0 + spacing].
+
+    ``taylor(theta)`` returns value, slope and curvature along its last
+    axis, for one angle or an array of them.  The search starts from the
+    lowest of 2 * ``_HALF_SAMPLE`` + 1 evenly spaced bracket points, the
+    grid point winning ties, and takes safeguarded Newton steps: each
+    step stays in the bracket and is taken only if it lowers the value,
+    else it is halved; where the curvature is not positive the step
+    heads downhill to the bracket edge.  It stops once a step's
+    first-order change falls below the rounding of the sampled values,
+    so a constant function reports the grid point.  Returns the angle
+    and its value.
+    """
+    lo, hi = theta0 - spacing, theta0 + spacing
+    # The middle offset is exactly 0, so the grid point is sampled as given.
+    offsets = spacing / _HALF_SAMPLE * np.arange(-_HALF_SAMPLE, _HALF_SAMPLE + 1)
+    sample = taylor(theta0 + offsets)
+    best = int(np.argmin(sample[:, 0]))
+    if sample[_HALF_SAMPLE, 0] <= sample[best, 0]:
+        best = _HALF_SAMPLE
+    noise = np.finfo(float).eps * float(np.max(np.abs(sample[:, 0])))
+    theta = theta0 + offsets[best]
+    value, slope, curvature = sample[best]
+    while True:
+        step = -slope / curvature if curvature > 0 else -np.copysign(spacing, slope)
+        trial = min(max(theta + step, lo), hi)
+        while abs(slope * (trial - theta)) > noise:
+            at_trial = taylor(trial)
+            if at_trial[0] < value:
+                break
+            trial = theta + (trial - theta) / 2
+        else:  # no step is left above rounding
+            return float(theta), float(value)
+        theta, (value, slope, curvature) = trial, at_trial
 
 
 def circle_negativity_search(
@@ -156,13 +190,16 @@ def circle_negativity_search(
 ) -> NegativitySearchResult:
     """Scan the phase-space table for imaginary parts and negative reals.
 
-    Reports the worst grid values, each sharpened by bounded local
-    minimization around its grid point.  The grid holds more points than
-    the 4K + 1 frequencies k - m of a column, so one unscaled inverse DFT
-    per column evaluates every grid value without aliasing.  The result
-    is no certificate: a deeper minimum between other grid points is not
-    seen, so a violation of zero does not prove a nonnegative table.
-    The scan holds (2K + 1) * grid_size cells, at most ``MAX_SCAN_CELLS``.
+    Reports the worst grid values, each sharpened by a few safeguarded
+    Newton steps on its column polynomial within one grid spacing of its
+    grid point (for |Im|, on s Im with s the sign at the grid point); the
+    grid point wins ties, and each reported value is ``circle_kd_eval``
+    at the reported angle.  The grid holds more points than the 4K + 1
+    frequencies k - m of a column, so one unscaled inverse DFT per column
+    evaluates every grid value without aliasing.  The result is no
+    certificate: a deeper minimum between other grid points is not seen,
+    so a violation of zero does not prove a nonnegative table.  The scan
+    holds (2K + 1) * grid_size cells, at most ``MAX_SCAN_CELLS``.
     """
     grid_size = integer(grid_size, "grid size", 4 * op.K + 4)
     cells = (2 * op.K + 1) * grid_size
@@ -181,21 +218,22 @@ def circle_negativity_search(
     real_row, j_real = divmod(int(np.argmin(values.real)), grid_size)
     imag_mode, real_mode = imag_row - op.K, real_row - op.K
     spacing = 2.0 * np.pi / grid_size
-    imag_angle, neg_imag = _refine(
-        lambda t: -abs(circle_kd_eval(op, imag_mode, np.exp(1j * t)).imag),
-        2.0 * np.pi * j_imag / grid_size, spacing,
-    )
-    real_angle, min_real = _refine(
-        lambda t: circle_kd_eval(op, real_mode, np.exp(1j * t)).real,
-        2.0 * np.pi * j_real / grid_size, spacing,
-    )
+
+    def refined(mode, weight, j):
+        # Re(i s f) = -s Im f, so weight 1j * s maximizes s Im f.
+        theta, _ = _refine(_column(op, mode, weight), 2.0 * np.pi * j / grid_size, spacing)
+        theta %= 2.0 * np.pi
+        return theta, circle_kd_eval(op, mode, np.exp(1j * theta))
+
+    imag_angle, at_imag = refined(imag_mode, 1j * np.sign(values[imag_row, j_imag].imag), j_imag)
+    real_angle, at_real = refined(real_mode, 1.0, j_real)
     return NegativitySearchResult(
-        max_abs_imag=-neg_imag,
+        max_abs_imag=abs(at_imag.imag),
         imag_mode=imag_mode,
-        imag_angle=imag_angle % (2.0 * np.pi),
-        min_real=min_real,
+        imag_angle=imag_angle,
+        min_real=at_real.real,
         real_mode=real_mode,
-        real_angle=real_angle % (2.0 * np.pi),
+        real_angle=real_angle,
         grid_size=grid_size,
     )
 

@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kdlab.circle
 from kdlab.circle import (
     MAX_SCAN_CELLS,
     BandLimitedOperator,
+    _column,
     _refine,
     circle_is_classical,
     circle_kd_eval,
@@ -192,9 +194,10 @@ def _dense_table(op, grid_size):
     return np.array(rows)
 
 
-def _refined_from(op, mode, part, j, grid_size):
-    return _refine(lambda t: part(circle_kd_eval(op, mode, np.exp(1j * t))),
-                   2.0 * np.pi * j / grid_size, 2.0 * np.pi / grid_size)
+def _refined_from(op, mode, weight, part, j, grid_size):
+    theta, _ = _refine(_column(op, mode, weight), 2.0 * np.pi * j / grid_size, 2.0 * np.pi / grid_size)
+    theta %= 2.0 * np.pi
+    return theta, part(circle_kd_eval(op, mode, np.exp(1j * theta)))
 
 
 @pytest.mark.parametrize("K", range(9))
@@ -208,10 +211,11 @@ def test_scan_matches_dense_reference(K):
         for grid in (4 * K + 4, 4 * K + 5, 64):
             values = _dense_table(op, grid)
             result = circle_negativity_search(op, grid)
-            for score, mode, angle, extreme, part in (
-                (-np.abs(values.imag), result.imag_mode, result.imag_angle,
-                 -result.max_abs_imag, lambda v: -abs(v.imag)),
-                (values.real, result.real_mode, result.real_angle,
+            # |Im| is refined as s Im, s the sign at the grid point: weight 1j * s
+            for score, weight, mode, angle, extreme, part in (
+                (-np.abs(values.imag), lambda v: 1j * np.sign(v.imag), result.imag_mode,
+                 result.imag_angle, -result.max_abs_imag, lambda v: -abs(v.imag)),
+                (values.real, lambda v: 1.0, result.real_mode, result.real_angle,
                  result.min_real, lambda v: v.real),
             ):
                 row, j = divmod(int(np.argmin(score)), grid)
@@ -223,7 +227,9 @@ def test_scan_matches_dense_reference(K):
                 assert any(
                     abs(value - extreme) <= 1e-13
                     and abs(np.angle(np.exp(1j * (theta - angle)))) <= 1e-13
-                    for theta, value in (_refined_from(op, mode, part, t, grid) for t in ties)
+                    for theta, value in (
+                        _refined_from(op, mode, weight(values[row, t]), part, t, grid) for t in ties
+                    )
                 ), (grid, mode, angle, extreme)
 
 
@@ -355,13 +361,25 @@ def test_refine_reaches_minimum_between_grid_points():
         u = t - 0.1
         return -np.cos(u) + 0.3 * np.cos(2.0 * u)
 
+    def taylor(t):
+        u = np.asarray(t) - 0.1
+        return np.stack([fun(t), np.sin(u) - 0.6 * np.sin(2.0 * u),
+                         np.cos(u) - 1.2 * np.cos(2.0 * u)], axis=-1)
+
     grid = 2.0 * np.pi * np.arange(24) / 24
     theta0 = float(grid[np.argmin(fun(grid))])
-    theta, value = _refine(fun, theta0, 2.0 * np.pi / 24)
+    theta, value = _refine(taylor, theta0, 2.0 * np.pi / 24)
     assert value == pytest.approx(-43.0 / 60.0, abs=1e-12)
     assert value == fun(theta) < fun(theta0)
     u = np.angle(np.exp(1j * (theta - 0.1)))
     assert abs(abs(u) - np.arccos(5.0 / 6.0)) <= 1e-7
+
+
+def _gaussian_well(t, depth, center, width):
+    # -depth exp(-x^2) with x = (t - center) / width: slope and curvature
+    x = (np.asarray(t) - center) / width
+    e = depth * np.exp(-x * x)
+    return 2.0 * x / width * e, 2.0 / width**2 * (1.0 - 2.0 * x * x) * e
 
 
 def test_refine_never_returns_above_the_grid_point():
@@ -372,12 +390,24 @@ def test_refine_never_returns_above_the_grid_point():
     def exact(t):
         return 1.0 - np.cos(t - 1.0)
 
-    assert _refine(exact, 1.0, h)[1] <= exact(1.0) == 0.0
+    def exact_taylor(t):
+        u = np.asarray(t) - 1.0
+        return np.stack([exact(t), np.sin(u), np.cos(u)], axis=-1)
+
+    assert _refine(exact_taylor, 1.0, h)[1] <= exact(1.0) == 0.0
 
     def wells(t):
         return -np.exp(-((t / (0.05 * h)) ** 2)) - 0.5 * np.exp(-(((t - 0.7 * h) / (0.2 * h)) ** 2))
 
-    assert _refine(wells, 0.0, h) == (0.0, wells(0.0))
+    def wells_taylor(t):
+        narrow, wide = _gaussian_well(t, 1.0, 0.0, 0.05 * h), _gaussian_well(t, 0.5, 0.7 * h, 0.2 * h)
+        return np.stack([wells(t), narrow[0] + wide[0], narrow[1] + wide[1]], axis=-1)
+
+    # The wide well's tail tilts the narrow one: its minimum lies about
+    # 1e-8 from the grid point and 4e-12 below it, and is what is found.
+    theta, value = _refine(wells_taylor, 0.0, h)
+    assert value == wells(theta) <= wells(0.0)
+    assert abs(theta) <= 1e-7
 
 
 def test_constant_columns_report_the_grid_point():
@@ -386,6 +416,59 @@ def test_constant_columns_report_the_grid_point():
     result = circle_negativity_search(geometric_state(0.3, 64), 260)
     assert result.real_angle == result.imag_angle == 0.0
     assert result.violation <= 1e-12
+
+
+def test_refinement_never_loses_to_a_dense_bracket_sample():
+    # Each extreme is at least as good as the best of 4097 direct
+    # evaluations across the bracket of the grid point it was refined from.
+    rng = np.random.default_rng(701)
+    for case in range(240):
+        K = int(rng.integers(0, 13))
+        n = 2 * K + 1
+        if case % 3 == 0:
+            op = BandLimitedOperator.from_diagonal(K, rng.normal(size=n))
+        else:
+            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            op = BandLimitedOperator(K, (x + x.conj().T) / 2)
+        grid = (4 * K + 4, 4 * K + 5, 64)[case // 3 % 3]
+        result = circle_negativity_search(op, grid)
+        margin = 1e-12 * np.sum(np.abs(op.coeffs))
+        values = _dense_table(op, grid)
+        spacing = 2.0 * np.pi / grid
+        k = np.arange(-K, K + 1)
+        for mode, angle, score, part, reported in (
+            (result.real_mode, result.real_angle, values.real, lambda v: v.real, result.min_real),
+            (result.imag_mode, result.imag_angle, -np.abs(values.imag), lambda v: -abs(v.imag),
+             -result.max_abs_imag),
+        ):
+            assert reported == part(circle_kd_eval(op, mode, np.exp(1j * angle)))
+            row = score[mode + K]
+            # the grid point refined from: an extreme of its row whose
+            # bracket holds the reported angle
+            j = next(j for j in np.flatnonzero(row <= row.min() + 1e-12)
+                     if abs(np.angle(np.exp(1j * (angle - 2.0 * np.pi * j / grid)))) <= spacing)
+            theta = 2.0 * np.pi * j / grid + np.linspace(-spacing, spacing, 4097)
+            dense = part(np.exp(1j * np.outer(theta, k - mode)) @ op.coeffs[:, mode + K])
+            assert reported <= dense.min() + margin, (case, K, grid, mode)
+
+
+def test_refinement_makes_few_column_evaluations(monkeypatch):
+    # every value, slope and curvature the refiner reads comes from _taylor
+    calls = []
+    evaluate = kdlab.circle._taylor
+
+    def counting(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    monkeypatch.setattr(kdlab.circle, "_taylor", counting)
+    circle_negativity_search(geometric_state(0.3, 64), 260)
+    assert len(calls) <= 4
+    calls.clear()
+    rng = np.random.default_rng(703)
+    x = rng.normal(size=(129, 129)) + 1j * rng.normal(size=(129, 129))
+    circle_negativity_search(BandLimitedOperator(64, (x + x.conj().T) / 2), 260)
+    assert len(calls) <= 20
 
 
 def test_import_leaves_scipy_unloaded():
