@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import NotHermitianError, PreconditionError
 from .jsonio import (
-    decode_array, encode_array, finite_array, hermitian_defect, integer, json_number, unit_phase,
+    decode_array, encode_array, finite_array, hermitian_defect, integer, json_number, json_object,
+    unit_phase,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -71,6 +72,7 @@ class BandLimitedOperator:
 
     @classmethod
     def from_json(cls, payload: dict) -> "BandLimitedOperator":
+        payload = json_object(payload, ("K", "coeffs"))
         # a non-integer K is a malformed payload, a negative one a precondition
         K = integer(json_number(payload["K"], (int,)), "band limit", 0)
         return cls(K, decode_array(payload["coeffs"], (2 * K + 1, 2 * K + 1)))
@@ -185,6 +187,24 @@ def _refine(taylor, theta0: float, spacing: float) -> tuple[float, float]:
         theta, (value, slope, curvature) = trial, at_trial
 
 
+def _spectrum(rows: np.ndarray, grid_size: int) -> np.ndarray:
+    """(n, grid_size) array whose row r holds rows[r, k] at (k - r) mod grid_size.
+
+    ``rows`` is n x n and grid_size is at least n + 1.  One buffer is
+    read two ways: as the spectrum, and as a skewed view whose row r
+    starts r cells early, so its cell (r, k) is spectrum[r, k - r].
+    Entries with k >= r land in place; an entry with k < r wraps to the
+    end of spectrum row r, which is cell (r + 1, k + 1) of the view.
+    """
+    n = rows.shape[0]
+    flat = np.zeros((n + 1) * (grid_size - 1), dtype=complex)
+    skewed = flat.reshape(n + 1, grid_size - 1)[:, :n]
+    wraps = np.tri(n, k=-1, dtype=bool)     # k < r
+    np.copyto(skewed[:-1], rows, where=~wraps)
+    np.copyto(skewed[1:, 1:], rows[:, :-1], where=wraps[:, :-1])
+    return flat[: n * grid_size].reshape(n, grid_size)
+
+
 def circle_negativity_search(
     op: BandLimitedOperator, grid_size: int
 ) -> NegativitySearchResult:
@@ -208,11 +228,8 @@ def circle_negativity_search(
             f"grid size {grid_size} over {2 * op.K + 1} modes makes {cells} cells, "
             f"above the scan bound {MAX_SCAN_CELLS}"
         )
-    # Row m + K holds c_{km} at frequency (k - m) mod grid_size.
-    rows = np.arange(2 * op.K + 1)
-    spectrum = np.zeros((rows.size, grid_size), dtype=complex)
-    spectrum[rows[:, None], (rows[None, :] - rows[:, None]) % grid_size] = op.coeffs.T
-    values = np.fft.ifft(spectrum, axis=1, norm="forward")
+    # Row m + K holds c_{km} at frequency k - m.
+    values = np.fft.ifft(_spectrum(op.coeffs.T, grid_size), axis=1, norm="forward")
     # Row-major order: ties go to the lowest mode, then the lowest angle.
     imag_row, j_imag = divmod(int(np.argmax(np.abs(values.imag))), grid_size)
     real_row, j_real = divmod(int(np.argmin(values.real)), grid_size)

@@ -135,7 +135,8 @@ class _Family:
     (R R[idx]^T) * (C C[idx]^T) / |G|, exact overlap counts / |G|.  The
     minimum-norm span coefficients of T are pair(F(F(T) / N)), with F the
     symplectic Fourier transform and N(g, chi) the number of subgroups H
-    with g in H and chi in ann(H) (see `fragment.span_membership`).
+    with g in H and chi in ann(H), also built on first use (see
+    `fragment.span_membership`).
     """
 
     group: FiniteAbelianGroup
@@ -152,6 +153,13 @@ class _Family:
     def C(self) -> np.ndarray:
         """(n, |G|) 0/1 indicators of chi * ann(H), family order."""
         return np.concatenate([np.tile(chi, (len(g), 1)) for g, chi in self.cosets], dtype=float)
+
+    @cached_property
+    def N(self) -> np.ndarray:
+        """(|G|, |G|) exact integer counts N(g, chi) of the subgroups H with g in H and chi in ann(H)."""
+        h = np.array([g_ind[0] for g_ind, _ in self.cosets], dtype=np.int64)
+        ann = np.array([chi_ind[0] for _, chi_ind in self.cosets], dtype=np.int64)
+        return h.T @ ann
 
     def pair(self, table: np.ndarray) -> np.ndarray:
         """HS inner products <Pi_i, A> of every member with A, from A's real KD table."""

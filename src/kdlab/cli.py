@@ -26,7 +26,7 @@ from .fragment import (
 )
 from .groups import FiniteAbelianGroup, annihilator, enumerate_subgroups, parse_group
 from .harmonic import GFunction
-from .jsonio import dumps
+from .jsonio import dumps, json_object
 from .kd import ORDERINGS, char_fn, kd, kd_inverse
 from .operators import Operator, PhaseSpaceFunction
 from .tolerances import DEFAULT, Tolerances
@@ -76,7 +76,7 @@ def _vector(group: FiniteAbelianGroup):
     """Parser of a vector file: a JSON list of values, or an object with "values"."""
     def parse(text):
         payload = json.loads(text)
-        values = payload.get("values", payload) if isinstance(payload, dict) else payload
+        values = json_object(payload, ("values",))["values"] if isinstance(payload, dict) else payload
         return GFunction.from_json(group, values)
     return parse
 

@@ -28,6 +28,7 @@ projection onto the states is the shift H - sI, PSD by that proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,7 +168,7 @@ def span_membership(op: Operator, tol: Tolerances = DEFAULT) -> MembershipResult
     # diagonal under F, |G| N(g, chi), with N counting the subgroups H that
     # hold g and have chi in ann(H); and A^T Y = |G| family.pair(Y).  So the
     # minimum-norm coefficients A^T (A A^T)^+ T are pair(F(F(T) / N)).
-    counts = sum(np.outer(g_ind[0], chi_ind[0]) for g_ind, chi_ind in family.cosets)
+    counts = family.N
     fhat = symplectic_fourier(PhaseSpaceFunction(group, table.real)).values
     q = np.divide(fhat, counts, out=np.zeros_like(fhat), where=counts > 0)
     coeffs = family.pair(symplectic_fourier(PhaseSpaceFunction(group, q)).values.real)
@@ -187,13 +188,12 @@ def span_membership(op: Operator, tol: Tolerances = DEFAULT) -> MembershipResult
     return MembershipResult("inconclusive", residual, span_dimension=int(rank))
 
 
-# Relative Schur pivot sigma / G_jj, or reciprocal condition number of a warm
-# start's support block, below which the passive columns count as dependent:
-# an inverse taken past it would lose ten of its sixteen digits.
+# Relative Schur pivot sigma / G_jj below which a joining column counts as
+# dependent: an inverse bordered past it would lose ten of its sixteen digits.
 PIVOT_FLOOR = 1e-10
 
 
-def _simplex_nnls(family, corr, lam0=None):
+def _simplex_nnls(family, corr, start=None):
     """Least squares over the probability simplex by active sets.
 
     Minimizes ``||y - A lam||`` subject to ``lam >= 0`` and
@@ -215,42 +215,40 @@ def _simplex_nnls(family, corr, lam0=None):
     and every passive gradient equals nu at a passive-set solution, so
     such a j has slack nu sum_p mu_p - nu = 0 and never joins.  Hence a
     joining pivot sigma / G_jj at or below ``PIVOT_FLOOR`` ends the
-    solve unconverged, and a warm start whose support block is that
-    badly conditioned, as no output of this solver is, restarts cold.
+    solve unconverged.
 
     Parameters
     ----------
     family : the members, such as the family record; every member
         has unit trace and unit norm, and no overlap exceeds one
     corr : (n,) precomputed A^T Re(y)
-    lam0 : (n,) optional feasible start (nonnegative, summing to one),
-        such as the solution for a nearby target.  Its support is the
-        initial passive set, so a good guess needs few subproblem
-        solves.  The residual reached does not depend on it; the
-        weights may, where the optimum is not unique.  Without it the
-        search starts from the single best vertex.
+    start : optional state returned by an earlier solve over the same
+        family, such as the one for a nearby target.  The solve resumes
+        from its weights, passive set, G_P^-1 and buffer, so a good
+        guess needs few subproblem solves and no Gram column is formed
+        twice; it takes over those arrays, so a state serves one warm
+        start.  The residual reached does not depend on it; the weights
+        may, where the optimum is not unique.  Without it the search
+        starts from the single best vertex.
 
-    Returns (weights, converged, iterations), where iterations counts
-    the subproblem solves, at most 50 n + 200.  Callers form the
-    residual from the weights.
+    Returns (weights, converged, iterations, state), where iterations
+    counts the subproblem solves, at most 50 n + 200, and state is the
+    ``start`` of a later solve.  Callers form the residual from the
+    weights.
     """
     n = corr.size
     # The Gram diagonal is all ones and bounds every entry (a rectangle has
     # area |G|, and no overlap of two is larger), so the scale and the best
     # vertex, argmax 2 corr_i - ||Pi_i||^2, need only corr.
     scale = max(1.0, float(np.max(np.abs(corr))))
-    start = int(np.argmax(2.0 * corr - 1.0))
-    if lam0 is not None:
-        passive = np.flatnonzero(lam0)
+    if start is None:
+        passive = np.array([int(np.argmax(2.0 * corr - 1.0))])
+        lam = np.zeros(n)
+        lam[passive] = 1.0
         buffer = family.overlaps(passive)           # Gram columns of the passive set lead it
-    if lam0 is None or np.linalg.cond(buffer[passive]) * PIVOT_FLOOR > 1.0:
-        # a cold start, or a dependent warm start, which restarts cold
-        lam0 = np.zeros(n)
-        lam0[start] = 1.0
-        passive = np.array([start])
-        buffer = family.overlaps(passive)
-    lam = lam0
-    inv = np.linalg.inv(buffer[passive])
+        inv = np.linalg.inv(buffer[passive])
+    else:
+        lam, passive, inv, buffer = start
     converged = False
     iterations = 0
     for iterations in range(1, 50 * n + 201):
@@ -303,7 +301,7 @@ def _simplex_nnls(family, corr, lam0=None):
     total = lam.sum()
     if total > 0:
         lam = lam / total
-    return lam, converged, iterations
+    return lam, converged, iterations, (lam, passive, inv, buffer)
 
 
 def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResult:
@@ -323,7 +321,7 @@ def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResul
         )
     group = rho.group
     family = _family(group)
-    lam, converged, iterations = _simplex_nnls(family, family.pair(table.real))
+    lam, converged, iterations, _ = _simplex_nnls(family, family.pair(table.real))
     # the imaginary part, which no real combination reaches, stays in r
     r = table - family.combine(lam)
     residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
@@ -369,7 +367,7 @@ def _frobenius(matrix: np.ndarray) -> float:
     """``np.linalg.norm`` of a complex matrix, bit for bit, without its dispatch."""
     flat = matrix.reshape(-1)
     re, im = flat.real, flat.imag
-    return float(np.sqrt(re.dot(re) + im.dot(im)))
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _dykstra(group: FiniteAbelianGroup, m0: np.ndarray, max_iter: int, tol: float):
@@ -405,8 +403,8 @@ def _dykstra(group: FiniteAbelianGroup, m0: np.ndarray, max_iter: int, tol: floa
         p += x                  # x + p
         herm = p + p.conj().T
         herm /= 2.0
-        shift = (herm.trace().real - 1.0) / d
-        if anchor is not None and anchor[1] - shift - _frobenius(herm - anchor[0]) > anchor[2]:
+        shift = None if anchor is None else (herm.trace().real - 1.0) / d
+        if shift is not None and anchor[1] - shift - _frobenius(herm - anchor[0]) > anchor[2]:
             y = herm
             y.reshape(-1)[:: d + 1] -= shift
         else:
@@ -581,9 +579,9 @@ def find_conv_gap_witness(
         current = mixed.copy()
         best_score = -np.inf
         best_matrix = None
-        # Consecutive iterates are close, so each hull solve starts from
-        # the previous step's weights.
-        weights = None
+        # Consecutive iterates are close, so each hull solve resumes from
+        # the state the previous step's solve ended in.
+        state = None
         for _ in range(STEPS_PER_DIRECTION):
             if used >= budget:
                 break
@@ -591,7 +589,7 @@ def find_conv_gap_witness(
             stepped = current + STEP_SIZE * w_mat
             current, set_gap, _ = _dykstra(group, stepped, SEARCH_PROJ_ITERS, 1e-12)
             table = _kd_table(group, current * group.order)
-            weights, _, _ = _simplex_nnls(family, family.pair(table.real), lam0=weights)
+            weights, _, _, state = _simplex_nnls(family, family.pair(table.real), start=state)
             hull_residual = float(np.linalg.norm(table - family.combine(weights))) / root_d
             score = hull_residual - 3.0 * set_gap
             if score > best_score:

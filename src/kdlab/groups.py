@@ -37,6 +37,7 @@ from .errors import (
     SubgroupBoundError,
     UnsupportedOrderError,
 )
+from .jsonio import json_object
 
 SUBGROUP_ORDER_BOUND = 512
 
@@ -193,7 +194,7 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteAbelianGroup":
-        return cls(tuple(obj["factors"]))
+        return cls(tuple(json_object(obj, ("factors",))["factors"]))
 
 
 def _residue_tuple(group: FiniteAbelianGroup, values: Iterable, what: str) -> tuple[int, ...]:

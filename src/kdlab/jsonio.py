@@ -10,7 +10,9 @@ Hermitian test reads one relative `hermitian_defect`.  The real parts
 of a file's complex entries and a band file's K are read through
 `json_number`: a bool or a string in a number's place is a malformed
 payload, and an integer too large for a float is a violated
-precondition, as an infinity is.
+precondition, as an infinity is.  Every JSON object of a file, a
+complex pair included, is read through `json_object`, so a key the
+reader does not know is malformed.
 """
 
 from __future__ import annotations
@@ -30,9 +32,23 @@ def encode_complex(z: complex) -> dict:
 
 
 def decode_complex(obj) -> complex:
-    if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
-        raise ValueError(f"expected a {{re, im}} pair, got {obj!r}")
+    obj = json_object(obj, ("re", "im"))    # a missing part is 0
     return finite_complex(json_number(obj.get("re", 0.0)), json_number(obj.get("im", 0.0)))
+
+
+def json_object(obj, keys: tuple[str, ...]) -> dict:
+    """obj if it is a JSON object whose keys all lie in keys; else ValueError.
+
+    Every object a file holds is read through it, so a file of another
+    kind or a misspelled key is refused rather than ignored.  A missing
+    key is left to the lookup that reads it, which raises KeyError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with keys among {list(keys)}, got {type(obj).__name__}")
+    extra = obj.keys() - keys
+    if extra:
+        raise ValueError(f"unexpected key {min(extra, key=str)!r}, expected keys among {list(keys)}")
+    return obj
 
 
 def json_number(value, kinds: tuple[type, ...] = (int, float)):

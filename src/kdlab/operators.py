@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GroupMismatchError, NotAStateError, PreconditionError
 from .groups import FiniteAbelianGroup, _check_group, _wrap
 from .harmonic import GFunction
-from .jsonio import decode_array, encode_array, finite_array, finite_complex, hermitian_defect
+from .jsonio import decode_array, encode_array, finite_array, finite_complex, hermitian_defect, json_object
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -106,6 +106,7 @@ class Operator:
 
     @classmethod
     def from_json(cls, obj: dict, group: FiniteAbelianGroup | None = None) -> "Operator":
+        obj = json_object(obj, ("group", "kernel"))
         declared = FiniteAbelianGroup.from_json(obj["group"])
         if group is not None and group != declared:
             raise GroupMismatchError(f"operator declares {declared}, expected {group}")
@@ -175,6 +176,7 @@ class PhaseSpaceFunction:
 
     @classmethod
     def from_json(cls, obj: dict, group: FiniteAbelianGroup | None = None) -> "PhaseSpaceFunction":
+        obj = json_object(obj, ("group", "values"))
         declared = FiniteAbelianGroup.from_json(obj["group"])
         if group is not None and group != declared:
             raise GroupMismatchError(f"table declares {declared}, expected {group}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Character, Element, FiniteAbelianGroup, _check_group
-from .jsonio import decode_complex, encode_complex, unit_phase
+from .jsonio import decode_complex, encode_complex, json_object, unit_phase
 from .operators import Operator
 
 
@@ -45,6 +45,7 @@ class WHElement:
 
     @classmethod
     def from_json(cls, group: FiniteAbelianGroup, obj: dict) -> "WHElement":
+        obj = json_object(obj, ("g", "chi", "z"))   # z is optional
         z = decode_complex(obj["z"]) if "z" in obj else 1.0 + 0.0j
         return cls(group.element(obj["g"]), group.character(obj["chi"]), z)
 

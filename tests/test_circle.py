@@ -11,6 +11,7 @@ from kdlab.circle import (
     BandLimitedOperator,
     _column,
     _refine,
+    _spectrum,
     circle_is_classical,
     circle_kd_eval,
     circle_negativity_search,
@@ -231,6 +232,26 @@ def test_scan_matches_dense_reference(K):
                         _refined_from(op, mode, weight(values[row, t]), part, t, grid) for t in ties
                     )
                 ), (grid, mode, angle, extreme)
+
+
+def _scattered_spectrum(rows, grid_size):
+    """The fancy-index scatter ``_spectrum`` replaced, with its (2K + 1)^2 modulo index."""
+    r = np.arange(rows.shape[0])
+    spectrum = np.zeros((r.size, grid_size), dtype=complex)
+    spectrum[r[:, None], (r[None, :] - r[:, None]) % grid_size] = rows
+    return spectrum
+
+
+@pytest.mark.parametrize("K", range(13))
+def test_spectrum_matches_the_modulo_scatter_bit_for_bit(K):
+    rng = np.random.default_rng(700 + K)
+    n = 2 * K + 1
+    rows = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rows[rng.random(size=(n, n)) < 0.2] = -0.0     # signed zeros must survive too
+    for grid in (4 * K + 4, 4 * K + 5, 64):
+        ours, theirs = _spectrum(rows, grid), _scattered_spectrum(rows, grid)
+        assert ours.shape == theirs.shape == (n, grid)
+        assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
 
 
 def test_eval_preconditions():

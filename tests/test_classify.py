@@ -25,6 +25,8 @@ from kdlab.harmonic import GFunction
 from kdlab.kd import kd
 from kdlab.weyl import WHElement, wh_conjugate
 
+from conftest import BATTERY
+
 
 FAMILY_SIZES = {"Z2": 4, "Z4": 12, "Z2xZ2": 20, "Z6": 24}
 
@@ -201,6 +203,19 @@ def test_subgroup_annihilator_mass_identity(battery_group):
     for h in enumerate_subgroups(group):
         dual = annihilator(group, h)
         assert (h.order / group.order) * dual.order == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name", BATTERY + ["Z128", "Z3xZ3xZ3xZ3"])
+def test_subgroup_counts_match_the_per_subgroup_sum(name):
+    # N(g, chi) counts the subgroups H with g in H and chi in ann(H); read
+    # here from the lattice and the annihilators, not from the coset stacks
+    group = parse_group(name)
+    expected = np.zeros((group.order, group.order), dtype=np.int64)
+    for h in enumerate_subgroups(group):
+        expected[np.ix_(h.elements, annihilator(group, h).elements)] += 1
+    counts = _family(group).N
+    assert counts.dtype.kind == "i"
+    assert np.array_equal(counts, expected)
 
 
 def test_recognize_position_state_z2():

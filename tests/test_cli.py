@@ -31,7 +31,10 @@ from test_fragment import _off_support_op
 
 def _write(tmp_path, name, payload) -> str:
     path = tmp_path / name
-    path.write_text(dumps(payload) if isinstance(payload, dict) else payload)
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(dumps(payload) if isinstance(payload, dict) else payload)
     return str(path)
 
 
@@ -204,7 +207,8 @@ def _run_with_input(tmp_path, capsys, argv, text):
     return _run(capsys, [files.get(arg, arg) for arg in argv])
 
 
-@pytest.mark.parametrize("case", ["top-level list", "missing key", "wrong entry count"])
+@pytest.mark.parametrize("case", ["top-level list", "missing key", "wrong entry count", "extra key",
+                                  "empty file", "non-UTF-8 bytes"])
 @pytest.mark.parametrize("argv, kind", _FILE_READERS,
                          ids=_FILE_READER_IDS)
 def test_malformed_input_file_is_config_error(tmp_path, capsys, argv, kind, case):
@@ -214,13 +218,22 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys, argv, kind, case
     elif case == "missing key":
         del payload[key]
         text = dumps(payload)
-    else:
+    elif case == "wrong entry count":
         payload[entries] = payload[entries] + payload[entries][:1]
         text = dumps(payload)
+    elif case == "extra key":
+        # every key the reader knows is present, the optional ones too
+        payload["zzz"] = 1
+        text = dumps(payload)
+    elif case == "empty file":
+        text = ""
+    else:
+        text = b"\xff\xfe" + dumps(payload).encode()
     code, out, err = _run_with_input(tmp_path, capsys, argv, text)
     assert code == 1
     assert out == ""
     assert err.startswith("error: invalid ") and "input.json" in err
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
 
 

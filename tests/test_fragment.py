@@ -382,7 +382,8 @@ def test_one_lattice_and_one_family_per_group():
     assert enumerate_subgroups.cache_info().misses == 1
     assert _family.cache_info().misses == 1
     arrays = {name: v.shape for name, v in vars(_family(group)).items() if isinstance(v, np.ndarray)}
-    assert arrays == {"vectors": (n, d), "R": (n, d), "C": (n, d)}
+    # the span solve adds the subgroup counts N(g, chi), d x d
+    assert arrays == {"vectors": (n, d), "R": (n, d), "C": (n, d), "N": (d, d)}
 
 
 @pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z6xZ6"])
@@ -506,6 +507,21 @@ def test_span_membership_on_a_large_family_stacks_no_tables():
     every = np.stack([m.vector.values for m in family])
     rebuilt = (every.T * weights) @ every.conj() / d
     assert np.max(np.abs(rebuilt - inside.matrix)) <= 1e-8
+
+
+def test_span_builds_the_count_table_once(monkeypatch):
+    # N(g, chi) is a fact of the group: the first span solve builds it on
+    # the family record, and later solves read it there
+    group = parse_group("Z2xZ2xZ2xZ2")
+    family = _family(group)
+    builds = []
+    build = type(family).N.func
+    monkeypatch.setattr(type(family).N, "func", lambda self: builds.append(self) or build(self))
+    family.__dict__.pop("N", None)
+    rng = np.random.default_rng(251)
+    first, second = (span_membership(random_hermitian(group, rng)) for _ in range(2))
+    assert first.verdict == second.verdict == "outside"
+    assert builds == [family]
 
 
 @pytest.mark.parametrize("name", BATTERY + ["Z64", "Z128", "Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z6xZ6"])
@@ -632,28 +648,29 @@ def _reference_simplex_nnls(family, corr, lam0=None):
     return lam, converged, iterations
 
 
-def _compare_with_reference(family, corr, residual_of, lam0=None):
-    """Solve both ways; the residuals must agree within 1e-12 of the scale."""
-    lam, converged, _ = _simplex_nnls(family, corr, lam0=lam0)
-    ref, ref_converged, _ = _reference_simplex_nnls(family, corr, lam0=lam0)
+def _compare_with_reference(family, corr, residual_of, start=None):
+    """Solve both ways, the reference from the start state's weights; the
+    residuals must agree within 1e-12 of the scale.  Returns the solver's state."""
+    lam, converged, _, state = _simplex_nnls(family, corr, start)
+    ref, ref_converged, _ = _reference_simplex_nnls(family, corr, None if start is None else start[0])
     scale = max(1.0, float(np.max(np.abs(corr))))
     assert converged and ref_converged
     assert lam.min() >= 0.0
     assert lam.sum() == pytest.approx(1.0, abs=1e-12)
     assert abs(residual_of(lam) - residual_of(ref)) <= 1e-12 * scale
-    return lam
+    return state
 
 
 def test_simplex_nnls_matches_dense_reference_on_the_battery(battery_group):
     # the mixed state cold, then an ascent path cold and warm from the
-    # previous step's weights, as the witness search solves it
+    # previous step's state, as the witness search solves it
     group = battery_group
     d = group.order
     ctx = _family(group)
 
-    def solve(table, lam0=None):
+    def solve(table, start=None):
         return _compare_with_reference(
-            ctx, ctx.pair(table.real), lambda w: np.linalg.norm(table - ctx.combine(w)), lam0)
+            ctx, ctx.pair(table.real), lambda w: np.linalg.norm(table - ctx.combine(w)), start)
 
     solve(_kd_table(group, np.eye(d, dtype=complex)))
     direction = _random_direction(group, np.random.default_rng(223))
@@ -662,10 +679,10 @@ def test_simplex_nnls_matches_dense_reference_on_the_battery(battery_group):
     for _ in range(6):
         current, _, _ = _dykstra(group, current + 0.25 * direction, 12, 1e-12)
         table = _kd_table(group, current * d)
-        lam = solve(table)
+        state = solve(table)
         if previous is not None:
             solve(table, previous)
-        previous = lam
+        previous = state
 
 
 @pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2", "Z3xZ3xZ3"])
@@ -708,7 +725,7 @@ def test_simplex_nnls_stops_unconverged_on_a_dependent_join(monkeypatch):
     stopped = 0
     for a, y in _gram_problems():
         family, corr = _GramFamily(a.T @ a), a.T @ y
-        lam, converged, _ = _simplex_nnls(family, corr)
+        lam, converged, _, _ = _simplex_nnls(family, corr)
         assert lam.min() >= 0.0
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         if converged:
@@ -723,21 +740,6 @@ def test_simplex_nnls_stops_unconverged_on_a_dependent_join(monkeypatch):
     assert result.converged is False
     assert result.verdict == "inconclusive"
     assert result.iterations == 1
-
-
-def test_simplex_nnls_falls_back_on_a_dependent_warm_start(battery_group):
-    # the uniform start's support is the whole family, whose Gram block is
-    # singular (more members than kd_real_dimension), so the solve falls
-    # back to the cold start from the best vertex
-    group = battery_group
-    ctx = _family(group)
-    n = len(ctx.R)
-    table = _kd_table(group, np.eye(group.order, dtype=complex))
-    corr = ctx.pair(table.real)
-    lam = _compare_with_reference(
-        ctx, corr, lambda w: np.linalg.norm(table - ctx.combine(w)), np.full(n, 1.0 / n))
-    assert n > kd_real_dimension(group)
-    assert np.array_equal(lam, _simplex_nnls(ctx, corr)[0])
 
 
 def test_cold_hull_solve_calls_no_lstsq(monkeypatch):
@@ -769,7 +771,7 @@ def test_simplex_nnls_against_penalty_oracle():
             y = a @ rng.dirichlet(np.ones(n)) + 0.01 * rng.normal(size=m)
         else:
             y = rng.normal(size=m)
-        lam, converged, _ = _simplex_nnls(_GramFamily(a.T @ a), a.T @ y)
+        lam, converged, _, _ = _simplex_nnls(_GramFamily(a.T @ a), a.T @ y)
         residual = float(np.linalg.norm(y - a @ lam))
         assert converged
         assert lam.min() >= 0.0
@@ -784,9 +786,18 @@ def test_simplex_nnls_against_penalty_oracle():
         assert oracle <= residual + 1e-6
 
 
+def _vertex_state(family, i, n):
+    """The state a cold solve starts from, at vertex i instead of the best one."""
+    lam = np.zeros(n)
+    lam[i] = 1.0
+    col = family.overlaps(np.array([i]))
+    return lam, np.array([i]), 1.0 / col[[i]], col
+
+
 def test_simplex_nnls_warm_start_matches_cold(battery_group):
     # targets along one ascent path, as the witness search sees them;
-    # every feasible start must reach the cold solve's hull residual
+    # a start from any vertex, or from the previous step's state, must
+    # reach the cold solve's hull residual
     group = battery_group
     d = group.order
     ctx = _family(group)
@@ -799,20 +810,67 @@ def test_simplex_nnls_warm_start_matches_cold(battery_group):
         current, _, _ = _dykstra(group, current + 0.25 * direction, 12, 1e-12)
         table = _kd_table(group, current * d)
         corr = ctx.pair(table.real)
-        lam, converged, _ = _simplex_nnls(ctx, corr)
+        lam, converged, _, state = _simplex_nnls(ctx, corr)
         residual = np.linalg.norm(table - ctx.combine(lam)) / np.sqrt(d)
         assert converged
-        vertex = np.zeros(n)
-        vertex[rng.integers(n)] = 1.0
-        starts = [vertex, np.full(n, 1.0 / n)] + ([previous] if previous is not None else [])
-        for lam0 in starts:
-            warm, warm_converged, _ = _simplex_nnls(ctx, corr, lam0=lam0)
+        starts = [_vertex_state(ctx, int(rng.integers(n)), n)] + ([previous] if previous is not None else [])
+        for start in starts:
+            warm, warm_converged, _, _ = _simplex_nnls(ctx, corr, start)
             warm_residual = np.linalg.norm(table - ctx.combine(warm)) / np.sqrt(d)
             assert warm_converged
             assert warm.min() >= 0.0
             assert warm.sum() == pytest.approx(1.0, abs=1e-12)
             assert abs(warm_residual - residual) <= 1e-12
-        previous = lam
+        previous = state
+
+
+def test_warm_hull_solves_track_cold_ones_along_an_ascent(battery_group):
+    # the seed-0 search's first direction, 100 steps, each solve warm from
+    # the state the previous one ended in, as the witness search runs it:
+    # every carried G_P^-1 stays an accurate inverse of a well-conditioned
+    # block (the solver never pivots past PIVOT_FLOOR), and every warm
+    # residual is the cold one
+    group = battery_group
+    d = group.order
+    ctx = _family(group)
+    direction = _random_direction(group, np.random.default_rng(0))
+    current = np.eye(d, dtype=complex) / d
+    state = None
+    for _ in range(100):
+        current, _, _ = _dykstra(group, current + fragment.STEP_SIZE * direction,
+                                 fragment.SEARCH_PROJ_ITERS, 1e-12)
+        table = _kd_table(group, current * d)
+        corr = ctx.pair(table.real)
+        scale = max(1.0, float(np.max(np.abs(corr))))
+        warm, warm_converged, _, state = _simplex_nnls(ctx, corr, state)
+        cold, cold_converged, _, _ = _simplex_nnls(ctx, corr)
+        assert warm_converged and cold_converged
+        residuals = [np.linalg.norm(table - ctx.combine(lam)) / np.sqrt(d) for lam in (warm, cold)]
+        assert abs(residuals[0] - residuals[1]) <= 1e-12 * scale
+        _, passive, inv, buffer = state
+        block = buffer[passive, :passive.size]
+        assert np.linalg.cond(block) * fragment.PIVOT_FLOOR <= 1.0
+        assert np.max(np.abs(inv @ block - np.eye(passive.size))) <= 1e-9
+
+
+def test_witness_ascent_inverts_one_gram_block(monkeypatch):
+    # a 100-step single-direction ascent: the first solve is cold and
+    # inverts its 1 x 1 block, each later one resumes from the state the
+    # previous solve ended in; none rebuilds or conditions a support.  The
+    # candidate check, whose fresh hull solve is cold, is left out.
+    calls = {"cond": 0, "inv": 0}
+    monkeypatch.setattr(fragment, "_verify_outside_candidate", lambda *args: None)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    assert find_conv_gap_witness(parse_group("Z8"), seed=0, budget=100) is None
+    assert calls == {"cond": 0, "inv": 1}
 
 
 def _reference_project_simplex(values):
@@ -1032,7 +1090,7 @@ def _embedded_family(group):
 
 def _embedded_conv(embed, rho):
     y = _embed(rho.matrix)
-    lam, _, _ = _simplex_nnls(_GramFamily(embed @ embed.T), embed @ y)
+    lam, _, _, _ = _simplex_nnls(_GramFamily(embed @ embed.T), embed @ y)
     return lam, float(np.linalg.norm(y - embed.T @ lam))
 
 
