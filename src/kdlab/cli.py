@@ -1,7 +1,11 @@
 """Command-line surface: subcommands over groups, tables, and reports.
 
 States and operators are read from JSON files only, so every run is
-reproducible from its inputs.  Exit codes: 0 success or verdict
+reproducible from its inputs.  Each subcommand is a function
+``(args, group, tol) -> (exit code, payload[, csv text])``: `main` parses
+``--group`` and builds the tolerance record before the call and writes
+the output after it, so errors surface in one order: group spec,
+tolerances, input files, computation.  Exit codes: 0 success or verdict
 "inside"/true, 1 configuration or parse error, 2 violated computation
 precondition, 3 verdict "outside"/false, 4 inconclusive (including an
 exhausted witness budget and a failed verification suite).
@@ -9,7 +13,6 @@ exhausted witness budget and a failed verification suite).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -26,7 +29,7 @@ from .fragment import (
 )
 from .groups import FiniteAbelianGroup, annihilator, enumerate_subgroups, parse_group
 from .harmonic import GFunction
-from .jsonio import dumps, json_object
+from .jsonio import dumps, json_object, loads
 from .kd import ORDERINGS, char_fn, kd, kd_inverse
 from .operators import Operator, PhaseSpaceFunction
 from .tolerances import DEFAULT, Tolerances
@@ -52,9 +55,10 @@ def _load(path: str, what: str, parse):
     """parse(text) of the file at path.
 
     An unreadable file and every malformed payload (bad JSON or CSV, a
-    missing key, a wrong type or entry count, a non-integer factor,
-    residue or label) is a config error naming the input; a PreconditionError, raised for NaN and infinite numbers,
-    passes through to exit 2.
+    repeated key, nesting past the recursion limit, a missing key, a
+    wrong type or entry count, a non-integer factor, residue or label)
+    is a config error naming the input; a PreconditionError, raised for
+    NaN and infinite numbers, passes through to exit 2.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -69,13 +73,13 @@ def _load(path: str, what: str, parse):
 
 def _operator(group: FiniteAbelianGroup):
     """Parser of an operator (or state) JSON file declared over group."""
-    return lambda text: Operator.from_json(json.loads(text), group)
+    return lambda text: Operator.from_json(loads(text), group)
 
 
 def _vector(group: FiniteAbelianGroup):
     """Parser of a vector file: a JSON list of values, or an object with "values"."""
     def parse(text):
-        payload = json.loads(text)
+        payload = loads(text)
         values = json_object(payload, ("values",))["values"] if isinstance(payload, dict) else payload
         return GFunction.from_json(group, values)
     return parse
@@ -85,11 +89,11 @@ def _table(group: FiniteAbelianGroup, path: str):
     """Parser of a table file, CSV when the path ends in .csv, else JSON."""
     if path.endswith(".csv"):
         return lambda text: PhaseSpaceFunction.from_csv(group, text)
-    return lambda text: PhaseSpaceFunction.from_json(json.loads(text), group)
+    return lambda text: PhaseSpaceFunction.from_json(loads(text), group)
 
 
 def _band(text: str) -> circ.BandLimitedOperator:
-    return circ.BandLimitedOperator.from_json(json.loads(text))
+    return circ.BandLimitedOperator.from_json(loads(text))
 
 
 def _tolerances(args) -> Tolerances:
@@ -132,7 +136,7 @@ def _render_table(payload, indent: str = "") -> str:
 
 
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    # only the subcommands that pass csv_text offer csv as a --format choice
+    # only the subcommands that return csv_text offer csv as a --format choice
     if args.format == "json":
         text = dumps(payload)
     elif args.format == "csv":
@@ -153,10 +157,9 @@ def _emit(args, payload: dict, csv_text: str | None = None) -> None:
 # commands
 
 
-def cmd_group_info(args) -> int:
-    group = parse_group(args.group)
+def cmd_group_info(args, group, tol):
     subgroups = enumerate_subgroups(group)
-    payload = {
+    return EXIT_OK, {
         "group": repr(group),
         "factors": list(group.factors),
         "order": group.order,
@@ -165,12 +168,9 @@ def cmd_group_info(args) -> int:
         "kd_real_dimension": kd_real_dimension(group),
         "pure_family_size": group.order * len(subgroups),
     }
-    _emit(args, payload)
-    return EXIT_OK
 
 
-def cmd_group_subgroups(args) -> int:
-    group = parse_group(args.group)
+def cmd_group_subgroups(args, group, tol):
     rows = []
     for i, sub in enumerate(enumerate_subgroups(group)):
         ann = annihilator(group, sub)
@@ -180,154 +180,113 @@ def cmd_group_subgroups(args) -> int:
             "elements": list(sub.elements),
             "annihilator_order": ann.order,
         })
-    payload = {"group": repr(group), "count": len(rows), "subgroups": rows}
     csv_lines = ["id,order,elements,annihilator_order"]
     for row in rows:
         elems = "-".join(str(e) for e in row["elements"])
         csv_lines.append(f"{row['id']},{row['order']},{elems},{row['annihilator_order']}")
-    _emit(args, payload, "\n".join(csv_lines) + "\n")
-    return EXIT_OK
+    payload = {"group": repr(group), "count": len(rows), "subgroups": rows}
+    return EXIT_OK, payload, "\n".join(csv_lines) + "\n"
 
 
-def cmd_kd_compute(args) -> int:
-    group = parse_group(args.group)
-    op = _load(args.operator, "operator", _operator(group))
-    table = kd(op)
-    _emit(args, table.to_json(), table.to_csv())
-    return EXIT_OK
+def cmd_kd_compute(args, group, tol):
+    table = kd(_load(args.operator, "operator", _operator(group)))
+    return EXIT_OK, table.to_json(), table.to_csv()
 
 
-def cmd_kd_invert(args) -> int:
-    group = parse_group(args.group)
+def cmd_kd_invert(args, group, tol):
     table = _load(args.table, "table", _table(group, args.table))
-    _emit(args, kd_inverse(table).to_json())
-    return EXIT_OK
+    return EXIT_OK, kd_inverse(table).to_json()
 
 
-def cmd_charfn(args) -> int:
-    group = parse_group(args.group)
-    op = _load(args.operator, "operator", _operator(group))
-    table = char_fn(op, args.ordering)
-    _emit(args, table.to_json(), table.to_csv())
-    return EXIT_OK
+def cmd_charfn(args, group, tol):
+    table = char_fn(_load(args.operator, "operator", _operator(group)), args.ordering)
+    return EXIT_OK, table.to_json(), table.to_csv()
 
 
-def cmd_wh_act(args) -> int:
-    group = parse_group(args.group)
+def cmd_wh_act(args, group, tol):
     op = _load(args.operator, "operator", _operator(group))
     element = _load(args.element, "displacement",
-                    lambda text: WHElement.from_json(group, json.loads(text)))
-    _emit(args, wh_conjugate(op, element).to_json())
-    return EXIT_OK
+                    lambda text: WHElement.from_json(group, loads(text)))
+    return EXIT_OK, wh_conjugate(op, element).to_json()
 
 
-def cmd_pure_enumerate(args) -> int:
-    group = parse_group(args.group)
+def cmd_pure_enumerate(args, group, tol):
     family = enumerate_kd_positive_pure(group)
-    payload = {"group": repr(group), "count": len(family), "members": family_to_json(family)}
     csv_lines = ["id,subgroup,g,chi"]
     for i, member in enumerate(family):
         sub = "-".join(str(e) for e in member.subgroup.elements)
         g = "-".join(str(r) for r in member.g_rep.residues)
         chi = "-".join(str(r) for r in member.chi_rep.label)
         csv_lines.append(f"{i},{sub},{g},{chi}")
-    _emit(args, payload, "\n".join(csv_lines) + "\n")
-    return EXIT_OK
+    payload = {"group": repr(group), "count": len(family), "members": family_to_json(family)}
+    return EXIT_OK, payload, "\n".join(csv_lines) + "\n"
 
 
-def cmd_pure_recognize(args) -> int:
-    group = parse_group(args.group)
-    tol = _tolerances(args)
-    psi = _load(args.state, "vector", _vector(group))
-    member = recognize_kd_positive_pure(psi, tol)
+def cmd_pure_recognize(args, group, tol):
+    member = recognize_kd_positive_pure(_load(args.state, "vector", _vector(group)), tol)
     if member is None:
-        _emit(args, {"recognized": False, "member": None})
-        return EXIT_OUTSIDE
-    _emit(args, {"recognized": True, "member": member.to_json()})
-    return EXIT_OK
+        return EXIT_OUTSIDE, {"recognized": False, "member": None}
+    return EXIT_OK, {"recognized": True, "member": member.to_json()}
 
 
-def cmd_check_kd_real(args) -> int:
-    group = parse_group(args.group)
-    tol = _tolerances(args)
-    op = _load(args.operator, "operator", _operator(group))
-    result = is_kd_real(op, tol)
-    _emit(args, asdict(result))
-    return EXIT_OK if result.is_real else EXIT_OUTSIDE
+def cmd_check_kd_real(args, group, tol):
+    result = is_kd_real(_load(args.operator, "operator", _operator(group)), tol)
+    return EXIT_OK if result.is_real else EXIT_OUTSIDE, asdict(result)
 
 
-def cmd_check_kd_positive(args) -> int:
-    group = parse_group(args.group)
-    tol = _tolerances(args)
-    rho = _load(args.state, "state", _operator(group))
-    result = is_kd_positive_state(rho, tol)
-    _emit(args, asdict(result))
-    return EXIT_OK if result.is_positive else EXIT_OUTSIDE
+def cmd_check_kd_positive(args, group, tol):
+    result = is_kd_positive_state(_load(args.state, "state", _operator(group)), tol)
+    return EXIT_OK if result.is_positive else EXIT_OUTSIDE, asdict(result)
 
 
 _VERDICT_EXIT = {"inside": EXIT_OK, "outside": EXIT_OUTSIDE, "inconclusive": EXIT_INCONCLUSIVE}
 
 
-def cmd_member_span(args) -> int:
-    group = parse_group(args.group)
-    tol = _tolerances(args)
-    op = _load(args.operator, "operator", _operator(group))
-    result = span_membership(op, tol)
-    _emit(args, result.to_json())
-    return _VERDICT_EXIT[result.verdict]
+def cmd_member_span(args, group, tol):
+    result = span_membership(_load(args.operator, "operator", _operator(group)), tol)
+    return _VERDICT_EXIT[result.verdict], result.to_json()
 
 
-def cmd_member_conv(args) -> int:
-    group = parse_group(args.group)
-    tol = _tolerances(args)
-    rho = _load(args.state, "state", _operator(group))
-    result = conv_membership(rho, tol)
-    _emit(args, result.to_json())
-    return _VERDICT_EXIT[result.verdict]
+def cmd_member_conv(args, group, tol):
+    result = conv_membership(_load(args.state, "state", _operator(group)), tol)
+    return _VERDICT_EXIT[result.verdict], result.to_json()
 
 
-def cmd_witness_search(args) -> int:
-    group = parse_group(args.group)
-    tol = _tolerances(args)
+def cmd_witness_search(args, group, tol):
     witness = find_conv_gap_witness(group, seed=args.seed, budget=args.budget, tol=tol)
     base = {"group": repr(group), "seed": args.seed, "budget": args.budget}
     if witness is None:
-        _emit(args, dict(base, found=False, witness=None))
-        return EXIT_INCONCLUSIVE
-    _emit(args, dict(base, found=True, witness=witness.to_json()))
-    return EXIT_OK
+        return EXIT_INCONCLUSIVE, dict(base, found=False, witness=None)
+    return EXIT_OK, dict(base, found=True, witness=witness.to_json())
 
 
-def cmd_circle_check(args) -> int:
-    tol = _tolerances(args)
+def cmd_circle_check(args, group, tol):
+    result = circ.circle_is_classical(_load(args.input, "band operator", _band), tol)
+    return EXIT_OK if result.is_classical else EXIT_OUTSIDE, result.to_json()
+
+
+def cmd_circle_search(args, group, tol):
     op = _load(args.input, "band operator", _band)
-    result = circ.circle_is_classical(op, tol)
-    _emit(args, result.to_json())
-    return EXIT_OK if result.is_classical else EXIT_OUTSIDE
+    grid = max(1024, 4 * op.K + 4) if args.grid is None else args.grid
+    return EXIT_OK, circ.circle_negativity_search(op, grid).to_json()
 
 
-def cmd_circle_search(args) -> int:
-    op = _load(args.input, "band operator", _band)
-    result = circ.circle_negativity_search(op, args.grid)
-    _emit(args, result.to_json())
-    return EXIT_OK
-
-
-def cmd_verify_all(args) -> int:
-    group = parse_group(args.group)
-    tol = _tolerances(args)
+def cmd_verify_all(args, group, tol):
     report = verify_group(group, seed=args.seed, tol=tol)
-    _emit(args, report.to_json())
-    return EXIT_OK if report.all_passed else EXIT_INCONCLUSIVE
+    return EXIT_OK if report.all_passed else EXIT_INCONCLUSIVE, report.to_json()
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser, *tolerances: str, group: bool = True,
-                csv: bool = False, seed: bool = False) -> None:
-    """Declare only the flags a subcommand reads; csv only with a CSV rendering."""
+def _leaf(parent, name: str, summary: str, fn, *tolerances: str, inputs=(),
+          group: bool = True, csv: bool = False, seed: bool = False) -> argparse.ArgumentParser:
+    """Declare one subcommand with only the flags it reads; csv only with a CSV rendering.
+
+    inputs holds the (flag, help) pairs of its required input files.
+    """
+    parser = parent.add_parser(name, help=summary)
     if group:
         parser.add_argument("--group", required=True, help="group spec such as Z4 or Z2xZ2")
     if seed:
@@ -335,9 +294,13 @@ def _add_common(parser: argparse.ArgumentParser, *tolerances: str, group: bool =
     formats = ("json", "csv", "table") if csv else ("json", "table")
     parser.add_argument("--format", choices=formats, default="table")
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    for name in tolerances:
-        parser.add_argument("--tol-" + name.replace("_", "-"), dest=f"tol_{name}",
+    for level in tolerances:
+        parser.add_argument("--tol-" + level.replace("_", "-"), dest=f"tol_{level}",
                             type=float, default=None)
+    for flag, text in inputs:
+        parser.add_argument(flag, required=True, help=text)
+    parser.set_defaults(fn=fn)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,98 +312,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
 
-    group_p = top.add_parser("group", help="group structure queries")
-    group_sub = group_p.add_subparsers(dest="subcommand", required=True)
-    p = group_sub.add_parser("info", help="order, exponent, dimensions")
-    _add_common(p)
-    p.set_defaults(fn=cmd_group_info)
-    p = group_sub.add_parser("subgroups", help="list the subgroup lattice")
-    _add_common(p, csv=True)
-    p.set_defaults(fn=cmd_group_subgroups)
+    def branch(name: str, summary: str):
+        return top.add_parser(name, help=summary).add_subparsers(dest="subcommand", required=True)
 
-    kd_p = top.add_parser("kd", help="phase-space table of an operator")
-    kd_sub = kd_p.add_subparsers(dest="subcommand", required=True)
-    p = kd_sub.add_parser("compute", help="operator JSON to table")
-    _add_common(p, csv=True)
-    p.add_argument("--operator", required=True, help="operator JSON file")
-    p.set_defaults(fn=cmd_kd_compute)
-    p = kd_sub.add_parser("invert", help="table (JSON or CSV) to operator")
-    _add_common(p)
-    p.add_argument("--table", required=True, help="table JSON or CSV file")
-    p.set_defaults(fn=cmd_kd_invert)
+    operator = (("--operator", "operator JSON file"),)
+    state = (("--state", "state JSON file"),)
+    band = (("--input", "band operator JSON file"),)
 
-    p = top.add_parser("charfn", help="ordered characteristic function")
-    _add_common(p, csv=True)
-    p.add_argument("--operator", required=True, help="operator JSON file")
+    group = branch("group", "group structure queries")
+    _leaf(group, "info", "order, exponent, dimensions", cmd_group_info)
+    _leaf(group, "subgroups", "list the subgroup lattice", cmd_group_subgroups, csv=True)
+
+    kd_p = branch("kd", "phase-space table of an operator")
+    _leaf(kd_p, "compute", "operator JSON to table", cmd_kd_compute, csv=True, inputs=operator)
+    _leaf(kd_p, "invert", "table (JSON or CSV) to operator", cmd_kd_invert,
+          inputs=(("--table", "table JSON or CSV file"),))
+
+    p = _leaf(top, "charfn", "ordered characteristic function", cmd_charfn, csv=True,
+              inputs=operator)
     p.add_argument("--ordering", choices=ORDERINGS, default="standard1")
-    p.set_defaults(fn=cmd_charfn)
 
-    wh_p = top.add_parser("wh", help="displacement group actions")
-    wh_sub = wh_p.add_subparsers(dest="subcommand", required=True)
-    p = wh_sub.add_parser("act", help="conjugate an operator by a displacement")
-    _add_common(p)
-    p.add_argument("--operator", required=True, help="operator JSON file")
-    p.add_argument("--element", required=True, help="displacement JSON file")
-    p.set_defaults(fn=cmd_wh_act)
+    _leaf(branch("wh", "displacement group actions"), "act",
+          "conjugate an operator by a displacement", cmd_wh_act,
+          inputs=operator + (("--element", "displacement JSON file"),))
 
-    pure_p = top.add_parser("pure", help="classified positive pure states")
-    pure_sub = pure_p.add_subparsers(dest="subcommand", required=True)
-    p = pure_sub.add_parser("enumerate", help="list the finite family")
-    _add_common(p, csv=True)
-    p.set_defaults(fn=cmd_pure_enumerate)
-    p = pure_sub.add_parser("recognize", help="match a unit vector against the family")
-    _add_common(p, "recognition")
-    p.add_argument("--state", required=True, help="vector JSON file")
-    p.set_defaults(fn=cmd_pure_recognize)
+    pure = branch("pure", "classified positive pure states")
+    _leaf(pure, "enumerate", "list the finite family", cmd_pure_enumerate, csv=True)
+    _leaf(pure, "recognize", "match a unit vector against the family", cmd_pure_recognize,
+          "recognition", inputs=(("--state", "vector JSON file"),))
 
-    check_p = top.add_parser("check", help="reality and positivity tests")
-    check_sub = check_p.add_subparsers(dest="subcommand", required=True)
-    p = check_sub.add_parser("kd-real", help="is the table of a Hermitian operator real")
-    _add_common(p, "structural")
-    p.add_argument("--operator", required=True, help="operator JSON file")
-    p.set_defaults(fn=cmd_check_kd_real)
-    p = check_sub.add_parser("kd-positive", help="is the table of a state nonnegative")
-    _add_common(p, "positivity")
-    p.add_argument("--state", required=True, help="state JSON file")
-    p.set_defaults(fn=cmd_check_kd_positive)
+    check = branch("check", "reality and positivity tests")
+    _leaf(check, "kd-real", "is the table of a Hermitian operator real", cmd_check_kd_real,
+          "structural", inputs=operator)
+    _leaf(check, "kd-positive", "is the table of a state nonnegative", cmd_check_kd_positive,
+          "positivity", inputs=state)
 
-    member_p = top.add_parser("member", help="classical fragment membership")
-    member_sub = member_p.add_subparsers(dest="subcommand", required=True)
-    p = member_sub.add_parser("span", help="membership in the real span of the family")
-    _add_common(p, "membership")
-    p.add_argument("--operator", required=True, help="Hermitian operator JSON file")
-    p.set_defaults(fn=cmd_member_span)
-    p = member_sub.add_parser("conv", help="membership in the hull of the family")
-    _add_common(p, "positivity", "membership")
-    p.add_argument("--state", required=True, help="state JSON file")
-    p.set_defaults(fn=cmd_member_conv)
+    member = branch("member", "classical fragment membership")
+    _leaf(member, "span", "membership in the real span of the family", cmd_member_span,
+          "membership", inputs=(("--operator", "Hermitian operator JSON file"),))
+    _leaf(member, "conv", "membership in the hull of the family", cmd_member_conv,
+          "positivity", "membership", inputs=state)
 
-    witness_p = top.add_parser("witness", help="hull gap search")
-    witness_sub = witness_p.add_subparsers(dest="subcommand", required=True)
-    p = witness_sub.add_parser("search", help="look for a positive state outside the hull")
-    _add_common(p, "witness_gap", "positivity", "membership", seed=True)
+    p = _leaf(branch("witness", "hull gap search"), "search",
+              "look for a positive state outside the hull", cmd_witness_search,
+              "witness_gap", "positivity", "membership", seed=True)
     p.add_argument("--budget", type=int, default=10000, help="ascent step budget")
-    p.set_defaults(fn=cmd_witness_search)
 
-    circle_p = top.add_parser("circle", help="band-limited circle operators")
-    circle_sub = circle_p.add_subparsers(dest="subcommand", required=True)
-    p = circle_sub.add_parser("check", help="diagonal classicality test")
-    _add_common(p, "positivity", group=False)
-    p.add_argument("--input", required=True, help="band operator JSON file")
-    p.set_defaults(fn=cmd_circle_check)
-    p = circle_sub.add_parser("search", help="grid search for table violations")
-    _add_common(p, group=False)
-    p.add_argument("--input", required=True, help="band operator JSON file")
-    p.add_argument("--grid", type=int, default=1024,
-                   help=f"grid size (at least 4K+4, and (2K+1) x grid at most {circ.MAX_SCAN_CELLS})")
-    p.set_defaults(fn=cmd_circle_search)
+    circle = branch("circle", "band-limited circle operators")
+    _leaf(circle, "check", "diagonal classicality test", cmd_circle_check, "positivity",
+          group=False, inputs=band)
+    p = _leaf(circle, "search", "grid search for table violations", cmd_circle_search,
+              group=False, inputs=band)
+    p.add_argument("--grid", type=int,
+                   help="grid size (default the larger of 1024 and 4K+4; at least 4K+4, "
+                        f"and (2K+1) x grid at most {circ.MAX_SCAN_CELLS})")
 
-    verify_p = top.add_parser("verify", help="named invariant suites")
-    verify_sub = verify_p.add_subparsers(dest="subcommand", required=True)
-    p = verify_sub.add_parser("all", help="run every applicable check for a group")
-    _add_common(p, "exact", "structural", "positivity", "membership", "witness_gap",
-                seed=True)
-    p.set_defaults(fn=cmd_verify_all)
+    _leaf(branch("verify", "named invariant suites"), "all",
+          "run every applicable check for a group", cmd_verify_all,
+          "exact", "structural", "positivity", "membership", "witness_gap", seed=True)
 
     return parser
 
@@ -453,7 +382,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; map them to the config code
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        group = parse_group(args.group) if "group" in vars(args) else None
+        code, *output = args.fn(args, group, _tolerances(args))
+        _emit(args, *output)
+        return code
     except (CliConfigError, GroupSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

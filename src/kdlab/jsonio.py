@@ -12,7 +12,10 @@ of a file's complex entries and a band file's K are read through
 payload, and an integer too large for a float is a violated
 precondition, as an infinity is.  Every JSON object of a file, a
 complex pair included, is read through `json_object`, so a key the
-reader does not know is malformed.
+reader does not know is malformed.  Every file is parsed by `loads`,
+which refuses a repeated key, one that ``json.loads`` would resolve
+silently to its last value, and nesting deeper than Python's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -133,3 +136,20 @@ def decode_array(items, shape) -> np.ndarray:
 def dumps(obj) -> str:
     """Deterministic JSON encoding: sorted keys, two-space indent."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def loads(text: str):
+    """The JSON value of text; a repeated key or too deep a nesting raises ValueError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON nested deeper than the recursion limit") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"repeated key {repeated!r}")
+    return obj

@@ -208,7 +208,7 @@ def _run_with_input(tmp_path, capsys, argv, text):
 
 
 @pytest.mark.parametrize("case", ["top-level list", "missing key", "wrong entry count", "extra key",
-                                  "empty file", "non-UTF-8 bytes"])
+                                  "empty file", "non-UTF-8 bytes", "deeply nested", "duplicate key"])
 @pytest.mark.parametrize("argv, kind", _FILE_READERS,
                          ids=_FILE_READER_IDS)
 def test_malformed_input_file_is_config_error(tmp_path, capsys, argv, kind, case):
@@ -227,6 +227,12 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys, argv, kind, case
         text = dumps(payload)
     elif case == "empty file":
         text = ""
+    elif case == "deeply nested":
+        # used to escape as a RecursionError traceback
+        text = "[" * 100_000 + "]" * 100_000
+    elif case == "duplicate key":
+        # json.loads keeps the last of two equal keys, so this used to read as the valid payload
+        text = f'{{"{key}": 0,' + dumps(payload)[1:]
     else:
         text = b"\xff\xfe" + dumps(payload).encode()
     code, out, err = _run_with_input(tmp_path, capsys, argv, text)
@@ -515,6 +521,22 @@ def test_circle_search_reports_violation(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("K, grid, code, grid_size", [
+    (255, [], 0, 1024),
+    (256, [], 0, 1028),
+    (256, ["--grid", "1024"], 2, None),
+], ids=["K255", "K256", "K256-grid1024"])
+def test_circle_search_default_grid_fits_the_band_limit(tmp_path, capsys, K, grid, code, grid_size):
+    # the default grid used to be 1024 at every K, below the minimum 4K + 4 from K = 256 on
+    path = _write(tmp_path, "band.json", json.dumps(circle.geometric_state(0.3, K).to_json()))
+    got, out, err = _run(capsys, ["circle", "search", "--input", path, "--format", "json", *grid])
+    assert got == code
+    if grid_size is None:
+        assert out == "" and "grid size 1024 is below its minimum 1028" in err
+    else:
+        assert json.loads(out)["grid_size"] == grid_size
+
+
 def test_verify_all_green(capsys):
     code, out, _ = _run(capsys, ["verify", "all", "--group", "Z3", "--format", "json"])
     assert code == 0
@@ -633,6 +655,38 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
     assert sorted(name for name in flags["verify all"] if name.startswith("--tol-")) == [
         "--tol-exact", "--tol-membership", "--tol-positivity", "--tol-structural",
         "--tol-witness-gap"]
+
+
+def test_readme_subcommand_table_matches_the_parser():
+    common = {"--group", "--seed", "--format", "--out"}
+    expected = {}
+    for path, parser in _leaf_parsers(build_parser()):
+        flags = {a.option_strings[0]: a for a in parser._actions
+                 if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        expected[path] = (
+            ", ".join(f"`{name}`" for name in flags
+                      if name not in common and not name.startswith("--tol-")),
+            ", ".join(flags["--format"].choices),
+            "yes" if "--seed" in flags else "",
+            ", ".join(name[len("--tol-"):] for name in flags if name.startswith("--tol-")),
+        )
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("```", 1)[0]
+    rows = re.findall(r"^\| `([a-z -]+)` \|([^|]*)\|([^|]*)\|([^|]*)\|([^|]*)\|$", section, flags=re.M)
+    assert {name: tuple(cell.strip() for cell in cells) for name, *cells in rows} == expected
+
+
+def test_errors_surface_group_then_tolerance_then_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    argv = ["member", "conv", "--state", missing]
+    code, out, err = _run(capsys, argv + ["--group", "Q8", "--tol-membership", "nan"])
+    assert (code, out, err) == (1, "", "error: expected 'Z' (position 0)\n")
+    code, out, err = _run(capsys, argv + ["--group", "Z2", "--tol-membership", "nan"])
+    assert (code, out) == (2, "")
+    assert err == "precondition violated: tolerance membership must be finite, got nan\n"
+    code, out, err = _run(capsys, argv + ["--group", "Z2", "--tol-membership", "1e-8"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: invalid state in {missing}: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
