@@ -147,6 +147,13 @@ class FiniteAbelianGroup:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def char_table_conj(self) -> np.ndarray:
+        """conj(X[c, g]) = conj(chi_c(g)), made once for the transforms that read it on every call."""
+        table = self.char_table.conj()
+        table.setflags(write=False)
+        return table
+
     def _reduced(self, residues: Sequence[int]) -> tuple[int, ...]:
         """One residue per factor, reduced mod that factor."""
         residues = _integers(residues, "residues")

@@ -19,6 +19,12 @@ to rounding because X is the Kronecker product of the per-factor DFT
 matrices in the C-order ravel of the element indices; below the
 threshold the per-axis FFT overhead outweighs the saving over the dense
 product.  `fourier` and `inverse_fourier` are the one-row case.
+
+Each group builds one read-only conjugate table ``char_table_conj``
+beside ``char_table``, and no transform makes another.  A transform
+allocates only the array it returns: the FFT route runs every factor
+axis in that one array, in place, and the dense route divides its fresh
+product in place.
 """
 
 from __future__ import annotations
@@ -33,20 +39,44 @@ from .jsonio import decode_array, encode_array, finite_array
 LARGE_FACTOR = 64  # the smallest cyclic factor that sends a group to the FFT route
 
 
-def _dft_rows(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
-    """sum_g rows[..., g] conj(chi(g)), for every row and character chi."""
+def _dft_rows(group: FiniteAbelianGroup, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_g rows[..., g] conj(chi(g)), for every row and character chi.
+
+    The FFT route writes the result into ``out`` (see `_fft_rows`); the
+    dense route returns a fresh product.
+    """
     if max(group.factors) >= LARGE_FACTOR:
-        shaped = rows.reshape(-1, *group.factors)
-        return np.fft.fftn(shaped, axes=tuple(range(1, shaped.ndim))).reshape(rows.shape)
-    return rows @ group.char_table.conj()
+        return _fft_rows(np.fft.fftn, group, rows, out)
+    return rows @ group.char_table_conj
 
 
-def _idft_rows(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
-    """(1/|G|) sum_chi rows[..., chi] chi(g), for every row and element g."""
+def _idft_rows(group: FiniteAbelianGroup, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(1/|G|) sum_chi rows[..., chi] chi(g), for every row and element g.
+
+    The FFT route writes the result into ``out`` (see `_fft_rows`); the
+    dense route returns a fresh product, divided in place.
+    """
     if max(group.factors) >= LARGE_FACTOR:
-        shaped = rows.reshape(-1, *group.factors)
-        return np.fft.ifftn(shaped, axes=tuple(range(1, shaped.ndim))).reshape(rows.shape)
-    return (rows @ group.char_table) / group.order
+        return _fft_rows(np.fft.ifftn, group, rows, out)
+    table = rows @ group.char_table
+    table /= group.order
+    return table
+
+
+def _fft_rows(transform, group: FiniteAbelianGroup, rows: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``transform`` (fftn or ifftn) over the factor axes of every row, into ``out``.
+
+    ``out`` is a C-contiguous complex array of rows' shape, possibly rows
+    itself, or None for a fresh one.  Every factor axis then transforms
+    in place in it: a strided ``out`` would be reshaped into a copy.
+    """
+    if out is None:
+        out = np.empty(rows.shape, dtype=complex)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    shape = (-1, *group.factors)
+    transform(rows.reshape(shape), axes=tuple(range(1, len(shape))), out=out.reshape(shape))
+    return out
 
 
 @dataclass
@@ -113,12 +143,16 @@ class DualFunction:
 
 def fourier(psi: GFunction) -> DualFunction:
     """psi_hat(chi) = (1/|G|) sum_g psi(g) conj(chi(g))."""
-    return DualFunction(psi.group, _dft_rows(psi.group, psi.values) / psi.group.order)
+    hat = _dft_rows(psi.group, psi.values)
+    hat /= psi.group.order
+    return DualFunction(psi.group, hat)
 
 
 def inverse_fourier(phi: DualFunction) -> GFunction:
     """psi(g) = sum_chi phi(chi) chi(g)."""
-    return GFunction(phi.group, _idft_rows(phi.group, phi.values) * phi.group.order)
+    psi = _idft_rows(phi.group, phi.values)
+    psi *= phi.group.order
+    return GFunction(phi.group, psi)
 
 
 def haar_density(group: FiniteAbelianGroup, subgroup: Subgroup) -> GFunction:

@@ -10,10 +10,15 @@ table is reached by the symplectic Fourier transform of the
 characteristic function trace(A U(g, chi, 1)) in symmetric ordering,
 which is how the two routes cross-check each other in the test suite.
 
-Every table transform here is a row DFT of `harmonic`, dense or FFT.
-The pairing is symmetric, so the phase conj(chi(g)) at table entry
-[g, c] is read from X.conj(), whose strided transpose would cost more
-than the FFT itself.
+Every table transform here is a row DFT of `harmonic`, dense or FFT,
+and its phase products run in place in the transform's fresh result, so
+`kd` and `kd_inverse` allocate only the array they return (on the dense
+route `kd_inverse` also holds its phase product, the input of its
+matrix product).  The pairing is symmetric, so the phase conj(chi(g)) at
+table entry [g, c] is read from the group's one cached conjugate table,
+X.conj(), whose strided transpose would cost more than the FFT itself.
+Each phase product spells out its factor order with ``np.multiply``:
+complex products are not bitwise commutative under FMA.
 """
 
 from __future__ import annotations
@@ -30,14 +35,17 @@ ORDERINGS = ("standard0", "standard1", "half")
 
 def _kd_table(group: FiniteAbelianGroup, kernel: np.ndarray) -> np.ndarray:
     table = _idft_rows(group, kernel)
-    # X.conj() stays the left factor: complex products are not bitwise
-    # commutative under FMA, and the pinned witnesses depend on these bits.
-    return np.multiply(group.char_table.conj(), table, out=table)
+    # The cached X.conj() stays the left factor: complex products are not
+    # bitwise commutative under FMA, and the pinned witnesses depend on
+    # these bits.
+    return np.multiply(group.char_table_conj, table, out=table)
 
 
 def _kd_kernel(group: FiniteAbelianGroup, table: np.ndarray) -> np.ndarray:
-    # chi(g - g') = chi(g) conj(chi(g')) splits the sum into one transform.
-    return _dft_rows(group, table * group.char_table)
+    # chi(g - g') = chi(g) conj(chi(g')) splits the sum into one transform,
+    # made in place in the one fresh product, C-ordered whatever table's order.
+    rows = np.multiply(table, group.char_table, order="C")
+    return _dft_rows(group, rows, out=rows)
 
 
 def kd(op: Operator) -> PhaseSpaceFunction:
@@ -53,8 +61,8 @@ def kd_inverse(table: PhaseSpaceFunction) -> Operator:
 def kd_pure(psi: GFunction) -> PhaseSpaceFunction:
     """KD table of |psi><psi| via conj(chi(g)) psi(g) conj(psi_hat(chi))."""
     group = psi.group
-    table = group.char_table.conj() * np.outer(psi.values, fourier(psi).values.conj())
-    return PhaseSpaceFunction(group, table)
+    table = np.outer(psi.values, fourier(psi).values.conj())
+    return PhaseSpaceFunction(group, np.multiply(group.char_table_conj, table, out=table))
 
 
 def char_fn(op: Operator, ordering: str) -> PhaseSpaceFunction:
@@ -76,10 +84,10 @@ def char_fn(op: Operator, ordering: str) -> PhaseSpaceFunction:
     if ordering == "standard0":
         values = base
     elif ordering == "standard1":
-        values = base * group.char_table.conj()
+        values = np.multiply(base, group.char_table_conj, out=base)
     else:
         # halve_table raises UnsupportedOrderError when a factor is even
-        values = base * group.char_table[doubling(group).halve_table].conj()
+        values = np.multiply(base, group.char_table_conj[doubling(group).halve_table], out=base)
     return PhaseSpaceFunction(group, values)
 
 

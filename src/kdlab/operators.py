@@ -218,8 +218,14 @@ class PhaseSpaceFunction:
         return cls(group, values)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _computed(cls, group: FiniteAbelianGroup, **arrays):
-    """`_wrap` around arrays a transform just made, once their sum shows no NaN, infinity or overflow."""
-    if not all(np.isfinite(array.sum()) for array in arrays.values()):
+    """`_wrap` around arrays a transform just made, once every entry is finite.
+
+    One sum settles it for almost every array.  Only a sum that is not
+    finite, which finite entries can reach by overflow, sends an array
+    to the entrywise test.
+    """
+    if not all(np.isfinite(array.sum()) or np.isfinite(array).all() for array in arrays.values()):
         raise PreconditionError(f"{', '.join(arrays)} has NaN, infinite or overflowing entries")
     return _wrap(cls, group, **arrays)

@@ -137,6 +137,16 @@ def test_non_finite_operator_is_precondition_error(tmp_path, capsys):
     assert out == "" and "non-finite" in err
 
 
+def test_kd_compute_accepts_a_finite_table_whose_sum_overflows(tmp_path, capsys):
+    # every table entry is 7.5e307; only their sum overflows
+    op = Operator(parse_group("Z2"), np.diag([1.5e308, 1.5e308]))
+    path = _write(tmp_path, "op.json", op.to_json())
+    code, out, err = _run(capsys, ["kd", "compute", "--group", "Z2", "--operator", path,
+                                   "--format", "json"])
+    assert (code, err) == (0, "")
+    assert [p["re"] for p in json.loads(out)["values"]] == [7.5e307] * 4
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])
 def test_non_finite_state_is_rejected_not_judged(tmp_path, capsys, token):
     # json.loads accepts these tokens; the state must be rejected, not

@@ -1,5 +1,7 @@
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -568,3 +570,101 @@ def test_fft_route_passes_transform_checks(name):
         if result.status != "pass"
     ]
     assert failures == []
+
+
+def _fft_route(group):
+    return max(group.factors) >= LARGE_FACTOR
+
+
+def _reference_dft_rows(group, rows):
+    # the row transforms written out directly, each step in a fresh array
+    if _fft_route(group):
+        shaped = rows.reshape(-1, *group.factors)
+        return np.fft.fftn(shaped, axes=tuple(range(1, shaped.ndim))).reshape(rows.shape)
+    return rows @ group.char_table.conj()
+
+
+def _reference_idft_rows(group, rows):
+    if _fft_route(group):
+        shaped = rows.reshape(-1, *group.factors)
+        return np.fft.ifftn(shaped, axes=tuple(range(1, shaped.ndim))).reshape(rows.shape)
+    return (rows @ group.char_table) / group.order
+
+
+def _reference_char_fn_base(group, kernel):
+    d = group.order
+    shifted = kernel[group.diff_table, np.arange(d)[:, None]]
+    return _reference_idft_rows(group, shifted.T)
+
+
+@pytest.mark.parametrize("name", BATTERY + LARGE_FACTOR_GROUPS)
+def test_transforms_leave_inputs_untouched_and_keep_their_bits(name):
+    # the transforms write only into arrays they made themselves, and
+    # their results are bit for bit those of the plain formulas
+    group = parse_group(name)
+    X = group.char_table
+    rng = np.random.default_rng(139)
+    op = random_operator(group, rng)
+    table = PhaseSpaceFunction(group, rng.normal(size=X.shape) + 1j * rng.normal(size=X.shape))
+    psi = GFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
+    inputs = (op.kernel, table.values, psi.values)
+    before = [array.tobytes() for array in inputs]
+
+    assert np.array_equal(kd(op).values, X.conj() * _reference_idft_rows(group, op.kernel))
+    assert np.array_equal(kd_inverse(table).kernel, _reference_dft_rows(group, table.values * X))
+    # base stays the left factor of the phase product; np.multiply keeps
+    # that order where `base * X.conj()` would not: from 256 KiB on, numpy
+    # elides the temporary conjugate by computing X.conj() * base into it
+    base = _reference_char_fn_base(group, op.kernel)
+    phases = {"standard0": None, "standard1": X}
+    if doubling(group).invertible:
+        phases["half"] = X[doubling(group).halve_table]
+    for ordering, phase in phases.items():
+        expected = base if phase is None else np.multiply(base, phase.conj())
+        assert np.array_equal(char_fn(op, ordering).values, expected), ordering
+    inner = _reference_idft_rows(group, table.values.T).T
+    assert np.array_equal(symplectic_fourier(table).values, _reference_dft_rows(group, inner).T)
+    hat = _reference_dft_rows(group, psi.values) / group.order
+    assert np.array_equal(kd_pure(psi).values, X.conj() * np.outer(psi.values, hat.conj()))
+
+    assert [array.tobytes() for array in inputs] == before
+    # a Fortran-ordered table still gets a C-ordered product to transform in place
+    f_table = PhaseSpaceFunction(group, np.asfortranarray(table.values))
+    assert f_table.values.flags.f_contiguous
+    assert np.allclose(kd_inverse(f_table).kernel, kd_inverse(table).kernel, rtol=0, atol=1e-12)
+    conj = group.char_table_conj
+    assert conj is group.char_table_conj
+    assert not conj.flags.writeable
+    assert np.array_equal(conj, X.conj())
+
+
+@pytest.mark.parametrize("name", ["Z64", "Z256", "Z512", "Z2xZ64"])
+def test_fft_route_transforms_allocate_only_their_result(name):
+    # each FFT-route transform runs in the one array it returns: no
+    # fresh conjugate table, no second buffer for a later factor axis
+    group = parse_group(name)
+    result_bytes = group.order ** 2 * 16
+    op = random_operator(group, np.random.default_rng(149))
+    table = kd(op)
+    kd_inverse(table)  # warm: the cached tables and numpy's FFT plans
+    for transform, arg in ((kd, op), (kd_inverse, table)):
+        tracemalloc.start()
+        try:
+            out = transform(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del out
+        assert peak <= 1.05 * result_bytes, (transform.__name__, peak / result_bytes)
+
+
+def test_kd_of_a_finite_table_whose_sum_overflows():
+    # every entry is 7.5e307, but their sum overflows: the table is finite
+    # and must be returned, without a RuntimeWarning, and inverted back
+    op = Operator(parse_group("Z2"), np.diag([1.5e308, 1.5e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = kd(op)
+        back = kd_inverse(table)
+    assert np.array_equal(table.values, np.full((2, 2), 7.5e307 + 0j))
+    assert np.max(np.abs(back.kernel - op.kernel)) <= 1e-15 * 1.5e308
