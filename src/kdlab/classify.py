@@ -25,7 +25,6 @@ from .groups import (
     FiniteAbelianGroup,
     Subgroup,
     _check_group,
-    _wrap,
     annihilator,
     coset_labels,
     enumerate_subgroups,
@@ -196,7 +195,16 @@ def _family(group: FiniteAbelianGroup) -> _Family:
     # one checked Element and Character per index, shared by the members
     elements, characters = tuple(group.elements()), tuple(group.characters())
     vectors = np.zeros((d * len(subgroups), d), dtype=complex)
-    members, cosets = [], []
+    members, cosets = [None] * len(vectors), []
+    # Members are made in place, as their constructors would make them:
+    # KdPureState's frozen __init__ sets its four fields through
+    # object.__setattr__ and checks nothing, and each vector is `_wrap`'s
+    # unchecked GFunction, its row finite by construction (unit-modulus
+    # characters times sqrt(|G| / |H|)).  Per member, that saves the
+    # dataclass call and the `_wrap` frame; each object keeps the layout
+    # its constructor gives it, which keeps memory where it was.  The list
+    # is made at its final size, as appends would over-allocate it.
+    new, set_field, i = object.__new__, object.__setattr__, 0
     for h, block in zip(subgroups, vectors.reshape(len(subgroups), d, d)):
         (g_reps, g_ind), (chi_reps, chi_ind) = sides[h.elements], sides[dual[h.elements]]
         cosets.append((g_ind, chi_ind))
@@ -204,9 +212,17 @@ def _family(group: FiniteAbelianGroup) -> _Family:
         rows.setflags(write=False)
         chis = [characters[c] for c in chi_reps.tolist()]
         for g, coset_rows in zip(g_reps.tolist(), rows):
-            # finite by construction: unit-modulus characters times sqrt(|G| / |H|)
-            members.extend(KdPureState(h, elements[g], chi, _wrap(GFunction, group, values=v))
-                           for chi, v in zip(chis, coset_rows))
+            g_rep = elements[g]
+            for chi, v in zip(chis, coset_rows):
+                vector = new(GFunction)
+                vector.__dict__.update(group=group, values=v)
+                member = new(KdPureState)
+                set_field(member, "subgroup", h)
+                set_field(member, "g_rep", g_rep)
+                set_field(member, "chi_rep", chi)
+                set_field(member, "vector", vector)
+                members[i] = member
+                i += 1
     vectors.setflags(write=False)
     return _Family(group, tuple(members), vectors, tuple(cosets))
 

@@ -258,7 +258,7 @@ def _simplex_nnls(family, corr, start=None):
         s = a - nu * b
         if s.min() >= -1e-12:
             lam = np.zeros(n)
-            lam[passive] = np.clip(s, 0.0, None)
+            lam[passive] = np.maximum(s, 0.0)
             lam /= lam.sum()
             grad = corr - buffer[:, :passive.size] @ lam[passive]
             slack = grad - nu
@@ -273,8 +273,8 @@ def _simplex_nnls(family, corr, start=None):
             sigma = col[j] - col[passive] @ u
             if sigma <= PIVOT_FLOOR * col[j]:
                 break
-            w = np.append(-u, 1.0)
-            bordered = np.outer(w, w / sigma)
+            w = np.concatenate((-u, (1.0,)))
+            bordered = w[:, None] * (w / sigma)
             bordered[:-1, :-1] += inv
             inv = bordered
             k = passive.size
@@ -283,7 +283,7 @@ def _simplex_nnls(family, corr, start=None):
                 grown[:, :k] = buffer
                 buffer = grown
             buffer[:, k] = col
-            passive = np.append(passive, j)
+            passive = np.concatenate((passive, (j,)))
         else:
             lam_p = lam[passive]
             with np.errstate(divide="ignore", invalid="ignore"):

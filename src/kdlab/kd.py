@@ -14,9 +14,12 @@ Every table transform here is a row DFT of `harmonic`, dense or FFT,
 and its phase products run in place in the transform's fresh result, so
 `kd` and `kd_inverse` allocate only the array they return (on the dense
 route `kd_inverse` also holds its phase product, the input of its
-matrix product).  The pairing is symmetric, so the phase conj(chi(g)) at
-table entry [g, c] is read from the group's one cached conjugate table,
-X.conj(), whose strided transpose would cost more than the FFT itself.
+matrix product).  `kd_pure`, `char_fn` and `symplectic_fourier` hand
+their fresh results over uncopied too, through `operators._computed`;
+the last two also hold one intermediate table.  The pairing is
+symmetric, so the phase conj(chi(g)) at table entry [g, c] is read from
+the group's one cached conjugate table, X.conj(), whose strided
+transpose would cost more than the FFT itself.
 Each phase product spells out its factor order with ``np.multiply``:
 complex products are not bitwise commutative under FMA.
 """
@@ -62,7 +65,8 @@ def kd_pure(psi: GFunction) -> PhaseSpaceFunction:
     """KD table of |psi><psi| via conj(chi(g)) psi(g) conj(psi_hat(chi))."""
     group = psi.group
     table = np.outer(psi.values, fourier(psi).values.conj())
-    return PhaseSpaceFunction(group, np.multiply(group.char_table_conj, table, out=table))
+    np.multiply(group.char_table_conj, table, out=table)
+    return _computed(PhaseSpaceFunction, group, values=table)
 
 
 def char_fn(op: Operator, ordering: str) -> PhaseSpaceFunction:
@@ -88,7 +92,7 @@ def char_fn(op: Operator, ordering: str) -> PhaseSpaceFunction:
     else:
         # halve_table raises UnsupportedOrderError when a factor is even
         values = np.multiply(base, group.char_table_conj[doubling(group).halve_table], out=base)
-    return PhaseSpaceFunction(group, values)
+    return _computed(PhaseSpaceFunction, group, values=values)
 
 
 def char_fn_point(op: Operator, a: WHElement) -> complex:
@@ -104,7 +108,7 @@ def symplectic_fourier(table: PhaseSpaceFunction) -> PhaseSpaceFunction:
     """
     group = table.group
     inner = _idft_rows(group, table.values.T).T  # (1/|G|) sum_g' T(g', chi') chi(g')
-    return PhaseSpaceFunction(group, _dft_rows(group, inner).T)
+    return _computed(PhaseSpaceFunction, group, values=_dft_rows(group, inner).T)
 
 
 def akd(op: Operator) -> PhaseSpaceFunction:

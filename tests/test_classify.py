@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from kdlab.classify import (
+    KdPureState,
     _family,
     enumerate_kd_positive_pure,
     family_to_json,
@@ -110,6 +113,35 @@ def test_hashing_the_family_computes_each_index_once(monkeypatch):
     calls.clear()
     set(members)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", BATTERY + ["Z2xZ2xZ2xZ2", "Z6xZ6"])
+def test_members_made_in_place_match_their_constructors(name):
+    # _family makes members without calling KdPureState or GFunction; each
+    # must be what those constructors make, frozen, and keep viewing its
+    # row of the read-only family record
+    family = _family(parse_group(name))
+    group = family.group   # the cached record's, which an equal group object finds
+    names = [f.name for f in dataclasses.fields(KdPureState)]
+    for member, row in zip(family.members, family.vectors):
+        assert type(member) is KdPureState and type(member.vector) is GFunction
+        built = KdPureState(member.subgroup, member.g_rep, member.chi_rep, GFunction(group, member.vector.values))
+        for field in names[:-1]:
+            assert getattr(member, field) is getattr(built, field)
+        assert member.vector.group is built.vector.group
+        assert member.vector.values.dtype == built.vector.values.dtype
+        assert np.array_equal(member.vector.values, built.vector.values)
+        assert vars(member.vector).keys() == vars(built.vector).keys()
+        assert np.shares_memory(member.vector.values, row)
+        assert not member.vector.values.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            member.g_rep = member.g_rep
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del member.vector
+    for member in family.members[:: max(1, len(family.members) // 16)]:
+        for copy in (pickle.loads(pickle.dumps(member)), dataclasses.replace(member)):
+            assert copy == member and copy.key == member.key
+            assert np.array_equal(copy.vector.values, member.vector.values)
 
 
 def test_family_size_formula(battery_group):

@@ -853,6 +853,107 @@ def test_warm_hull_solves_track_cold_ones_along_an_ascent(battery_group):
         assert np.max(np.abs(inv @ block - np.eye(passive.size))) <= 1e-9
 
 
+def _wrapper_simplex_nnls(family, corr, start=None):
+    """`_simplex_nnls` as it was written with numpy's Python-level helpers
+    np.clip, np.append and np.outer, line for line otherwise."""
+    n = corr.size
+    scale = max(1.0, float(np.max(np.abs(corr))))
+    if start is None:
+        passive = np.array([int(np.argmax(2.0 * corr - 1.0))])
+        lam = np.zeros(n)
+        lam[passive] = 1.0
+        buffer = family.overlaps(passive)
+        inv = np.linalg.inv(buffer[passive])
+    else:
+        lam, passive, inv, buffer = start
+    converged = False
+    iterations = 0
+    for iterations in range(1, 50 * n + 201):
+        a = inv @ corr[passive]
+        b = inv.sum(axis=1)
+        nu = (a.sum() - 1.0) / b.sum()
+        s = a - nu * b
+        if s.min() >= -1e-12:
+            lam = np.zeros(n)
+            lam[passive] = np.clip(s, 0.0, None)
+            lam /= lam.sum()
+            grad = corr - buffer[:, :passive.size] @ lam[passive]
+            slack = grad - nu
+            slack[passive] = -np.inf
+            j = int(np.argmax(slack))
+            if slack[j] <= 1e-12 * scale:
+                converged = True
+                break
+            col = family.overlaps(np.array([j]))[:, 0]
+            u = inv @ col[passive]
+            sigma = col[j] - col[passive] @ u
+            if sigma <= fragment.PIVOT_FLOOR * col[j]:
+                break
+            w = np.append(-u, 1.0)
+            bordered = np.outer(w, w / sigma)
+            bordered[:-1, :-1] += inv
+            inv = bordered
+            k = passive.size
+            if k == buffer.shape[1]:
+                grown = np.empty((n, min(2 * k, n)))
+                grown[:, :k] = buffer
+                buffer = grown
+            buffer[:, k] = col
+            passive = np.append(passive, j)
+        else:
+            lam_p = lam[passive]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps = np.where(s < 0, lam_p / np.maximum(lam_p - s, 1e-300), np.inf)
+            alpha = min(max(float(np.min(steps)), 0.0), 1.0)
+            lam_p = lam_p + alpha * (s - lam_p)
+            keep = lam_p > 1e-14
+            lam = np.zeros(n)
+            lam[passive[keep]] = lam_p[keep]
+            d = inv[:, ~keep]
+            inv = (inv - d @ np.linalg.solve(d[~keep], d.T))[np.ix_(keep, keep)]
+            passive = passive[keep]
+            buffer[:, :passive.size] = buffer[:, np.flatnonzero(keep)]
+    total = lam.sum()
+    if total > 0:
+        lam = lam / total
+    return lam, converged, iterations, (lam, passive, inv, buffer)
+
+
+def _assert_same_solve(got, expected):
+    (lam, converged, iterations, (_, passive, inv, buffer)) = got
+    (lam_x, converged_x, iterations_x, (_, passive_x, inv_x, buffer_x)) = expected
+    assert (converged, iterations) == (converged_x, iterations_x)
+    assert passive.dtype == passive_x.dtype
+    assert np.array_equal(passive, passive_x)
+    assert np.array_equal(lam, lam_x)
+    assert np.array_equal(inv, inv_x)
+    assert np.array_equal(buffer[:, :passive.size], buffer_x[:, :passive.size])
+
+
+@pytest.mark.parametrize("name", ["Z64", "Z4xZ4", "Z6xZ6", "Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z6", "Z8", "Z2xZ4"])
+def test_simplex_nnls_keeps_the_bits_of_its_wrapper_helper_form(name):
+    # the build workload's context solve (the mixed state), then an ascent
+    # as the witness search runs it: each point solved cold, and warm from
+    # the previous point's state along two separate chains, one per solver
+    group = parse_group(name)
+    d = group.order
+    ctx = _family(group)
+    table = _kd_table(group, np.eye(d, dtype=complex))
+    _assert_same_solve(_simplex_nnls(ctx, ctx.pair(table.real)),
+                       _wrapper_simplex_nnls(ctx, ctx.pair(table.real)))
+    direction = _random_direction(group, np.random.default_rng(0))
+    current = np.eye(d, dtype=complex) / d
+    state = state_x = None
+    for _ in range(12 if d <= 8 else 4):
+        current, _, _ = _dykstra(group, current + fragment.STEP_SIZE * direction,
+                                 fragment.SEARCH_PROJ_ITERS, 1e-12)
+        corr = ctx.pair(_kd_table(group, current * d).real)
+        _assert_same_solve(_simplex_nnls(ctx, corr), _wrapper_simplex_nnls(ctx, corr))
+        warm, warm_x = _simplex_nnls(ctx, corr, state), _wrapper_simplex_nnls(ctx, corr, state_x)
+        _assert_same_solve(warm, warm_x)
+        state, state_x = warm[3], warm_x[3]
+
+
 def test_witness_ascent_inverts_one_gram_block(monkeypatch):
     # a 100-step single-direction ascent: the first solve is cold and
     # inverts its 1 x 1 block, each later one resumes from the state the

@@ -658,6 +658,46 @@ def test_fft_route_transforms_allocate_only_their_result(name):
         assert peak <= 1.05 * result_bytes, (transform.__name__, peak / result_bytes)
 
 
+def test_phase_space_transforms_copy_no_result():
+    # kd_pure, char_fn and symplectic_fourier hand the arrays they make to
+    # their results uncopied: on Z512 kd_pure holds only its outer product,
+    # the other two one intermediate table besides their result
+    group = parse_group("Z512")
+    result_bytes = group.order ** 2 * 16
+    rng = np.random.default_rng(151)
+    op = random_operator(group, rng)
+    psi = GFunction(group, rng.normal(size=group.order) + 1j * rng.normal(size=group.order))
+    table = kd(op)
+    calls = [(kd_pure, (psi,), psi.values, 1.1), (symplectic_fourier, (table,), table.values, 2.1),
+             (char_fn, (op, "standard0"), op.kernel, 2.1), (char_fn, (op, "standard1"), op.kernel, 2.1)]
+    for transform, args, source, bound in calls:
+        transform(*args)  # warm
+        tracemalloc.start()
+        try:
+            out = transform(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(out.values, source)
+        del out
+        assert peak <= bound * result_bytes, (transform.__name__, args[1:], peak / result_bytes)
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z3", "Z64"])
+def test_phase_space_transforms_refuse_overflowing_results(name):
+    group = parse_group(name)
+    d = group.order
+    huge_op = Operator(group, np.full((d, d), 1e308))
+    calls = [lambda: kd_pure(GFunction(group, np.full(d, 1e200))),
+             lambda: symplectic_fourier(PhaseSpaceFunction(group, np.full((d, d), 1e308)))]
+    calls += [lambda o=o: char_fn(huge_op, o) for o in ("standard0", "standard1", "half")
+              if o != "half" or doubling(group).invertible]
+    for call in calls:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(PreconditionError, match="overflowing"):
+            call()
+
+
 def test_kd_of_a_finite_table_whose_sum_overflows():
     # every entry is 7.5e307, but their sum overflows: the table is finite
     # and must be returned, without a RuntimeWarning, and inverted back
