@@ -96,106 +96,105 @@ def make_subgroup_state(subgroup: Subgroup, g: Element, chi: Character) -> KdPur
     labels = coset_labels(group, subgroup)
     g_rep = group.element_by_index(int(labels[g.index]))
     chi_rep = group.character_by_index(int(coset_labels(group, annihilator(group, subgroup))[chi.index]))
-    values = _coset_vectors(np.zeros((1, 1, group.order), dtype=complex), subgroup,
-                            labels[None] == g_rep.index, [chi_rep.index])
-    return KdPureState(subgroup, g_rep, chi_rep, GFunction(group, values[0, 0]))
-
-
-def _coset_vectors(out: np.ndarray, subgroup: Subgroup, g_ind: np.ndarray, chi_reps) -> np.ndarray:
-    """Fill ``out``, zeros of shape (k, m, |G|), with member vectors and return it.
-
-    Row (i, j) is chi_j / sqrt(|H| / |G|) on the coset g_ind[i] marks and 0
-    elsewhere; the chi_j must be canonical representatives.
-    """
-    group = subgroup.group
-    rows = group.char_table[chi_reps] / np.sqrt(subgroup.order / group.order)
-    np.copyto(out, rows, where=g_ind[:, None, :])
-    return out
+    row = group.char_table[chi_rep.index] / np.sqrt(subgroup.order / group.order)
+    return KdPureState(subgroup, g_rep, chi_rep, GFunction(group, np.where(labels == g_rep.index, row, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
 class _Family:
-    """The KD-positive pure family of one group, and its coset data.
+    """The KD-positive pure family of one group, and its coset geometry.
 
     ``members`` run in family order: subgroup, then element coset, then
-    character coset.  Row i of the read-only ``vectors`` is member i's
-    vector, which views it.  ``cosets`` holds per subgroup H
-    ``(g_ind, chi_ind)``: the 0/1 indicators of G/H and of dual(G)/ann(H),
-    one row per coset in family order, so ``g_ind[0]`` marks H and
-    ``chi_ind[0]`` ann(H).
+    character coset; row i of the read-only ``vectors`` is member i's vector.
+    Member (H, g, chi) has the 0/1 KD table (g + H) x (chi * ann(H)), and
+    ann(H), read on the dual, is a lattice subgroup too.  So ``geometry``
+    holds one (S, |G|) ``stack`` of the S = sum_H |G/H| distinct coset
+    indicators, member i's row ``stack[rows[i]]`` and column
+    ``stack[cols[i]]``, and ``idx[r, x]``, the member with element coset r
+    whose character coset holds x.  No |G|^2-entry table nor Gram matrix:
 
-    Member (H, g, chi) has the KD table row (x) col, the 0/1 rectangle
-    (g + H) x (chi * ann(H)), so the geometry needs only the indicator
-    stacks R and C, built on first use, never |G|^2-entry tables nor the
-    n x n Gram matrix.  A member's pairing with a real table T is
-    ((R T) * C).sum(1) / |G|; a combination lam has the table
-    (R^T diag(lam)) C; and two rectangles overlap in the product of their
-    row and column overlaps, so the Gram columns of members idx are
-    (R R[idx]^T) * (C C[idx]^T) / |G|, exact overlap counts / |G|.  The
-    minimum-norm span coefficients of T are pair(F(F(T) / N)), with F the
-    symplectic Fourier transform and N(g, chi) the number of subgroups H
-    with g in H and chi in ann(H), also built on first use (see
-    `fragment.span_membership`).
+        pair(T)      = bincount(idx, weights=stack T) / |G|
+        combine(lam) = stack^T lam[idx]
+        overlaps(j)  = (stack stack[rows[j]]^T)[rows] * (stack stack[cols[j]]^T)[cols] / |G|
+
+    the last exact counts over |G|.  ``geometry`` and ``N``, the subgroup
+    counts of `fragment.span_membership`, are built on first use.
     """
 
     group: FiniteAbelianGroup
     members: tuple[KdPureState, ...] = field(repr=False)
     vectors: np.ndarray = field(repr=False)
-    cosets: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
     @cached_property
-    def R(self) -> np.ndarray:
-        """(n, |G|) 0/1 indicators of g + H, family order."""
-        return np.concatenate([np.repeat(g, len(chi), axis=0) for g, chi in self.cosets], dtype=float)
-
-    @cached_property
-    def C(self) -> np.ndarray:
-        """(n, |G|) 0/1 indicators of chi * ann(H), family order."""
-        return np.concatenate([np.tile(chi, (len(g), 1)) for g, chi in self.cosets], dtype=float)
+    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(stack, rows, cols, idx)``; the stack runs subgroup by subgroup."""
+        _, dual, labels = _lattice_cosets(self.group)
+        d = self.group.order
+        is_rep = labels == np.arange(d)
+        pos = np.take_along_axis(np.cumsum(is_rep, axis=1) - 1, labels, axis=1)   # x's coset, by rank
+        m = is_rep.sum(axis=1)                                                      # |G/H|
+        start = np.cumsum(m) - m
+        stack = np.zeros((m.sum(), d))
+        stack[start[:, None] + pos, np.arange(d)] = 1.0
+        # member i = sub |G| + coset |H| + chi coset; each element coset's first
+        # member (in stack order) plus the rank of chi's coset pairs it with chi
+        sub, within = np.divmod(np.arange(len(self.members)), d)
+        coset, chi_coset = np.divmod(within, d // m[sub])
+        lead = np.flatnonzero(chi_coset == 0)
+        geometry = (stack, start[sub] + coset, start[dual[sub]] + chi_coset,
+                    lead[:, None] + pos[dual[sub[lead]]])
+        for array in geometry:
+            array.setflags(write=False)
+        return geometry
 
     @cached_property
     def N(self) -> np.ndarray:
         """(|G|, |G|) exact integer counts N(g, chi) of the subgroups H with g in H and chi in ann(H)."""
-        h = np.array([g_ind[0] for g_ind, _ in self.cosets], dtype=np.int64)
-        ann = np.array([chi_ind[0] for _, chi_ind in self.cosets], dtype=np.int64)
+        stack, rows, cols, _ = self.geometry   # each subgroup's first member is H x ann(H)
+        h, ann = (stack[m[:: self.group.order]].astype(np.int64) for m in (rows, cols))
         return h.T @ ann
 
     def pair(self, table: np.ndarray) -> np.ndarray:
         """HS inner products <Pi_i, A> of every member with A, from A's real KD table."""
-        return ((self.R @ table) * self.C).sum(1) / self.group.order
+        stack, _, _, idx = self.geometry
+        return np.bincount(idx.ravel(), (stack @ table).ravel(), len(self.members)) / self.group.order
 
     def combine(self, lam: np.ndarray) -> np.ndarray:
         """KD table of sum_i lam_i Pi_i."""
-        return (self.R.T * lam) @ self.C
+        stack, _, _, idx = self.geometry
+        return stack.T @ lam[idx]
 
-    def overlaps(self, idx: np.ndarray) -> np.ndarray:
-        """Gram columns <Pi_i, Pi_j>, every member i against each j in idx: overlap counts / |G|."""
-        return (self.R @ self.R[idx].T) * (self.C @ self.C[idx].T) / self.group.order
+    def overlaps(self, j: np.ndarray) -> np.ndarray:
+        """Gram columns <Pi_i, Pi_j>, every member i against each listed j: overlap counts / |G|."""
+        stack, rows, cols, _ = self.geometry
+        both = stack @ stack.take(np.concatenate((rows.take(j), cols.take(j))), axis=0).T   # rows, cols of j
+        return both[:, : len(j)].take(rows, axis=0) * both[:, len(j) :].take(cols, axis=0) / self.group.order
+
+
+def _lattice_cosets(group: FiniteAbelianGroup):
+    """The lattice, each H's ann(H) as a lattice index, and each H's `coset_labels`."""
+    subgroups = enumerate_subgroups(group)
+    where = {h.elements: k for k, h in enumerate(subgroups)}
+    # Each large H comes after the small ann(H) the lattice derived it from,
+    # so pairing both ways asks annihilator only what the lattice asked it.
+    dual = [None] * len(subgroups)
+    for k, h in enumerate(subgroups):
+        if dual[k] is None:
+            a = where[annihilator(group, h).elements]
+            dual[k], dual[a] = a, k
+    return subgroups, np.array(dual), np.stack([coset_labels(group, h) for h in subgroups])
 
 
 @lru_cache(maxsize=None)
 def _family(group: FiniteAbelianGroup) -> _Family:
     """The family record of a group, from one pass over its subgroup lattice."""
-    subgroups = enumerate_subgroups(group)
+    subgroups, dual, labels = _lattice_cosets(group)
     d = group.order
-    # Each large H comes after the small ann(H) the lattice derived it from,
-    # so pairing both ways asks annihilator only what the lattice asked it.
-    # A coset's representative is the label that labels itself; read on the
-    # dual, ann(H)'s cosets are H's character cosets.
-    dual, sides = {}, {}
-    for h in subgroups:
-        if h.elements not in dual:
-            ann = annihilator(group, h).elements
-            dual[h.elements], dual[ann] = ann, h.elements
-        labels = coset_labels(group, h)
-        reps = np.flatnonzero(labels == np.arange(d))
-        sides[h.elements] = (reps, reps[:, None] == labels)
-        for array in sides[h.elements]:
-            array.setflags(write=False)
+    reps = [np.flatnonzero(row) for row in labels == np.arange(d)]   # labels that label themselves
     # one checked Element and Character per index, shared by the members
     elements, characters = tuple(group.elements()), tuple(group.characters())
     vectors = np.zeros((d * len(subgroups), d), dtype=complex)
-    members, cosets = [None] * len(vectors), []
+    members = [None] * len(vectors)
     # Members are made in place, as their constructors would make them:
     # KdPureState's frozen __init__ sets its four fields through
     # object.__setattr__ and checks nothing, and each vector is `_wrap`'s
@@ -205,13 +204,14 @@ def _family(group: FiniteAbelianGroup) -> _Family:
     # its constructor gives it, which keeps memory where it was.  The list
     # is made at its final size, as appends would over-allocate it.
     new, set_field, i = object.__new__, object.__setattr__, 0
-    for h, block in zip(subgroups, vectors.reshape(len(subgroups), d, d)):
-        (g_reps, g_ind), (chi_reps, chi_ind) = sides[h.elements], sides[dual[h.elements]]
-        cosets.append((g_ind, chi_ind))
-        rows = _coset_vectors(block.reshape(len(g_reps), len(chi_reps), d), h, g_ind, chi_reps)
-        rows.setflags(write=False)
+    for k, (h, block) in enumerate(zip(subgroups, vectors.reshape(len(subgroups), d, d))):
+        g_reps, chi_reps = reps[k], reps[dual[k]]
+        grid = block.reshape(len(g_reps), len(chi_reps), d)
+        on_coset = (g_reps[:, None] == labels[k])[:, None]
+        np.copyto(grid, group.char_table[chi_reps] / np.sqrt(h.order / d), where=on_coset)
+        grid.setflags(write=False)
         chis = [characters[c] for c in chi_reps.tolist()]
-        for g, coset_rows in zip(g_reps.tolist(), rows):
+        for g, coset_rows in zip(g_reps.tolist(), grid):
             g_rep = elements[g]
             for chi, v in zip(chis, coset_rows):
                 vector = new(GFunction)
@@ -224,7 +224,7 @@ def _family(group: FiniteAbelianGroup) -> _Family:
                 members[i] = member
                 i += 1
     vectors.setflags(write=False)
-    return _Family(group, tuple(members), vectors, tuple(cosets))
+    return _Family(group, tuple(members), vectors)
 
 
 def enumerate_kd_positive_pure(group: FiniteAbelianGroup) -> tuple[KdPureState, ...]:

@@ -8,13 +8,13 @@ inside the set where chi(g) = 1).
 
 Geometry lives in KD-table coordinates: the KD map is unitary, so the
 Hilbert-Schmidt inner product of A and B is sum(conj(KD_A) KD_B) / |G|,
-and family tables are exact 0/1 rectangles, held as the two coset
-indicator stacks of the family record (see `classify._Family`), and
-both solvers read them through its `pair` and `combine`.  The hull
-solver forms only the Gram columns of its passive set.  The span solve
-needs no Gram matrix at all: under the symplectic Fourier transform
-each rectangle becomes a character product on H x ann(H), so the
-family's Gram operator is diagonal there.
+and family tables are exact 0/1 rectangles of coset indicators, held
+once per distinct coset in the family record (see `classify._Family`),
+which both solvers read through its `pair` and `combine`.  The hull
+solver forms only the Gram columns of its passive set, by `overlaps`.
+The span solve needs no Gram matrix at all: under the symplectic Fourier
+transform each rectangle becomes a character product on H x ann(H), so
+the family's Gram operator is diagonal there.
 
 Hull membership is a least-squares problem over the probability simplex
 solved by an active-set method, and projection onto the KD-positive

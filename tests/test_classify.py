@@ -240,7 +240,7 @@ def test_subgroup_annihilator_mass_identity(battery_group):
 @pytest.mark.parametrize("name", BATTERY + ["Z128", "Z3xZ3xZ3xZ3"])
 def test_subgroup_counts_match_the_per_subgroup_sum(name):
     # N(g, chi) counts the subgroups H with g in H and chi in ann(H); read
-    # here from the lattice and the annihilators, not from the coset stacks
+    # here from the lattice and the annihilators, not from the coset stack
     group = parse_group(name)
     expected = np.zeros((group.order, group.order), dtype=np.int64)
     for h in enumerate_subgroups(group):

@@ -372,7 +372,7 @@ def test_one_lattice_and_one_family_per_group():
         cached.cache_clear()
     family = enumerate_kd_positive_pure(group)
     n, d = len(family), group.order
-    # enumeration alone builds the vectors, not the indicator stacks
+    # enumeration alone builds the vectors, not the coset geometry
     arrays = {name: v.shape for name, v in vars(_family(group)).items() if isinstance(v, np.ndarray)}
     assert arrays == {"vectors": (n, d)}
     conv_membership(Operator.identity(group) * (1.0 / group.order))
@@ -382,8 +382,12 @@ def test_one_lattice_and_one_family_per_group():
     assert enumerate_subgroups.cache_info().misses == 1
     assert _family.cache_info().misses == 1
     arrays = {name: v.shape for name, v in vars(_family(group)).items() if isinstance(v, np.ndarray)}
-    # the span solve adds the subgroup counts N(g, chi), d x d
-    assert arrays == {"vectors": (n, d), "R": (n, d), "C": (n, d), "N": (d, d)}
+    # the span solve adds the subgroup counts N(g, chi), d x d, and the
+    # solves the geometry: the s = sum_H |G/H| distinct coset indicators,
+    # member -> row and member -> column maps, and (row, chi) -> member
+    assert arrays == {"vectors": (n, d), "N": (d, d)}
+    s = sum(d // h.order for h in enumerate_subgroups(group))
+    assert [a.shape for a in _family(group).geometry] == [(s, d), (n,), (n,), (s, d)]
 
 
 @pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z6xZ6"])
@@ -420,6 +424,22 @@ def _member_vector(member):
     return values
 
 
+def _stacked_indicators(group):
+    """(n, |G|) 0/1 stacks of every member's coset g + H and character
+    coset chi * ann(H), in family order, read from the members' own coset
+    data: the n x |G| reference for the family record's geometry."""
+    members = enumerate_kd_positive_pure(group)
+    rows, cols = np.zeros((2, len(members), group.order))
+    dual = {}
+    for i, m in enumerate(members):
+        h = m.subgroup.elements
+        if h not in dual:
+            dual[h] = list(annihilator(group, m.subgroup).elements)
+        rows[i, group.add_table[m.g_rep.index, list(h)]] = 1.0
+        cols[i, group.add_table[m.chi_rep.index, dual[h]]] = 1.0
+    return rows, cols
+
+
 @pytest.mark.parametrize("name", BATTERY + ["Z64", "Z4xZ4", "Z6xZ6"])
 def test_family_and_context_match_member_by_member_construction(name):
     # the per-subgroup build must reproduce, bit for bit, one canonicalizing
@@ -443,48 +463,75 @@ def test_family_and_context_match_member_by_member_construction(name):
                 == json.dumps(encode_array(_member_vector(expected))))
     ones = np.stack([m.indicator_table().values.real for m in reference])
     ctx = _family(group)
-    assert np.array_equal(ctx.R[:, :, None] * ctx.C[:, None, :], ones)
+    rows, cols = _stacked_indicators(group)
+    assert np.array_equal(rows[:, :, None] * cols[:, None, :], ones)
+    # a unit combination is the member's own table, exactly
+    assert np.array_equal(np.stack([ctx.combine(e) for e in np.eye(len(ones))]), ones)
     ones = ones.reshape(len(ones), d * d)
     assert np.array_equal(ctx.overlaps(np.arange(len(ones))), ones @ ones.T / d)
     assert np.array_equal(ctx.overlaps(np.array([3, 1])), ones @ ones[[3, 1]].T / d)
 
 
-@pytest.mark.parametrize("name", BATTERY + ["Z2xZ2xZ2xZ2", "Z6xZ6"])
+@pytest.mark.parametrize("name", BATTERY + ["Z64", "Z128", "Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z6xZ6",
+                                            "Z2xZ2xZ2xZ2xZ2", "Z3xZ3xZ3xZ3"])
 def test_rectangle_pairing_and_combination_match_dense_stack(name):
-    # the indicator products against the stacked tables they replace
+    # pair, combine and overlaps against the stacked formulas on the n x |G|
+    # row and column indicators of the member cosets, and, up to |G| = 64,
+    # against the stacked member tables too (on Z3^4 they would take 900 MB)
     group = parse_group(name)
     d = group.order
     ctx = _family(group)
-    dense = np.stack([m.indicator_table().values.real.ravel()
-                      for m in enumerate_kd_positive_pure(group)])
+    rows, cols = _stacked_indicators(group)
+    n = len(rows)
+    dense = None
+    if d <= 64:
+        dense = np.stack([m.indicator_table().values.real.ravel()
+                          for m in enumerate_kd_positive_pure(group)])
     rng = np.random.default_rng(229)
     for _ in range(3):
         table = rng.normal(size=(d, d))
-        lam = rng.normal(size=len(dense))
-        assert np.max(np.abs(ctx.pair(table) - dense @ table.ravel() / d)) <= 1e-13
-        assert np.max(np.abs(ctx.combine(lam).ravel() - lam @ dense)) <= 1e-13
+        lam = rng.normal(size=n)
+        picks = rng.choice(n, size=min(n, 7), replace=False)
+        pairs = [(ctx.pair(table), ((rows @ table) * cols).sum(1) / d),
+                 (ctx.combine(lam), (rows.T * lam) @ cols),
+                 (ctx.overlaps(picks), (rows @ rows[picks].T) * (cols @ cols[picks].T) / d)]
+        if dense is not None:
+            pairs += [(ctx.pair(table), dense @ table.ravel() / d),
+                      (ctx.combine(lam).ravel(), lam @ dense)]
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
 
 
 def test_hull_membership_on_a_large_family_holds_only_the_indicators():
-    # Z2^5 has 11 968 members: a Gram matrix would take 1.1 GB, the two
-    # indicator stacks take 6 MB
+    # Z2^5 has 11 968 members: a Gram matrix would take 1.1 GB, n x |G|
+    # row and column stacks 5.8 MB, and the geometry of its S = 2451
+    # distinct coset indicators 1.4 MB
     group = parse_group("Z2xZ2xZ2xZ2xZ2")
     d = group.order
     ctx = _family(group)
     n = len(enumerate_kd_positive_pure(group))
     assert n == 11968
-    assert ctx.R.nbytes + ctx.C.nbytes <= 2 * n * d * 8
     assert ctx.vectors.nbytes == n * d * 16      # the one copy of the member vectors
     rng = np.random.default_rng(233)
     for rho in (Operator.identity(group) * (1.0 / d), _family_mixture(group, rng, k=5)):
         result = conv_membership(rho)
         assert result.verdict == "inside"
         assert result.converged
+    # read after the solves, so arrays built on first use are counted too,
+    # also inside tuples; N, the span's (|G|, |G|) subgroup counts, is not
+    # geometry
+    s = sum(d // h.order for h in enumerate_subgroups(group))
+    geometry = [a for k, v in vars(ctx).items() if k not in ("vectors", "N")
+                for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+    assert geometry
+    assert sum(a.nbytes for a in geometry) <= 2 * s * d * 8 + 2 * n * 8
+    assert not any(a.shape == (n, d) for a in geometry)
 
 
 def test_span_membership_on_a_large_family_stacks_no_tables():
     # Z2^5: the 11 968 stacked member tables would take 98 MB; the solve
-    # reads the H and ann(H) indicators and the two indicator stacks only
+    # reads the H and ann(H) indicators and the coset stack only
     group = parse_group("Z2xZ2xZ2xZ2xZ2")
     d = group.order
     family = enumerate_kd_positive_pure(group)
@@ -493,8 +540,7 @@ def test_span_membership_on_a_large_family_stacks_no_tables():
     picks = rng.choice(n, size=4, replace=False)
     vectors = np.stack([family[i].vector.values for i in picks])
     inside = Operator.from_matrix(group, (vectors.T * rng.normal(size=4)) @ vectors.conj() / d)
-    ctx = _family(group)                # built first: the bound is on the solve alone
-    ctx.R, ctx.C
+    _family(group)                      # built first; the bound covers the solve and the geometry it builds
     for op, verdict in ((inside, "inside"), (random_hermitian(group, rng), "outside")):
         tracemalloc.start()
         result = span_membership(op)
@@ -690,7 +736,7 @@ def test_simplex_nnls_matches_dense_reference_on_full_mixtures(name):
     # dense mixtures of every member: the passive set grows to kd_real_dimension
     group = parse_group(name)
     ctx = _family(group)
-    n = len(ctx.R)
+    n = len(ctx.members)
     rng = np.random.default_rng(227)
     for _ in range(10):
         table = ctx.combine(rng.dirichlet(np.ones(n)))
@@ -801,7 +847,7 @@ def test_simplex_nnls_warm_start_matches_cold(battery_group):
     group = battery_group
     d = group.order
     ctx = _family(group)
-    n = len(ctx.R)
+    n = len(ctx.members)
     rng = np.random.default_rng(197)
     direction = _random_direction(group, rng)
     current = np.eye(d, dtype=complex) / d
@@ -1202,7 +1248,8 @@ def test_table_geometry_matches_matrix_embedding(name):
     embed, basis = _embedded_family(group)
     ctx = _family(group)
     assert np.max(np.abs(ctx.overlaps(np.arange(len(embed))) - embed @ embed.T)) <= 1e-12
-    tables = (ctx.R[:, :, None] * ctx.C[:, None, :]).reshape(len(embed), d * d)
+    rows, cols = _stacked_indicators(group)
+    tables = (rows[:, :, None] * cols[:, None, :]).reshape(len(embed), d * d)
     assert np.linalg.matrix_rank(tables) == basis.shape[0]
 
     direction = _random_direction(group, np.random.default_rng(181))
