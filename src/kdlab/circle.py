@@ -219,7 +219,7 @@ def circle_negativity_search(
     evaluates every grid value without aliasing.  The result is no
     certificate: a deeper minimum between other grid points is not seen,
     so a violation of zero does not prove a nonnegative table.  The scan
-    holds (2K + 1) * grid_size cells, at most ``MAX_SCAN_CELLS``.
+    holds (2K + 1) * grid_size cells, at most ``MAX_SCAN_CELLS``, none overflowing.
     """
     grid_size = integer(grid_size, "grid size", 4 * op.K + 4)
     cells = (2 * op.K + 1) * grid_size
@@ -228,6 +228,12 @@ def circle_negativity_search(
             f"grid size {grid_size} over {2 * op.K + 1} modes makes {cells} cells, "
             f"above the scan bound {MAX_SCAN_CELLS}"
         )
+    # The scan and its refinement evaluate the table and two angle derivatives: at most
+    # (2K)^2 times a column's absolute sum (once at K = 0), doubled for the sums' rounding.
+    with np.errstate(over="ignore"):
+        reach = 2.0 * max(1, 4 * op.K**2) * float(np.max(np.abs(op.coeffs).sum(axis=0)))
+    if not np.isfinite(reach):
+        raise PreconditionError("coefficients too large to scan: the table's values could overflow")
     # Row m + K holds c_{km} at frequency k - m.
     values = np.fft.ifft(_spectrum(op.coeffs.T, grid_size), axis=1, norm="forward")
     # Row-major order: ties go to the lowest mode, then the lowest angle.

@@ -2,7 +2,8 @@
 
 States and operators are read from JSON files only, so every run is
 reproducible from its inputs.  Each subcommand is a function
-``(args, group, tol) -> (exit code, payload[, csv text])``: `main` parses
+``(args, group, tol) -> (exit code, payload[, csv])``, csv a callable
+that renders the CSV text, called only for ``--format csv``: `main` parses
 ``--group`` and builds the tolerance record before the call and writes
 the output after it, so errors surface in one order: group spec,
 tolerances, input files, computation.  Exit codes: 0 success or verdict
@@ -135,12 +136,17 @@ def _render_table(payload, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    # only the subcommands that return csv_text offer csv as a --format choice
+def _dashed(values) -> str:
+    """A CSV field holding a tuple of integers: them, joined by '-'."""
+    return "-".join(map(str, values))
+
+
+def _emit(args, payload: dict, csv=None) -> None:
+    # only the subcommands that return csv offer csv as a --format choice
     if args.format == "json":
         text = dumps(payload)
     elif args.format == "csv":
-        text = csv_text
+        text = csv()
     else:
         text = _render_table(payload) + "\n"
     if not args.out:
@@ -171,26 +177,18 @@ def cmd_group_info(args, group, tol):
 
 
 def cmd_group_subgroups(args, group, tol):
-    rows = []
-    for i, sub in enumerate(enumerate_subgroups(group)):
-        ann = annihilator(group, sub)
-        rows.append({
-            "id": i,
-            "order": sub.order,
-            "elements": list(sub.elements),
-            "annihilator_order": ann.order,
-        })
-    csv_lines = ["id,order,elements,annihilator_order"]
-    for row in rows:
-        elems = "-".join(str(e) for e in row["elements"])
-        csv_lines.append(f"{row['id']},{row['order']},{elems},{row['annihilator_order']}")
+    rows = [{"id": i, "order": sub.order, "elements": list(sub.elements),
+             "annihilator_order": annihilator(group, sub).order}
+            for i, sub in enumerate(enumerate_subgroups(group))]
     payload = {"group": repr(group), "count": len(rows), "subgroups": rows}
-    return EXIT_OK, payload, "\n".join(csv_lines) + "\n"
+    return EXIT_OK, payload, lambda: "id,order,elements,annihilator_order\n" + "".join(
+        f"{r['id']},{r['order']},{_dashed(r['elements'])},{r['annihilator_order']}\n" for r in rows
+    )
 
 
 def cmd_kd_compute(args, group, tol):
     table = kd(_load(args.operator, "operator", _operator(group)))
-    return EXIT_OK, table.to_json(), table.to_csv()
+    return EXIT_OK, table.to_json(), table.to_csv
 
 
 def cmd_kd_invert(args, group, tol):
@@ -200,7 +198,7 @@ def cmd_kd_invert(args, group, tol):
 
 def cmd_charfn(args, group, tol):
     table = char_fn(_load(args.operator, "operator", _operator(group)), args.ordering)
-    return EXIT_OK, table.to_json(), table.to_csv()
+    return EXIT_OK, table.to_json(), table.to_csv
 
 
 def cmd_wh_act(args, group, tol):
@@ -212,14 +210,11 @@ def cmd_wh_act(args, group, tol):
 
 def cmd_pure_enumerate(args, group, tol):
     family = enumerate_kd_positive_pure(group)
-    csv_lines = ["id,subgroup,g,chi"]
-    for i, member in enumerate(family):
-        sub = "-".join(str(e) for e in member.subgroup.elements)
-        g = "-".join(str(r) for r in member.g_rep.residues)
-        chi = "-".join(str(r) for r in member.chi_rep.label)
-        csv_lines.append(f"{i},{sub},{g},{chi}")
     payload = {"group": repr(group), "count": len(family), "members": family_to_json(family)}
-    return EXIT_OK, payload, "\n".join(csv_lines) + "\n"
+    return EXIT_OK, payload, lambda: "id,subgroup,g,chi\n" + "".join(
+        f"{i},{_dashed(m.subgroup.elements)},{_dashed(m.g_rep.residues)},{_dashed(m.chi_rep.label)}\n"
+        for i, m in enumerate(family)
+    )
 
 
 def cmd_pure_recognize(args, group, tol):

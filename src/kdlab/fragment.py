@@ -10,11 +10,10 @@ Geometry lives in KD-table coordinates: the KD map is unitary, so the
 Hilbert-Schmidt inner product of A and B is sum(conj(KD_A) KD_B) / |G|,
 and family tables are exact 0/1 rectangles of coset indicators, held
 once per distinct coset in the family record (see `classify._Family`),
-which both solvers read through its `pair` and `combine`.  The hull
-solver forms only the Gram columns of its passive set, by `overlaps`.
-The span solve needs no Gram matrix at all: under the symplectic Fourier
-transform each rectangle becomes a character product on H x ann(H), so
-the family's Gram operator is diagonal there.
+which the hull solver reads by `pair`, `combine` and, for the Gram
+columns of its passive set only, `overlaps`.  The span is the KD-real
+operators: its remainder is the characteristic mass where chi(g) != 1,
+and its Gram operator is diagonal under the symplectic Fourier transform.
 
 Hull membership is a least-squares problem over the probability simplex
 solved by an active-set method, and projection onto the KD-positive
@@ -77,7 +76,7 @@ def is_kd_real(op: Operator, tol: Tolerances = DEFAULT) -> KdRealResult:
     group = op.group
     direct = float(np.max(np.abs(_kd_table(group, op.kernel).imag)))
     support_values = char_fn(op, "standard0").values
-    support = float(np.max(np.abs(support_values[group.char_phase.T != 0]), initial=0.0))
+    support = float(np.max(np.abs(support_values[group.char_phase != 0]), initial=0.0))
     verdict_direct = direct <= tol.structural
     verdict_support = support <= tol.structural
     return KdRealResult(
@@ -154,38 +153,38 @@ class MembershipResult:
 def span_membership(op: Operator, tol: Tolerances = DEFAULT) -> MembershipResult:
     """Distance from the real span of the family projectors.
 
+    The remainder is the bare characteristic function c off chi(g) = 1.
     Inside: the minimum-norm real coefficients, within ``tol.membership``.
-    Outside: the normalized orthogonal remainder W, which pairs to zero
-    with every family member while <W, A> is the gap, above that bound
-    and above rounding (``DEFAULT.exact``).
+    Outside: the remainder's normalized KD table W, which pairs to zero
+    with every member by construction while <W, A> is the gap, above that
+    bound and above the rounding of A, ``DEFAULT.exact`` ||A||.
     """
     if not op.is_hermitian():
         raise NotHermitianError("span membership is defined for Hermitian operators")
     group = op.group
     family = _family(group)
-    table = _kd_table(group, op.kernel)
-    # With F the symplectic Fourier transform, its own inverse, A A^T is
-    # diagonal under F, |G| N(g, chi), with N counting the subgroups H that
-    # hold g and have chi in ann(H); and A^T Y = |G| family.pair(Y).  So the
-    # minimum-norm coefficients A^T (A A^T)^+ T are pair(F(F(T) / N)).
-    counts = family.N
-    fhat = symplectic_fourier(PhaseSpaceFunction(group, table.real)).values
-    q = np.divide(fhat, counts, out=np.zeros_like(fhat), where=counts > 0)
-    coeffs = family.pair(symplectic_fourier(PhaseSpaceFunction(group, q)).values.real)
-    rank = np.count_nonzero(counts)
-    r = table - family.combine(coeffs)
-    residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
+    c = char_fn(op, "standard0").values
+    off = np.where(group.char_phase != 0, c, 0.0)
+    residual = float(np.linalg.norm(off)) / np.sqrt(group.order)
+    rank = int(np.count_nonzero(family.N))
     if residual <= tol.membership:
-        return MembershipResult("inside", residual, weights=coeffs, span_dimension=int(rank))
-    w = r / residual if residual > 0.0 else r   # unit norm; r = 0 needs a negative bound
-    gap = float(np.vdot(w, table).real) / group.order
-    family_side = float(np.max(np.abs(family.pair(w.real))))
+        # F, the symplectic Fourier transform, is its own inverse and takes a
+        # real table T to c where N > 0.  A A^T is |G| N under F, N(g, chi)
+        # counting the H that hold g with chi in ann(H), and A^T Y = |G|
+        # pair(Y); so the minimum-norm A^T (A A^T)^+ T is pair(F(c / N)).
+        q = np.divide(c, family.N, out=np.zeros_like(c), where=family.N > 0)
+        coeffs = family.pair(symplectic_fourier(PhaseSpaceFunction(group, q)).values.real)
+        return MembershipResult("inside", residual, weights=coeffs, span_dimension=rank)
+    # its KD table; the pairing is symmetric, so X.conj() holds conj(chi(g)) at [g, chi]
+    w = symplectic_fourier(PhaseSpaceFunction(group, off * group.char_table_conj)).values
+    w /= residual if residual > 0.0 else 1.0    # unit norm; off = 0 needs a negative bound
     witness = Operator(group, _kd_kernel(group, w))
-    if gap > max(tol.membership, DEFAULT.exact) and family_side <= max(tol.membership, 1e-9 * max(1.0, gap)):
-        return MembershipResult(
-            "outside", residual, witness=witness, gap=gap, span_dimension=int(rank)
-        )
-    return MembershipResult("inconclusive", residual, span_dimension=int(rank))
+    gap = witness.hs_inner(op).real
+    family_side = float(np.max(np.abs(family.pair(w.real))))
+    floor = DEFAULT.exact * float(np.linalg.norm(c)) / np.sqrt(group.order)     # rounding of <W, A>
+    if gap > max(tol.membership, floor) and family_side <= max(tol.membership, DEFAULT.exact):
+        return MembershipResult("outside", residual, witness=witness, gap=gap, span_dimension=rank)
+    return MembershipResult("inconclusive", residual, span_dimension=rank)
 
 
 # Relative Schur pivot sigma / G_jj below which a joining column counts as
@@ -499,7 +498,7 @@ def _random_direction(group: FiniteAbelianGroup, rng: np.random.Generator) -> np
     raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     herm = (raw + raw.conj().T) / 2.0
     values = char_fn(Operator.from_matrix(group, herm), "standard0").values
-    values[group.char_phase.T != 0] = 0.0
+    values[group.char_phase != 0] = 0.0
     matrix = kd_inverse(symplectic_fourier(PhaseSpaceFunction(group, values))).matrix
     norm = np.linalg.norm(matrix)
     if norm == 0.0:

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,24 @@ def test_grid_cell_bound_is_checked_before_the_scan():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _overflowing_band():
+    """K = 2 with finite entries 1e308 and 1.5e308 in one column, whose table overflows a float."""
+    c = np.zeros((5, 5))
+    c[0, 0], c[1, 0] = 1e308, 1.5e308
+    return BandLimitedOperator(2, c)
+
+
+def test_search_refuses_a_scan_that_could_overflow():
+    # refused before the scan, so without a numpy RuntimeWarning; a millionth
+    # of the same coefficients scans to finite extremes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="too large to scan"):
+            circle_negativity_search(_overflowing_band(), 20)
+        scaled = BandLimitedOperator(2, _overflowing_band().coeffs * 1e-6)
+        assert np.isfinite(circle_negativity_search(scaled, 20).violation)
 
 
 @pytest.mark.parametrize("grid", [24.5, 25.0, "32", None])

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +21,12 @@ from kdlab.groups import parse_group
 from kdlab.harmonic import GFunction
 from kdlab.jsonio import dumps, encode_array
 from kdlab.kd import kd
-from kdlab.operators import Operator
+from kdlab.operators import Operator, PhaseSpaceFunction
 from kdlab.errors import PreconditionError, SubgroupBoundError
 from kdlab.tolerances import DEFAULT, Tolerances
 
 from conftest import child_env
-from test_circle import _two_mode_plus, _vacuum
+from test_circle import _overflowing_band, _two_mode_plus, _vacuum
 from test_fragment import _off_support_op
 
 
@@ -466,6 +467,24 @@ def test_member_span_verdicts(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "outside"
 
 
+def test_member_span_holds_its_verdicts_at_scale(tmp_path, capsys):
+    # diag(1/|G|, s, 1/|G|, ...) is in the span at every s, so it reads "inside";
+    # at s = 1e12 a real combination of members has a remainder of pure
+    # rounding above tol.membership, so it reads "inconclusive", never "outside"
+    z = parse_group("Z2xZ2")
+    probe = np.eye(4, dtype=complex) / 4
+    probe[1, 1] = 1e12
+    family = enumerate_kd_positive_pure(z)
+    rng = np.random.default_rng(271)
+    combination = sum(c * family[i].projector().kernel
+                      for c, i in zip(rng.normal(size=4), rng.choice(len(family), size=4, replace=False)))
+    for name, op, expected in (("probe", Operator.from_matrix(z, probe), 0),
+                               ("combination", Operator(z, 1e12 * combination), 4)):
+        path = _write(tmp_path, f"{name}.json", op.to_json())
+        code, _, _ = _run(capsys, ["member", "span", "--group", "Z2xZ2", "--operator", path, "--format", "json"])
+        assert code == expected, name
+
+
 def test_member_conv_mixed_state(tmp_path, capsys):
     z2 = parse_group("Z2")
     mixed_path = _write(tmp_path, "mixed.json", (Operator.identity(z2) * 0.5).to_json())
@@ -545,6 +564,27 @@ def test_circle_search_default_grid_fits_the_band_limit(tmp_path, capsys, K, gri
         assert out == "" and "grid size 1024 is below its minimum 1028" in err
     else:
         assert json.loads(out)["grid_size"] == grid_size
+
+
+def test_circle_search_refuses_an_overflowing_scan(tmp_path, capsys):
+    path = _write(tmp_path, "band.json", _overflowing_band().to_json())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["circle", "search", "--input", path, "--format", "json"])
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1 and "too large to scan" in err
+
+
+@pytest.mark.parametrize("argv", [["kd", "compute"], ["charfn"]])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_table_commands_render_csv_only_when_asked(tmp_path, capsys, monkeypatch, argv, fmt):
+    def refuse(self):
+        raise AssertionError("CSV rendered for another format")
+
+    monkeypatch.setattr(PhaseSpaceFunction, "to_csv", refuse)
+    path = _write(tmp_path, "op.json", Operator.identity(parse_group("Z6")).to_json())
+    code, out, _ = _run(capsys, [*argv, "--group", "Z6", "--operator", path, "--format", fmt])
+    assert code == 0 and out
 
 
 def test_verify_all_green(capsys):

@@ -33,8 +33,8 @@ from kdlab.fragment import (
 from kdlab.groups import annihilator, coset_reps, enumerate_subgroups, parse_group
 from kdlab.harmonic import GFunction
 from kdlab.jsonio import encode_array
-from kdlab.kd import _kd_table, char_fn, multiplication_operator
-from kdlab.operators import Operator, check_state
+from kdlab.kd import _kd_table, char_fn, multiplication_operator, symplectic_fourier
+from kdlab.operators import Operator, PhaseSpaceFunction, check_state
 from kdlab.tolerances import DEFAULT, Tolerances
 from kdlab.verify import verify_group
 from kdlab.weyl import WHElement, wh_unitary
@@ -597,6 +597,77 @@ def test_span_residual_is_the_off_support_characteristic_mass(name):
     every = np.stack([m.vector.values for m in family])
     rebuilt = (every.T * result.weights) @ every.conj() / group.order
     assert np.max(np.abs(rebuilt - inside.matrix)) <= 1e-8
+
+
+def _table_span_reference(op):
+    """The span projection in KD-table coordinates, without the characteristic function.
+
+    Minimum-norm coefficients pair(F(F(Re T) / N)), F the symplectic Fourier
+    transform and N the subgroup counts, and the remainder T - combine(them).
+    """
+    group = op.group
+    family = _family(group)
+    table = _kd_table(group, op.kernel)
+    fhat = symplectic_fourier(PhaseSpaceFunction(group, table.real)).values
+    q = np.divide(fhat, family.N, out=np.zeros_like(fhat), where=family.N > 0)
+    coeffs = family.pair(symplectic_fourier(PhaseSpaceFunction(group, q)).values.real)
+    return coeffs, table - family.combine(coeffs)
+
+
+def _member_combination(group, rng, k=4):
+    """A seeded real combination of k family projectors: in the span."""
+    family = enumerate_kd_positive_pure(group)
+    picks = rng.choice(len(family), size=k, replace=False)
+    return Operator(group, sum(c * family[i].projector().kernel for c, i in zip(rng.normal(size=k), picks)))
+
+
+@pytest.mark.parametrize("name", BATTERY + ["Z64", "Z128", "Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z6xZ6"])
+def test_span_matches_the_table_coordinate_reference(name):
+    # span_membership reads the remainder off the characteristic function;
+    # the reference projects the KD table instead, so the two share only the
+    # family record.  The remainder's table is the witness table times the residual.
+    group = parse_group(name)
+    rng = np.random.default_rng(269)
+    for op, verdict in ((_member_combination(group, rng), "inside"), (random_hermitian(group, rng), "outside")):
+        coeffs, remainder = _table_span_reference(op)
+        scale = max(1.0, op.hs_norm())
+        expected = float(np.linalg.norm(remainder)) / np.sqrt(group.order)
+        result = span_membership(op)
+        assert result.verdict == verdict
+        assert abs(result.residual - expected) <= 1e-12 * scale
+        if verdict == "inside":
+            assert np.max(np.abs(result.weights - coeffs)) <= 1e-12 * scale
+            continue
+        table = _kd_table(group, result.witness.kernel)
+        assert np.max(np.abs(table * result.residual - remainder)) <= 1e-12 * scale
+        gap = float(np.vdot(remainder, _kd_table(group, op.kernel)).real) / group.order / expected
+        assert abs(result.gap - gap) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", BATTERY + ["Z64", "Z2xZ2xZ2xZ2"])
+def test_span_verdicts_hold_at_every_scale(name):
+    # tol.membership is absolute: an in-span operator reads "inside" until its
+    # off-support rounding passes it, then "inconclusive", never "outside",
+    # as its gap stays under the rounding floor DEFAULT.exact ||A||.  The
+    # probe's characteristic function is exactly zero off chi(g) = 1, so it is
+    # inside at every scale; an operator off the span is outside at every scale,
+    # and each certificate re-verifies on the returned witness.
+    group = parse_group(name)
+    d = group.order
+    family = _family(group)
+    rng = np.random.default_rng(271)
+    combination, off_span = _member_combination(group, rng).kernel, random_hermitian(group, rng).kernel
+    for s in (10.0 ** k for k in range(-3, 16)):
+        probe = np.eye(d, dtype=complex) / d     # diag(1/|G|, s, 1/|G|, ...)
+        probe[1, 1] = s
+        assert span_membership(Operator.from_matrix(group, probe)).verdict == "inside"
+        assert span_membership(Operator(group, s * combination)).verdict != "outside"
+        op = Operator(group, s * off_span)
+        result = span_membership(op)
+        assert result.verdict == "outside"
+        w = _kd_table(group, result.witness.kernel)
+        assert np.max(np.abs(family.pair(w.real))) <= max(DEFAULT.membership, DEFAULT.exact)
+        assert float(np.vdot(w, _kd_table(group, op.kernel)).real) / d == pytest.approx(result.gap, rel=1e-10)
 
 
 def test_hull_query_reads_one_kd_table(monkeypatch):
