@@ -72,10 +72,15 @@ class BandLimitedOperator:
 
     @classmethod
     def from_json(cls, payload: dict) -> "BandLimitedOperator":
-        payload = json_object(payload, ("K", "coeffs"))
-        # a non-integer K is a malformed payload, a negative one a precondition
-        K = integer(json_number(payload["K"], (int,)), "band limit", 0)
+        K = band_limit(payload)
         return cls(K, decode_array(payload["coeffs"], (2 * K + 1, 2 * K + 1)))
+
+
+def band_limit(payload: dict) -> int:
+    """The band limit K of a band operator's JSON payload, read without its coefficients."""
+    payload = json_object(payload, ("K", "coeffs"))
+    # a non-integer K is a malformed payload, a negative one a precondition
+    return integer(json_number(payload["K"], (int,)), "band limit", 0)
 
 
 def circle_kd_eval(op: BandLimitedOperator, m: int, z: complex) -> complex:
@@ -125,6 +130,23 @@ class NegativitySearchResult:
 # of the scan then holds at most 64 MiB.  At the smallest grid, 4K + 4, the
 # bound admits band limits up to K = 723.
 MAX_SCAN_CELLS = 2**22
+
+
+def scan_grid(K: int, grid_size) -> int:
+    """grid_size as an integer grid of at least 4K + 4 points whose scan fits ``MAX_SCAN_CELLS``.
+
+    Both bounds depend on K alone, so a band file can be refused before
+    its coefficients are decoded.
+    """
+    grid_size = integer(grid_size, "grid size", 4 * K + 4)
+    cells = (2 * K + 1) * grid_size
+    if cells > MAX_SCAN_CELLS:
+        raise PreconditionError(
+            f"grid size {grid_size} over {2 * K + 1} modes makes {cells} cells, "
+            f"above the scan bound {MAX_SCAN_CELLS}"
+        )
+    return grid_size
+
 
 # The bracket sample that starts each refinement has 2 * _HALF_SAMPLE + 1
 # evenly spaced points; the middle one is the grid point itself.
@@ -221,13 +243,7 @@ def circle_negativity_search(
     so a violation of zero does not prove a nonnegative table.  The scan
     holds (2K + 1) * grid_size cells, at most ``MAX_SCAN_CELLS``, none overflowing.
     """
-    grid_size = integer(grid_size, "grid size", 4 * op.K + 4)
-    cells = (2 * op.K + 1) * grid_size
-    if cells > MAX_SCAN_CELLS:
-        raise PreconditionError(
-            f"grid size {grid_size} over {2 * op.K + 1} modes makes {cells} cells, "
-            f"above the scan bound {MAX_SCAN_CELLS}"
-        )
+    grid_size = scan_grid(op.K, grid_size)
     # The scan and its refinement evaluate the table and two angle derivatives: at most
     # (2K)^2 times a column's absolute sum (once at K = 0), doubled for the sums' rounding.
     with np.errstate(over="ignore"):

@@ -261,8 +261,14 @@ def cmd_circle_check(args, group, tol):
 
 
 def cmd_circle_search(args, group, tol):
-    op = _load(args.input, "band operator", _band)
-    grid = max(1024, 4 * op.K + 4) if args.grid is None else args.grid
+    def parse(text):
+        payload = loads(text)
+        # the grid is checked on K alone, before the coefficients are decoded
+        K = circ.band_limit(payload)
+        grid = circ.scan_grid(K, max(1024, 4 * K + 4) if args.grid is None else args.grid)
+        return circ.BandLimitedOperator.from_json(payload), grid
+
+    op, grid = _load(args.input, "band operator", parse)
     return EXIT_OK, circ.circle_negativity_search(op, grid).to_json()
 
 

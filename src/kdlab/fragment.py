@@ -31,9 +31,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import eigh_lo
 
 from .classify import _family
-from .errors import NotAStateError, NotHermitianError, NotKdPositiveError
+from .errors import NotAStateError, NotHermitianError, NotKdPositiveError, PreconditionError
 from .groups import FiniteAbelianGroup
 from .jsonio import integer
 from .kd import _kd_kernel, _kd_table, char_fn, kd_inverse, symplectic_fourier
@@ -369,6 +371,22 @@ def _frobenius(matrix: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+@np.errstate(all="ignore")
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of complex Hermitian ``(..., d, d)`` matrices, bit for bit.
+
+    It runs the LAPACK gufunc that ``eigh`` runs, on the lower triangle,
+    without the wrapper's per-call array and type checks.  A matrix that
+    does not converge, or whose lower triangle holds NaN or inf, gets NaN
+    eigenvalues; that raises ``LinAlgError``, with no ``RuntimeWarning``.
+    """
+    vals, vecs = eigh_lo(matrix, signature="D->dD")
+    flat = vals.reshape(-1)
+    if math.isnan(flat.dot(flat)):      # a sum of squares is NaN only if an eigenvalue is
+        raise LinAlgError("Eigenvalues did not converge")
+    return vals, vecs
+
+
 def _dykstra(group: FiniteAbelianGroup, m0: np.ndarray, max_iter: int, tol: float):
     """Dykstra alternation between the state set and the KD polyhedron.
 
@@ -385,10 +403,11 @@ def _dykstra(group: FiniteAbelianGroup, m0: np.ndarray, max_iter: int, tol: floa
     that went through ``eigh``, so when that bound clears s by more than
     the rounding of A's eigenvalues, ``DEFAULT.exact`` max(1, ||A||_2),
     the shift is the projection and its result is PSD by proof.
-    Otherwise ``eigh`` runs and A moves to H.  The bound is tried only
-    after a full-rank projection of A: after a rank-deficient one,
-    lambda_min(A) <= (tr A - 1) / d, and as |tr(H - A)| / d <=
-    ||H - A||_F the test could not pass.
+    Otherwise ``eigh`` runs, through the `_eigh` seam straight to LAPACK,
+    and A moves to H.  The bound is tried only after a full-rank
+    projection of A: after a rank-deficient one, lambda_min(A) <=
+    (tr A - 1) / d, and as |tr(H - A)| / d <= ||H - A||_F the test could
+    not pass.
     """
     d = m0.shape[0]
     x = m0
@@ -407,7 +426,7 @@ def _dykstra(group: FiniteAbelianGroup, m0: np.ndarray, max_iter: int, tol: floa
             y = herm
             y.reshape(-1)[:: d + 1] -= shift
         else:
-            vals, vecs = np.linalg.eigh(herm)
+            vals, vecs = _eigh(herm)
             w = _project_simplex(vals)
             y = (vecs * w) @ vecs.conj().T
             anchor = None
@@ -444,9 +463,12 @@ def project_onto_kdpos(
     by its clipped spectrum, or by the Weyl bound of `_dykstra`'s shift
     step.  `residual` reports its remaining KD violation and `converged`
     whether the two sets met within tol.  max_iter is an integer of at
-    least 1.
+    least 1; tol must be finite, and below 0 the alternation runs all
+    max_iter iterations.
     """
     max_iter = integer(max_iter, "projection iteration count", 1)
+    if not math.isfinite(tol):      # NaN never converges and infinity at once
+        raise PreconditionError(f"projection tolerance must be finite, got {tol!r}")
     if not rho0.is_hermitian():
         raise NotHermitianError("projection input must be Hermitian")
     group = rho0.group
@@ -457,7 +479,7 @@ def project_onto_kdpos(
     state = Operator.from_matrix(group, y)
     return ProjectionResult(
         state=state,
-        distance=float(np.linalg.norm(y - m0)),
+        distance=_frobenius(y - m0),
         residual=residual,
         converged=bool(gap <= tol),
         iterations=its,
@@ -589,7 +611,7 @@ def find_conv_gap_witness(
             current, set_gap, _ = _dykstra(group, stepped, SEARCH_PROJ_ITERS, 1e-12)
             table = _kd_table(group, current * group.order)
             weights, _, _, state = _simplex_nnls(family, family.pair(table.real), start=state)
-            hull_residual = float(np.linalg.norm(table - family.combine(weights))) / root_d
+            hull_residual = _frobenius(table - family.combine(weights)) / root_d
             score = hull_residual - 3.0 * set_gap
             if score > best_score:
                 best_score = score

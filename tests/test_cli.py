@@ -314,6 +314,20 @@ def test_oversized_circle_grid_is_precondition_error(tmp_path, capsys):
     assert out == "" and "above the scan bound" in err
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid", "2900"]], ids=["default-grid", "grid"])
+def test_oversized_band_file_is_refused_before_decoding(tmp_path, capsys, monkeypatch, grid):
+    # K = 724 needs a grid of 4K + 4 = 2900 points, 1449 x 2900 cells: over
+    # the bound on K alone, so the (2K + 1)^2 coefficients, here left out,
+    # are never decoded; a full file of them is 50 MB
+    decoded = []
+    monkeypatch.setattr(circle, "decode_array", lambda *args: decoded.append(args))
+    path = _write(tmp_path, "band.json", {"K": 724, "coeffs": []})
+    code, out, err = _run(capsys, ["circle", "search", "--input", path, *grid])
+    assert code == 2
+    assert out == "" and "makes 4202100 cells, above the scan bound" in err
+    assert decoded == []
+
+
 # The readers whose files carry integers: group factors, or residues.
 _INTEGER_READERS = [pytest.param(argv, kind, id=name)
                     for (argv, kind), name in zip(_FILE_READERS, _FILE_READER_IDS)

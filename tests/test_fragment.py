@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from kdlab.classify import (
 from kdlab.errors import NotAStateError, NotHermitianError, NotKdPositiveError, PreconditionError
 from kdlab.fragment import (
     _dykstra,
+    _eigh,
     _project_kd_nonneg,
     _project_simplex,
     _random_direction,
@@ -1172,16 +1174,88 @@ def _reference_dykstra(group, m0, max_iter, tol):
 
 
 def _counting_eigh(monkeypatch):
-    """Count the ``np.linalg.eigh`` calls made from now on."""
+    """Count the ``fragment._eigh`` calls made from now on."""
     calls = []
-    eigh = np.linalg.eigh
+    eigh = fragment._eigh
 
     def counted(matrix):
         calls.append(matrix.shape)
         return eigh(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(fragment, "_eigh", counted)
     return calls
+
+
+# The battery's orders and three larger ones.
+_EIGH_ORDERS = sorted({parse_group(name).order for name in BATTERY} | {16, 27, 36})
+
+
+def _hermitian_cases(d, rng):
+    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v /= np.linalg.norm(v)
+    stack = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    return [
+        (raw + raw.conj().T) / 2.0,
+        np.outer(v, v.conj()),                      # rank one
+        np.eye(d, dtype=complex),                   # one eigenvalue, d-fold
+        (stack + stack.conj().transpose(0, 2, 1)) / 2.0,
+    ]
+
+
+@pytest.mark.parametrize("d", _EIGH_ORDERS)
+def test_eigh_seam_matches_numpy_bit_for_bit(d):
+    rng = np.random.default_rng(1000 + d)
+    for matrix in _hermitian_cases(d, rng):
+        vals, vecs = _eigh(matrix)
+        ref_vals, ref_vecs = np.linalg.eigh(matrix)
+        assert vals.shape == matrix.shape[:-1] and vecs.shape == matrix.shape
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+
+
+@pytest.mark.parametrize("entry, bad", [
+    ((3, 2), np.nan), ((3, 2), np.inf), ((3, 2), -np.inf), ((3, 2), complex(0.0, np.nan)),
+    ((3, 2), complex(0.0, np.inf)), ((1, 1), np.nan), ((1, 1), np.inf),
+], ids=["nan", "inf", "-inf", "nan-imag", "inf-imag", "diagonal-nan", "diagonal-inf"])
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)], ids=["matrix", "stack"])
+def test_eigh_seam_raises_on_non_finite_input(shape, entry, bad):
+    # LAPACK gives a failed matrix NaN eigenvalues: numpy's eigh raises on
+    # a NaN entry but returns them for an inf; the seam raises on both,
+    # with no warning
+    matrix = np.zeros(shape, dtype=complex) + np.eye(4)
+    last = matrix.reshape(-1, 4, 4)[-1]         # only the last matrix of a stack fails
+    last[entry] = bad
+    last[entry[::-1]] = np.conj(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            _eigh(matrix)
+
+
+def test_witness_search_and_projection_bypass_numpy_eigh(monkeypatch):
+    # the same bits with the seam as with numpy's eigh in its place, and
+    # no call left to numpy's eigh
+    z6 = parse_group("Z6")
+    rho = random_hermitian(parse_group("Z8"), np.random.default_rng(233))
+    with monkeypatch.context() as patch:
+        patch.setattr(fragment, "_eigh", np.linalg.eigh)
+        ref_witness = find_conv_gap_witness(z6, seed=0)
+        ref_projection = project_onto_kdpos(rho, max_iter=300)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    witness = find_conv_gap_witness(z6, seed=0)
+    projection = project_onto_kdpos(rho, max_iter=300)
+    assert (witness.gap, witness.conv_residual) == (ref_witness.gap, ref_witness.conv_residual)
+    assert (witness.iterations_used, witness.directions_tried) == PINNED_WITNESSES["Z6"][1:]
+    assert np.array_equal(witness.state.matrix, ref_witness.state.matrix)
+    assert np.array_equal(witness.functional.matrix, ref_witness.functional.matrix)
+    assert np.array_equal(projection.state.matrix, ref_projection.state.matrix)
+    assert (projection.distance, projection.residual, projection.converged, projection.iterations) == (
+        ref_projection.distance, ref_projection.residual, ref_projection.converged, ref_projection.iterations)
 
 
 def test_shift_step_matches_always_eigh_reference(battery_group):
@@ -1288,6 +1362,18 @@ def test_project_requires_an_iteration():
         with pytest.raises(PreconditionError):
             project_onto_kdpos(rho, max_iter=max_iter)
     assert project_onto_kdpos(rho, max_iter=1).iterations == 1
+
+
+def test_project_requires_a_finite_tolerance():
+    # tol=inf used to stop after one iteration and report convergence on
+    # a point still far from KD-positive; tol=nan could never converge
+    rho = random_hermitian(parse_group("Z8"), np.random.default_rng(239))
+    for tol in (np.inf, -np.inf, np.nan):
+        with pytest.raises(PreconditionError, match="finite"):
+            project_onto_kdpos(rho, tol=tol)
+    assert project_onto_kdpos(rho, tol=1e-6).converged
+    for tol in (0.0, -1.0):
+        assert project_onto_kdpos(rho, max_iter=50, tol=tol).iterations == 50
 
 
 # ---------------------------------------------------------------------------
