@@ -252,7 +252,3 @@ def recognize_kd_positive_pure(psi: GFunction, tol: Tolerances = DEFAULT) -> KdP
     if overlaps[best] > 1.0 - tol.recognition:
         return family.members[best]
     return None
-
-
-def family_to_json(members) -> list:
-    return [m.to_json() for m in members]

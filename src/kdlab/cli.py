@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 
 from . import circle as circ
-from .classify import enumerate_kd_positive_pure, family_to_json, recognize_kd_positive_pure
+from .classify import enumerate_kd_positive_pure, recognize_kd_positive_pure
 from .errors import GroupSpecError, KdlabError, PreconditionError
 from .fragment import (
     conv_membership,
@@ -210,7 +210,7 @@ def cmd_wh_act(args, group, tol):
 
 def cmd_pure_enumerate(args, group, tol):
     family = enumerate_kd_positive_pure(group)
-    payload = {"group": repr(group), "count": len(family), "members": family_to_json(family)}
+    payload = {"group": repr(group), "count": len(family), "members": [m.to_json() for m in family]}
     return EXIT_OK, payload, lambda: "id,subgroup,g,chi\n" + "".join(
         f"{i},{_dashed(m.subgroup.elements)},{_dashed(m.g_rep.residues)},{_dashed(m.chi_rep.label)}\n"
         for i, m in enumerate(family)

@@ -166,15 +166,16 @@ def span_membership(op: Operator, tol: Tolerances = DEFAULT) -> MembershipResult
     group = op.group
     family = _family(group)
     c = char_fn(op, "standard0").values
-    off = np.where(group.char_phase != 0, c, 0.0)
+    classical = family.N > 0    # exactly where chi(g) = 1, which puts chi in ann(<g>)
+    off = np.where(classical, 0.0, c)
     residual = float(np.linalg.norm(off)) / np.sqrt(group.order)
-    rank = int(np.count_nonzero(family.N))
+    rank = kd_real_dimension(group)
     if residual <= tol.membership:
         # F, the symplectic Fourier transform, is its own inverse and takes a
         # real table T to c where N > 0.  A A^T is |G| N under F, N(g, chi)
         # counting the H that hold g with chi in ann(H), and A^T Y = |G|
         # pair(Y); so the minimum-norm A^T (A A^T)^+ T is pair(F(c / N)).
-        q = np.divide(c, family.N, out=np.zeros_like(c), where=family.N > 0)
+        q = np.divide(c, family.N, out=np.zeros_like(c), where=classical)
         coeffs = family.pair(symplectic_fourier(PhaseSpaceFunction(group, q)).values.real)
         return MembershipResult("inside", residual, weights=coeffs, span_dimension=rank)
     # its KD table; the pairing is symmetric, so X.conj() holds conj(chi(g)) at [g, chi]
@@ -603,9 +604,7 @@ def find_conv_gap_witness(
         # Consecutive iterates are close, so each hull solve resumes from
         # the state the previous step's solve ended in.
         state = None
-        for _ in range(STEPS_PER_DIRECTION):
-            if used >= budget:
-                break
+        for _ in range(min(STEPS_PER_DIRECTION, budget - used)):
             used += 1
             stepped = current + STEP_SIZE * w_mat
             current, set_gap, _ = _dykstra(group, stepped, SEARCH_PROJ_ITERS, 1e-12)

@@ -101,27 +101,31 @@ class FiniteAbelianGroup:
         table.setflags(write=False)
         return table
 
-    @cached_property
-    def add_table(self) -> np.ndarray:
-        r = self.residues
-        sums = (r[:, None, :] + r[None, :, :]) % np.array(self.factors)
-        table = np.ravel_multi_index(tuple(sums[..., j] for j in range(len(self.factors))), self.factors)
+    def _index_table(self, residues: np.ndarray) -> np.ndarray:
+        """Read-only element index of every residue tuple along the last axis, reduced mod the factors."""
+        r = residues % np.array(self.factors)
+        table = np.ravel_multi_index(tuple(r[..., j] for j in range(len(self.factors))), self.factors)
         table.setflags(write=False)
         return table
 
     @cached_property
-    def neg_table(self) -> np.ndarray:
-        r = (-self.residues) % np.array(self.factors)
-        table = np.ravel_multi_index(tuple(r[:, j] for j in range(len(self.factors))), self.factors)
-        table.setflags(write=False)
-        return table
+    def add_table(self) -> np.ndarray:
+        """add_table[a, b] = index of a + b."""
+        r = self.residues
+        return self._index_table(r[:, None, :] + r[None, :, :])
 
     @cached_property
     def diff_table(self) -> np.ndarray:
         """diff_table[a, b] = index of a - b."""
-        table = self.add_table[:, self.neg_table]
-        table.setflags(write=False)
-        return table
+        r = self.residues
+        return self._index_table(r[:, None, :] - r[None, :, :])
+
+    @cached_property
+    def halve_table(self) -> np.ndarray:
+        """halve_table[g] = index of g/2, the h with h + h = g: (n + 1)/2 inverts 2 mod an odd n."""
+        if any(n % 2 == 0 for n in self.factors):
+            raise UnsupportedOrderError(f"doubling is not invertible on {self}: even factor present")
+        return self._index_table(self.residues * np.array([(n + 1) // 2 for n in self.factors]))
 
     @cached_property
     def char_phase(self) -> np.ndarray:
@@ -425,36 +429,6 @@ def coset_labels(group: FiniteAbelianGroup, subgroup: Subgroup) -> np.ndarray:
 def coset_reps(group: FiniteAbelianGroup, subgroup: Subgroup) -> list[Element]:
     """Minimal-index representative of every coset, in index order."""
     return [group.element_by_index(int(i)) for i in np.unique(coset_labels(group, subgroup))]
-
-
-@dataclass(frozen=True)
-class Doubling:
-    """The doubling map g -> g + g and, when invertible, its inverse."""
-
-    group: FiniteAbelianGroup
-    invertible: bool
-
-    def halve(self, g: Element) -> Element:
-        _check_group(self.group, g)
-        return self.group.element_by_index(int(self.halve_table[g.index]))
-
-    @cached_property
-    def halve_table(self) -> np.ndarray:
-        """Index of g/2 for every element index g."""
-        if not self.invertible:
-            raise UnsupportedOrderError(
-                f"doubling is not invertible on {self.group}: even factor present"
-            )
-        inv2 = np.array([(n + 1) // 2 for n in self.group.factors], dtype=np.int64)
-        r = (self.group.residues * inv2) % np.array(self.group.factors)
-        table = np.ravel_multi_index(tuple(r[:, j] for j in range(len(self.group.factors))), self.group.factors)
-        table.setflags(write=False)
-        return table
-
-
-@lru_cache(maxsize=None)
-def doubling(group: FiniteAbelianGroup) -> Doubling:
-    return Doubling(group, all(n % 2 == 1 for n in group.factors))
 
 
 def parse_group(text: str) -> FiniteAbelianGroup:

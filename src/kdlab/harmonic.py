@@ -50,14 +50,14 @@ def _dft_rows(group: FiniteAbelianGroup, rows: np.ndarray, out: np.ndarray | Non
     return rows @ group.char_table_conj
 
 
-def _idft_rows(group: FiniteAbelianGroup, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _idft_rows(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
     """(1/|G|) sum_chi rows[..., chi] chi(g), for every row and element g.
 
-    The FFT route writes the result into ``out`` (see `_fft_rows`); the
-    dense route returns a fresh product, divided in place.
+    Both routes return a fresh array: the FFT route's (see `_fft_rows`),
+    or the dense product, divided in place.
     """
     if max(group.factors) >= LARGE_FACTOR:
-        return _fft_rows(np.fft.ifftn, group, rows, out)
+        return _fft_rows(np.fft.ifftn, group, rows, None)
     table = rows @ group.char_table
     table /= group.order
     return table

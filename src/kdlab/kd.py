@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, _check_group, doubling
+from .groups import FiniteAbelianGroup, _check_group
 from .harmonic import DualFunction, GFunction, _dft_rows, _idft_rows, fourier, inverse_fourier
 from .operators import Operator, PhaseSpaceFunction, _computed, check_state
 from .weyl import WHElement, wh_unitary
@@ -73,8 +73,8 @@ def char_fn(op: Operator, ordering: str) -> PhaseSpaceFunction:
     """Characteristic function table trace(A U(g, chi, 1)), with ordering.
 
     ``standard0`` is the bare trace, ``standard1`` multiplies by
-    conj(chi(g)), and ``half`` by conj(chi(g/2)), which needs the
-    doubling map to be invertible (all cyclic factors odd).
+    conj(chi(g)), and ``half`` by conj(chi(g/2)), whose ``halve_table``
+    exists only when every cyclic factor is odd.
     """
     group = op.group
     if ordering not in ORDERINGS:
@@ -91,7 +91,7 @@ def char_fn(op: Operator, ordering: str) -> PhaseSpaceFunction:
         values = np.multiply(base, group.char_table_conj, out=base)
     else:
         # halve_table raises UnsupportedOrderError when a factor is even
-        values = np.multiply(base, group.char_table_conj[doubling(group).halve_table], out=base)
+        values = np.multiply(base, group.char_table_conj[group.halve_table], out=base)
     return _computed(PhaseSpaceFunction, group, values=values)
 
 

@@ -106,12 +106,17 @@ class Operator:
 
     @classmethod
     def from_json(cls, obj: dict, group: FiniteAbelianGroup | None = None) -> "Operator":
-        obj = json_object(obj, ("group", "kernel"))
-        declared = FiniteAbelianGroup.from_json(obj["group"])
-        if group is not None and group != declared:
-            raise GroupMismatchError(f"operator declares {declared}, expected {group}")
-        d = declared.order
-        return cls(declared, decode_array(obj["kernel"], (d, d)))
+        return cls(*_group_tagged(obj, "kernel", "operator", group))
+
+
+def _group_tagged(obj: dict, key: str, what: str, group: FiniteAbelianGroup | None):
+    """The declared group, which must be group if one is given, and the (|G|, |G|) array under key."""
+    obj = json_object(obj, ("group", key))
+    declared = FiniteAbelianGroup.from_json(obj["group"])
+    if group is not None and group != declared:
+        raise GroupMismatchError(f"{what} declares {declared}, expected {group}")
+    d = declared.order
+    return declared, decode_array(obj[key], (d, d))
 
 
 def check_state(rho: Operator, tol: Tolerances = DEFAULT) -> None:
@@ -176,12 +181,7 @@ class PhaseSpaceFunction:
 
     @classmethod
     def from_json(cls, obj: dict, group: FiniteAbelianGroup | None = None) -> "PhaseSpaceFunction":
-        obj = json_object(obj, ("group", "values"))
-        declared = FiniteAbelianGroup.from_json(obj["group"])
-        if group is not None and group != declared:
-            raise GroupMismatchError(f"table declares {declared}, expected {group}")
-        d = declared.order
-        return cls(declared, decode_array(obj["values"], (d, d)))
+        return cls(*_group_tagged(obj, "values", "table", group))
 
     def to_csv(self) -> str:
         """Rows ``g,chi,re,im`` in lexicographic (element, label) order.

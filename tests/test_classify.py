@@ -10,7 +10,6 @@ from kdlab.classify import (
     KdPureState,
     _family,
     enumerate_kd_positive_pure,
-    family_to_json,
     make_subgroup_state,
     recognize_kd_positive_pure,
 )
@@ -339,7 +338,7 @@ def test_family_closed_under_displacement(battery_group):
 def test_family_json_shape():
     z4 = parse_group("Z4")
     family = enumerate_kd_positive_pure(z4)
-    blob = family_to_json(family)
+    blob = [m.to_json() for m in family]
     assert len(blob) == len(family)
     first = blob[0]
     assert set(first) == {"H", "g", "chi", "vector"}

@@ -120,7 +120,13 @@ def test_operator_group_mismatch_is_config_error(tmp_path, capsys):
     op_path = _write(tmp_path, "op.json", Operator.identity(z2).to_json())
     code, _, err = _run(capsys, ["kd", "compute", "--group", "Z4", "--operator", op_path])
     assert code == 1
-    assert "error:" in err
+    assert "error:" in err and "operator declares Z2, expected Z4" in err
+    # a table read through the same group-tagged reader; Z2xZ2 and Z4 have the same order
+    z2xz2 = parse_group("Z2xZ2")
+    table_path = _write(tmp_path, "table.json", kd(Operator.identity(z2xz2)).to_json())
+    code, out, err = _run(capsys, ["kd", "invert", "--group", "Z4", "--table", table_path])
+    assert (code, out) == (1, "")
+    assert "table declares Z2xZ2, expected Z4" in err
 
 
 def test_malformed_operator_is_config_error(tmp_path, capsys):

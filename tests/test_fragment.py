@@ -1496,6 +1496,26 @@ def test_witness_search_none_within_budget():
                                  tol=DEFAULT.override(positivity=1e-16)) is None
 
 
+def test_witness_search_budget_can_end_inside_a_direction(monkeypatch):
+    # Z6's pinned witness comes from its third direction at step 300 of a
+    # full budget; with 250 steps that direction stops halfway and its best
+    # iterate up to there is the same witness
+    witness = find_conv_gap_witness(parse_group("Z6"), seed=0, budget=250)
+    assert (witness.iterations_used, witness.directions_tried) == (250, 3)
+    assert witness.gap == pytest.approx(PINNED_WITNESSES["Z6"][0], abs=1e-10)
+    # Z8 finds nothing, and runs exactly its budget of ascent steps: one
+    # search-sized projection each, whether the budget ends inside the
+    # first direction or inside the second
+    calls = []
+    dykstra = fragment._dykstra
+    monkeypatch.setattr(fragment, "_dykstra",
+                        lambda group, m0, max_iter, tol: calls.append(max_iter) or dykstra(group, m0, max_iter, tol))
+    for budget in (37, 150):
+        calls.clear()
+        assert find_conv_gap_witness(parse_group("Z8"), seed=0, budget=budget) is None
+        assert calls.count(fragment.SEARCH_PROJ_ITERS) == budget
+
+
 def test_witness_search_rejects_negative_budget():
     group = parse_group("Z2xZ2")
     with pytest.raises(PreconditionError):

@@ -19,7 +19,6 @@ from kdlab.groups import (
     annihilator,
     coset_labels,
     coset_reps,
-    doubling,
     enumerate_subgroups,
     pair,
     parse_group,
@@ -133,7 +132,6 @@ MISMATCH_SITES = {
     "Subgroup.from_generators": lambda a, b: Subgroup.from_generators(a, [b.zero]),
     "annihilator": lambda a, b: annihilator(a, Subgroup(b, (0,))),
     "coset_labels": lambda a, b: coset_labels(a, Subgroup(b, (0,))),
-    "Doubling.halve": lambda a, b: doubling(a).halve(b.zero),
     "GFunction.inner": lambda a, b: _function(GFunction, a).inner(_function(GFunction, b)),
     "DualFunction.inner": lambda a, b: _function(DualFunction, a).inner(_function(DualFunction, b)),
     "haar_density": lambda a, b: haar_density(a, Subgroup(b, (0,))),
@@ -436,33 +434,61 @@ def test_coset_reps_examples():
 
 def test_doubling_examples():
     z3 = parse_group("Z3")
-    d3 = doubling(z3)
-    assert d3.invertible
-    assert d3.halve(z3.element([1])).residues == (2,)
+    assert z3.halve_table[z3.element([1]).index] == z3.element([2]).index
     z9 = parse_group("Z9")
-    assert doubling(z9).halve(z9.element([1])).residues == (5,)
-    z4 = parse_group("Z4")
-    assert not doubling(z4).invertible
+    assert z9.element_by_index(int(z9.halve_table[z9.element([1]).index])).residues == (5,)
     with pytest.raises(UnsupportedOrderError):
-        doubling(z4).halve(z4.element([1]))
+        parse_group("Z4").halve_table
 
 
 def test_doubling_is_cached():
-    # one map per group, so its halving table is built once
+    # one halving table per group, built once
     z9 = parse_group("Z9")
-    assert doubling(z9) is doubling(z9)
-    assert doubling(z9).halve_table is doubling(z9).halve_table
+    assert z9.halve_table is z9.halve_table
 
 
 def test_doubling_halve_is_inverse(battery_group):
     group = battery_group
-    dbl = doubling(group)
     if group.order % 2 == 0:
-        assert not dbl.invertible
+        with pytest.raises(UnsupportedOrderError):
+            group.halve_table
         return
     for el in group.elements():
-        half = dbl.halve(el)
+        half = group.element_by_index(int(group.halve_table[el.index]))
         assert (half + half).index == el.index
+
+
+INDEX_TABLE_GROUPS = BATTERY + ["Z512", "Z2xZ2xZ2xZ2xZ2xZ2"]
+
+
+@pytest.mark.parametrize("spec", INDEX_TABLE_GROUPS)
+def test_index_tables_match_element_arithmetic(spec):
+    # every pair up to order 64; on Z512 every column of 16 seeded rows
+    group = parse_group(spec)
+    elements = list(group.elements())
+    rows = range(group.order)
+    if group.order > 64:
+        rows = np.random.default_rng(0).choice(group.order, size=16, replace=False).tolist()
+    for a in rows:
+        assert group.add_table[a].tolist() == [(elements[a] + b).index for b in elements]
+        assert group.diff_table[a].tolist() == [(elements[a] - b).index for b in elements]
+    for table in (group.add_table, group.diff_table):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+
+
+@pytest.mark.parametrize("spec", INDEX_TABLE_GROUPS)
+def test_halve_table_doubles_back_to_the_identity(spec):
+    group = parse_group(spec)
+    if any(n % 2 == 0 for n in group.factors):
+        for _ in range(2):   # a refused access caches nothing, so the next one raises too
+            with pytest.raises(UnsupportedOrderError, match=f"not invertible on {group}: even factor"):
+                group.halve_table
+        return
+    half = group.halve_table
+    assert not half.flags.writeable
+    assert np.array_equal(group.add_table[half, half], np.arange(group.order))
 
 
 def test_group_json_roundtrip(battery_group):
