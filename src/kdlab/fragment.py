@@ -16,7 +16,9 @@ operators: its remainder is the characteristic mass where chi(g) != 1,
 and its Gram operator is diagonal under the symplectic Fourier transform.
 
 Hull membership is a least-squares problem over the probability simplex
-solved by an active-set method, and projection onto the KD-positive
+solved by an active-set method; a strictly positive table it has not
+solved in a few iterations is offered the span's coefficients, a hull
+certificate whenever none is negative.  Projection onto the KD-positive
 states alternates, Dykstra style, between the spectral state set and the
 polyhedron of real nonnegative KD tables, a plain clamp in these
 coordinates.  The spectral step needs an eigendecomposition only when
@@ -129,8 +131,8 @@ class MembershipResult:
     witness: Operator | None = field(default=None, repr=False)
     gap: float | None = None
     span_dimension: int | None = None
-    converged: bool | None = None      # hull solves: the active-set optimality test passed
-    iterations: int | None = None      # hull solves: active-set iterations used
+    converged: bool | None = None      # hull solves: the active-set optimality test passed, or a span certificate held
+    iterations: int | None = None      # hull solves: active-set iterations run, SPAN_CHECK_AFTER before a span certificate
 
     def to_json(self) -> dict:
         payload: dict = {"verdict": self.verdict, "residual": self.residual}
@@ -152,6 +154,19 @@ class MembershipResult:
         return payload
 
 
+def _span_coefficients(family, c: np.ndarray) -> np.ndarray:
+    """Minimum-norm real coefficients of the span point whose bare
+    characteristic function is c on chi(g) = 1, the span's part of c.
+
+    F, the symplectic Fourier transform, is its own inverse and takes a
+    real table T to c where N > 0.  A A^T is |G| N under F, N(g, chi)
+    counting the H that hold g with chi in ann(H), and A^T Y = |G|
+    pair(Y); so the minimum-norm A^T (A A^T)^+ T is pair(F(c / N)).
+    """
+    q = np.divide(c, family.N, out=np.zeros_like(c), where=family.N > 0)
+    return family.pair(symplectic_fourier(PhaseSpaceFunction(family.group, q)).values.real)
+
+
 def span_membership(op: Operator, tol: Tolerances = DEFAULT) -> MembershipResult:
     """Distance from the real span of the family projectors.
 
@@ -171,13 +186,7 @@ def span_membership(op: Operator, tol: Tolerances = DEFAULT) -> MembershipResult
     residual = float(np.linalg.norm(off)) / np.sqrt(group.order)
     rank = kd_real_dimension(group)
     if residual <= tol.membership:
-        # F, the symplectic Fourier transform, is its own inverse and takes a
-        # real table T to c where N > 0.  A A^T is |G| N under F, N(g, chi)
-        # counting the H that hold g with chi in ann(H), and A^T Y = |G|
-        # pair(Y); so the minimum-norm A^T (A A^T)^+ T is pair(F(c / N)).
-        q = np.divide(c, family.N, out=np.zeros_like(c), where=classical)
-        coeffs = family.pair(symplectic_fourier(PhaseSpaceFunction(group, q)).values.real)
-        return MembershipResult("inside", residual, weights=coeffs, span_dimension=rank)
+        return MembershipResult("inside", residual, weights=_span_coefficients(family, c), span_dimension=rank)
     # its KD table; the pairing is symmetric, so X.conj() holds conj(chi(g)) at [g, chi]
     w = symplectic_fourier(PhaseSpaceFunction(group, off * group.char_table_conj)).values
     w /= residual if residual > 0.0 else 1.0    # unit norm; off = 0 needs a negative bound
@@ -194,8 +203,14 @@ def span_membership(op: Operator, tol: Tolerances = DEFAULT) -> MembershipResult
 # dependent: an inverse bordered past it would lose ten of its sixteen digits.
 PIVOT_FLOOR = 1e-10
 
+# Active-set iterations after which a hull solve of a strictly positive KD
+# table tries the span certificate once: vertices and sparse mixtures are
+# solved by then, and a dense interior point would join one member per
+# iteration, |G| of them for the maximally mixed state.
+SPAN_CHECK_AFTER = 8
 
-def _simplex_nnls(family, corr, start=None):
+
+def _simplex_nnls(family, corr, start=None, shortcut=None):
     """Least squares over the probability simplex by active sets.
 
     Minimizes ``||y - A lam||`` subject to ``lam >= 0`` and
@@ -232,6 +247,11 @@ def _simplex_nnls(family, corr, start=None):
         start.  The residual reached does not depend on it; the weights
         may, where the optimum is not unique.  Without it the search
         starts from the single best vertex.
+    shortcut : optional callable of no arguments, tried once when
+        ``SPAN_CHECK_AFTER`` iterations have run unconverged.  Weights it
+        returns, which the caller has verified, end the solve as
+        converged with a None state; None lets the solve carry on
+        untouched, to the bits an uninterrupted solve reaches.
 
     Returns (weights, converged, iterations, state), where iterations
     counts the subproblem solves, at most 50 n + 200, and state is the
@@ -254,6 +274,11 @@ def _simplex_nnls(family, corr, start=None):
     converged = False
     iterations = 0
     for iterations in range(1, 50 * n + 201):
+        if iterations > SPAN_CHECK_AFTER and shortcut is not None:
+            weights = shortcut()
+            if weights is not None:
+                return weights, True, SPAN_CHECK_AFTER, None
+            shortcut = None
         a = inv @ corr[passive]
         b = inv.sum(axis=1)
         nu = (a.sum() - 1.0) / b.sum()
@@ -314,6 +339,20 @@ def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResul
     direction W, whose value gap <W, rho> - max_i <W, Pi_i>, above that
     bound and above rounding (``DEFAULT.exact``), certifies separation.
     States that are not KD-positive at ``tol.positivity`` are rejected.
+
+    The active set joins one member per iteration, |G| of them for the
+    maximally mixed state.  When every KD cell is above ``DEFAULT.exact``
+    and ``SPAN_CHECK_AFTER`` iterations have not converged, the
+    minimum-norm span coefficients, which reproduce the table exactly,
+    are tried once as hull weights: if none is negative and,
+    renormalized to sum one, they rebuild the state within
+    ``tol.membership``, they are the inside certificate, dense, up to
+    one weight per member (``converged`` True, ``iterations``
+    ``SPAN_CHECK_AFTER``).  Otherwise the active set carries on, and the
+    result is the one it reaches uninterrupted.  A table with a zero
+    cell, such as a member's or a sparse mixture's, cannot be rebuilt
+    from dense positive weights and never tries them; the zero computes
+    to a rounding of either sign, hence the bound above zero.
     """
     probe, table = _kd_positivity(rho, tol)
     if not probe.is_positive:
@@ -323,10 +362,22 @@ def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResul
         )
     group = rho.group
     family = _family(group)
-    lam, converged, iterations, _ = _simplex_nnls(family, family.pair(table.real))
-    # the imaginary part, which no real combination reaches, stays in r
-    r = table - family.combine(lam)
-    residual = float(np.linalg.norm(r)) / np.sqrt(group.order)
+
+    def hull_residual(lam):
+        # the imaginary part, which no real combination reaches, stays in r
+        r = table - family.combine(lam)
+        return r, float(np.linalg.norm(r)) / np.sqrt(group.order)
+
+    def span_certificate():
+        coeffs = _span_coefficients(family, char_fn(rho, "standard0").values)
+        if coeffs.min() < 0.0:
+            return None
+        weights = coeffs / coeffs.sum()
+        return weights if hull_residual(weights)[1] <= tol.membership else None
+
+    shortcut = span_certificate if probe.min_real > DEFAULT.exact else None
+    lam, converged, iterations, _ = _simplex_nnls(family, family.pair(table.real), shortcut=shortcut)
+    r, residual = hull_residual(lam)
     if residual <= tol.membership:
         return MembershipResult("inside", residual, weights=lam, converged=converged, iterations=iterations)
     w = r / residual if residual > 0.0 else r   # unit norm; r = 0 needs a negative bound

@@ -121,6 +121,14 @@ class FiniteAbelianGroup:
         return self._index_table(r[:, None, :] - r[None, :, :])
 
     @cached_property
+    def shift_table(self) -> np.ndarray:
+        """shift_table[g, y] = |G| index(y - g) + y, the flat index of K[y - g, y] in a kernel K."""
+        r = self.residues
+        table = self._index_table(r[None, :, :] - r[:, None, :]) * self.order + np.arange(self.order)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def halve_table(self) -> np.ndarray:
         """halve_table[g] = index of g/2, the h with h + h = g: (n + 1)/2 inverts 2 mod an odd n."""
         if any(n % 2 == 0 for n in self.factors):

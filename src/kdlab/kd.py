@@ -79,12 +79,11 @@ def char_fn(op: Operator, ordering: str) -> PhaseSpaceFunction:
     group = op.group
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}, expected one of {ORDERINGS}")
-    d = group.order
     # trace(A U(g, chi, 1)) = (1/|G|) sum_y K[y - g, y] chi(y): the delta
     # in the displacement kernel collapses one index of the product trace.
-    rows = group.diff_table  # rows[y, g] = index(y - g)
-    shifted = op.kernel[rows, np.arange(d)[:, None]]  # shifted[y, g] = K[y - g, y]
-    base = _idft_rows(group, shifted.T)  # [g, c]
+    # One flat gather lays K[y - g, y] out C-ordered in [g, y], the rows
+    # the transform reads.
+    base = _idft_rows(group, op.kernel.ravel()[group.shift_table])  # [g, c]
     if ordering == "standard0":
         values = base
     elif ordering == "standard1":

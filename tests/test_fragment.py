@@ -863,7 +863,8 @@ def test_simplex_nnls_stops_unconverged_on_a_dependent_join(monkeypatch):
 
 def test_cold_hull_solve_calls_no_lstsq(monkeypatch):
     # the mixed state of Z64 takes 64 active-set iterations, each of which
-    # was one dense KKT lstsq; the carried inverse needs none
+    # was one dense KKT lstsq; the carried inverse needs none, and neither
+    # does conv_membership, which certifies that state from its span
     calls = []
 
     def counted(*args, **kwargs):
@@ -873,10 +874,127 @@ def test_cold_hull_solve_calls_no_lstsq(monkeypatch):
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", counted)
     group = parse_group("Z64")
-    result = conv_membership(Operator.identity(group) * (1.0 / group.order))
-    assert result.verdict == "inside"
-    assert result.iterations == 64
+    family = _family(group)
+    table = _kd_table(group, np.eye(group.order, dtype=complex))
+    _, converged, iterations, _ = _simplex_nnls(family, family.pair(table.real))
+    assert converged
+    assert iterations == 64
     assert calls == []
+    assert conv_membership(_mixed(group)).verdict == "inside"
+    assert calls == []
+
+
+def _count_span_solves(monkeypatch):
+    """Count the calls of the minimum-norm span solve that span and hull share."""
+    calls = []
+    solve = fragment._span_coefficients
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(fragment, "_span_coefficients", counted)
+    return calls
+
+
+def _mixed(group):
+    return Operator.identity(group) * (1.0 / group.order)
+
+
+def _assert_certifies(rho, result):
+    """An inside verdict whose simplex weights rebuild rho, from the member vectors, within tol.membership."""
+    group = rho.group
+    assert result.verdict == "inside"
+    assert result.weights.min() >= 0.0
+    assert abs(result.weights.sum() - 1.0) <= 1e-12
+    vectors = np.stack([m.vector.values for m in enumerate_kd_positive_pure(group)])
+    rebuilt = (vectors.T * result.weights) @ vectors.conj() / group.order
+    assert Operator.from_matrix(group, rebuilt).hs_distance(rho) <= DEFAULT.membership
+
+
+@pytest.mark.parametrize("name", ["Z9", "Z12", "Z3xZ3", "Z64", "Z4xZ4", "Z6xZ6",
+                                  "Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z128"])
+def test_mixed_states_take_the_span_certificate(name, monkeypatch):
+    # the maximally mixed state needs |G| > SPAN_CHECK_AFTER joins; its
+    # span coefficients are all positive, so one span solve certifies it
+    calls = _count_span_solves(monkeypatch)
+    group = parse_group(name)
+    assert group.order > fragment.SPAN_CHECK_AFTER
+    rho = _mixed(group)
+    result = conv_membership(rho)
+    assert calls == [1]
+    assert result.converged is True
+    assert result.iterations == fragment.SPAN_CHECK_AFTER
+    assert np.count_nonzero(result.weights) > group.order
+    _assert_certifies(rho, result)
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2", "Z6xZ6"])
+def test_full_mixtures_read_inside_with_simplex_weights(name):
+    group = parse_group(name)
+    rho = _family_mixture(group, np.random.default_rng(233))
+    _assert_certifies(rho, conv_membership(rho))
+
+
+def _zero_cell_state(group):
+    """The uniform mixture of the members whose KD table is zero at (0, 0):
+    dense elsewhere, so the active set needs many joins, but that cell
+    computes to a rounding of either sign."""
+    family = enumerate_kd_positive_pure(group)
+    picks = [m for m in family if _kd_table(group, m.projector().kernel)[0, 0].real < 0.5]
+    return Operator(group, sum(m.projector().kernel for m in picks) / len(picks))
+
+
+@pytest.mark.parametrize("name", ["Z4xZ4", "Z6xZ6", "Z64", "Z2xZ2xZ2xZ2", "Z12"])
+def test_states_the_span_cannot_certify_make_no_span_solve(name, monkeypatch):
+    # a member, a sparse mixture and a table with a zero cell: no dense
+    # positive weights rebuild them, and no span solve is made
+    calls = _count_span_solves(monkeypatch)
+    group = parse_group(name)
+    rng = np.random.default_rng(239)
+    family = enumerate_kd_positive_pure(group)
+    member = family[int(rng.integers(len(family)))].projector()
+    zero_cell = _zero_cell_state(group)
+    assert abs(_kd_table(group, zero_cell.kernel)[0, 0]) <= 1e-15
+    for rho in (member, _family_mixture(group, rng, k=5), zero_cell):
+        result = conv_membership(rho)
+        assert result.verdict == "inside"
+        assert calls == []
+    assert result.iterations > fragment.SPAN_CHECK_AFTER
+
+
+@pytest.mark.parametrize("name", ["Z6xZ6", "Z128"])
+def test_negative_span_coefficients_leave_the_solve_uninterrupted(name, monkeypatch):
+    # a full Dirichlet mixture whose span coefficients dip below zero: the
+    # span solve is made once, and the active set carries on to exactly
+    # the weights, count and flag of a solve that never paused
+    calls = _count_span_solves(monkeypatch)
+    group = parse_group(name)
+    rho = _family_mixture(group, np.random.default_rng(241))
+    family = _family(group)
+    c = char_fn(rho, "standard0").values
+    assert fragment._span_coefficients(family, c).min() < 0.0
+    calls.clear()
+    result = conv_membership(rho)
+    assert calls == [1]
+    lam, converged, iterations, _ = _simplex_nnls(family, family.pair(_kd_table(group, rho.kernel).real))
+    assert iterations > fragment.SPAN_CHECK_AFTER
+    assert (result.converged, result.iterations) == (converged, iterations)
+    assert np.array_equal(result.weights, lam)
+    _assert_certifies(rho, result)
+
+
+def test_a_negative_membership_bound_refuses_the_span_certificate(monkeypatch):
+    # the span weights of the mixed state are positive but cannot meet a
+    # negative bound, so the active set runs to its own end, inconclusive
+    calls = _count_span_solves(monkeypatch)
+    group = parse_group("Z64")
+    rho = _mixed(group)
+    result = conv_membership(rho, DEFAULT.override(membership=-1.0))
+    assert calls == [1]
+    assert result.verdict == "inconclusive"
+    assert result.converged is True
+    assert result.iterations == 64
 
 
 def test_simplex_nnls_against_penalty_oracle():

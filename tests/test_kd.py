@@ -636,6 +636,26 @@ def test_transforms_leave_inputs_untouched_and_keep_their_bits(name):
     assert np.array_equal(conj, X.conj())
 
 
+@pytest.mark.parametrize("name", ["Z6", "Z2xZ4", "Z6xZ6", "Z2xZ2xZ2xZ2", "Z64", "Z128", "Z256"])
+def test_char_fn_gathers_through_the_shift_table_bit_for_bit(name):
+    # one flat gather, C-ordered in [g, y], gives char_fn the bits of the
+    # two-index gather and transposed transform it replaces, for C- and
+    # F-ordered kernels alike; the table is read-only and made once
+    group = parse_group(name)
+    d = group.order
+    table = group.shift_table
+    assert table is group.shift_table
+    assert not table.flags.writeable and table.flags.c_contiguous
+    y = np.arange(d)
+    assert np.array_equal(table // d, group.diff_table.T)
+    assert np.array_equal(table % d, np.broadcast_to(y, (d, d)))
+    rng = np.random.default_rng(149)
+    kernel = random_operator(group, rng).kernel
+    for k in (kernel, np.asfortranarray(kernel)):
+        old = _idft_rows(group, k[group.diff_table, y[:, None]].T)
+        assert np.array_equal(char_fn(Operator(group, k), "standard0").values, old)
+
+
 @pytest.mark.parametrize("name", ["Z64", "Z256", "Z512", "Z2xZ64"])
 def test_fft_route_transforms_allocate_only_their_result(name):
     # each FFT-route transform runs in the one array it returns: no
