@@ -171,8 +171,11 @@ class _Family:
         return both[:, : len(j)].take(rows, axis=0) * both[:, len(j) :].take(cols, axis=0) / self.group.order
 
 
+@lru_cache(maxsize=None)
 def _lattice_cosets(group: FiniteAbelianGroup):
-    """The lattice, each H's ann(H) as a lattice index, and each H's `coset_labels`."""
+    """The lattice, each H's ann(H) as a lattice index, and each H's
+    `coset_labels`, the last two read-only; one pass serves `_family`
+    and its ``geometry``."""
     subgroups = enumerate_subgroups(group)
     where = {h.elements: k for k, h in enumerate(subgroups)}
     # Each large H comes after the small ann(H) the lattice derived it from,
@@ -182,7 +185,10 @@ def _lattice_cosets(group: FiniteAbelianGroup):
         if dual[k] is None:
             a = where[annihilator(group, h).elements]
             dual[k], dual[a] = a, k
-    return subgroups, np.array(dual), np.stack([coset_labels(group, h) for h in subgroups])
+    dual, labels = np.array(dual), np.stack([coset_labels(group, h) for h in subgroups])
+    dual.setflags(write=False)
+    labels.setflags(write=False)
+    return subgroups, dual, labels
 
 
 @lru_cache(maxsize=None)

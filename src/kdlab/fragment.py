@@ -16,15 +16,15 @@ operators: its remainder is the characteristic mass where chi(g) != 1,
 and its Gram operator is diagonal under the symplectic Fourier transform.
 
 Hull membership is a least-squares problem over the probability simplex
-solved by an active-set method; a strictly positive table it has not
-solved in a few iterations is offered the span's coefficients, a hull
-certificate whenever none is negative.  Projection onto the KD-positive
-states alternates, Dykstra style, between the spectral state set and the
-polyhedron of real nonnegative KD tables, a plain clamp in these
-coordinates.  The spectral step needs an eigendecomposition only when
-its result may lose rank: while Weyl's inequality, applied against the
-last matrix decomposed, proves every shifted eigenvalue positive, the
-projection onto the states is the shift H - sI, PSD by that proof.
+solved by an active-set method; a strictly positive table is first
+offered the span's coefficients, a hull certificate whenever none is
+negative.  Projection onto the KD-positive states alternates, Dykstra
+style, between the spectral state set and the polyhedron of real
+nonnegative KD tables, a plain clamp in these coordinates.  The spectral
+step needs an eigendecomposition only when its result may lose rank:
+while Weyl's inequality, applied against the last matrix decomposed,
+proves every shifted eigenvalue positive, the projection onto the states
+is the shift H - sI, PSD by that proof.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class MembershipResult:
     gap: float | None = None
     span_dimension: int | None = None
     converged: bool | None = None      # hull solves: the active-set optimality test passed, or a span certificate held
-    iterations: int | None = None      # hull solves: active-set iterations run, SPAN_CHECK_AFTER before a span certificate
+    iterations: int | None = None      # hull solves: active-set iterations run, 0 for a span certificate
 
     def to_json(self) -> dict:
         payload: dict = {"verdict": self.verdict, "residual": self.residual}
@@ -203,14 +203,8 @@ def span_membership(op: Operator, tol: Tolerances = DEFAULT) -> MembershipResult
 # dependent: an inverse bordered past it would lose ten of its sixteen digits.
 PIVOT_FLOOR = 1e-10
 
-# Active-set iterations after which a hull solve of a strictly positive KD
-# table tries the span certificate once: vertices and sparse mixtures are
-# solved by then, and a dense interior point would join one member per
-# iteration, |G| of them for the maximally mixed state.
-SPAN_CHECK_AFTER = 8
 
-
-def _simplex_nnls(family, corr, start=None, shortcut=None):
+def _simplex_nnls(family, corr, start=None):
     """Least squares over the probability simplex by active sets.
 
     Minimizes ``||y - A lam||`` subject to ``lam >= 0`` and
@@ -247,11 +241,6 @@ def _simplex_nnls(family, corr, start=None, shortcut=None):
         start.  The residual reached does not depend on it; the weights
         may, where the optimum is not unique.  Without it the search
         starts from the single best vertex.
-    shortcut : optional callable of no arguments, tried once when
-        ``SPAN_CHECK_AFTER`` iterations have run unconverged.  Weights it
-        returns, which the caller has verified, end the solve as
-        converged with a None state; None lets the solve carry on
-        untouched, to the bits an uninterrupted solve reaches.
 
     Returns (weights, converged, iterations, state), where iterations
     counts the subproblem solves, at most 50 n + 200, and state is the
@@ -274,11 +263,6 @@ def _simplex_nnls(family, corr, start=None, shortcut=None):
     converged = False
     iterations = 0
     for iterations in range(1, 50 * n + 201):
-        if iterations > SPAN_CHECK_AFTER and shortcut is not None:
-            weights = shortcut()
-            if weights is not None:
-                return weights, True, SPAN_CHECK_AFTER, None
-            shortcut = None
         a = inv @ corr[passive]
         b = inv.sum(axis=1)
         nu = (a.sum() - 1.0) / b.sum()
@@ -340,19 +324,18 @@ def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResul
     bound and above rounding (``DEFAULT.exact``), certifies separation.
     States that are not KD-positive at ``tol.positivity`` are rejected.
 
-    The active set joins one member per iteration, |G| of them for the
-    maximally mixed state.  When every KD cell is above ``DEFAULT.exact``
-    and ``SPAN_CHECK_AFTER`` iterations have not converged, the
-    minimum-norm span coefficients, which reproduce the table exactly,
-    are tried once as hull weights: if none is negative and,
+    A table whose every cell is above ``DEFAULT.exact`` has |G|^2
+    nonzero cells, and a member covers |G| of them, so the active set,
+    which joins one member per iteration, needs at least |G| iterations
+    for it.  Such a table is first offered the minimum-norm span
+    coefficients, which reproduce it exactly: if none is negative and,
     renormalized to sum one, they rebuild the state within
-    ``tol.membership``, they are the inside certificate, dense, up to
-    one weight per member (``converged`` True, ``iterations``
-    ``SPAN_CHECK_AFTER``).  Otherwise the active set carries on, and the
-    result is the one it reaches uninterrupted.  A table with a zero
-    cell, such as a member's or a sparse mixture's, cannot be rebuilt
-    from dense positive weights and never tries them; the zero computes
-    to a rounding of either sign, hence the bound above zero.
+    ``tol.membership``, they are the inside certificate, dense, up to one
+    weight per member (``converged`` True, ``iterations`` 0).  Otherwise
+    the active set solves from cold.  A table with a zero cell, such as a
+    member's or a sparse mixture's, cannot be rebuilt from dense positive
+    weights and goes to the active set at once; the zero computes to a
+    rounding of either sign, hence the bound above zero.
     """
     probe, table = _kd_positivity(rho, tol)
     if not probe.is_positive:
@@ -368,15 +351,14 @@ def conv_membership(rho: Operator, tol: Tolerances = DEFAULT) -> MembershipResul
         r = table - family.combine(lam)
         return r, float(np.linalg.norm(r)) / np.sqrt(group.order)
 
-    def span_certificate():
+    if probe.min_real > DEFAULT.exact:
         coeffs = _span_coefficients(family, char_fn(rho, "standard0").values)
-        if coeffs.min() < 0.0:
-            return None
-        weights = coeffs / coeffs.sum()
-        return weights if hull_residual(weights)[1] <= tol.membership else None
-
-    shortcut = span_certificate if probe.min_real > DEFAULT.exact else None
-    lam, converged, iterations, _ = _simplex_nnls(family, family.pair(table.real), shortcut=shortcut)
+        if coeffs.min() >= 0.0:
+            lam = coeffs / coeffs.sum()
+            residual = hull_residual(lam)[1]
+            if residual <= tol.membership:
+                return MembershipResult("inside", residual, weights=lam, converged=True, iterations=0)
+    lam, converged, iterations, _ = _simplex_nnls(family, family.pair(table.real))
     r, residual = hull_residual(lam)
     if residual <= tol.membership:
         return MembershipResult("inside", residual, weights=lam, converged=converged, iterations=iterations)

@@ -9,6 +9,7 @@ import pytest
 from kdlab.classify import (
     KdPureState,
     _family,
+    _lattice_cosets,
     enumerate_kd_positive_pure,
     make_subgroup_state,
     recognize_kd_positive_pure,
@@ -83,7 +84,7 @@ def test_family_checks_each_element_and_character_once(name, monkeypatch):
 
     for cls in counts:
         monkeypatch.setattr(cls, "__post_init__", counting(cls))
-    for cached in (enumerate_subgroups, annihilator, _family):
+    for cached in (enumerate_subgroups, annihilator, _lattice_cosets, _family):
         cached.cache_clear()
     group = parse_group(name)
     members = enumerate_kd_positive_pure(group)
@@ -102,7 +103,7 @@ def test_hashing_the_family_computes_each_index_once(monkeypatch):
         calls.append(residues)
         return index_of(self, residues)
 
-    for cached in (enumerate_subgroups, annihilator, _family):
+    for cached in (enumerate_subgroups, annihilator, _lattice_cosets, _family):
         cached.cache_clear()
     group = parse_group("Z6xZ6")
     members = enumerate_kd_positive_pure(group)

@@ -513,8 +513,9 @@ def test_member_conv_mixed_state(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "inside"
+    # its KD table is strictly positive, so the span coefficients certify it
     weights = {entry["index"]: entry["weight"] for entry in payload["certificate"]["weights"]}
-    assert weights == {0: pytest.approx(0.5, abs=1e-10), 1: pytest.approx(0.5, abs=1e-10)}
+    assert weights == {i: pytest.approx(0.25, abs=1e-10) for i in range(4)}
 
 
 def test_member_conv_rejects_negative_state(tmp_path, capsys):

@@ -11,6 +11,7 @@ from kdlab import fragment
 from kdlab.circle import circle_is_classical, geometric_state
 from kdlab.classify import (
     _family,
+    _lattice_cosets,
     enumerate_kd_positive_pure,
     make_subgroup_state,
     recognize_kd_positive_pure,
@@ -32,7 +33,7 @@ from kdlab.fragment import (
     project_onto_kdpos,
     span_membership,
 )
-from kdlab.groups import annihilator, coset_reps, enumerate_subgroups, parse_group
+from kdlab.groups import annihilator, coset_labels, coset_reps, enumerate_subgroups, parse_group
 from kdlab.harmonic import GFunction
 from kdlab.jsonio import encode_array
 from kdlab.kd import _kd_table, char_fn, multiplication_operator, symplectic_fourier
@@ -50,6 +51,17 @@ def _family_mixture(group, rng, k=None):
     picks = rng.choice(len(family), size=weights.size, replace=False)
     kernel = sum(w * family[i].projector().kernel for w, i in zip(weights, picks))
     return Operator(group, kernel)
+
+
+def _zero_cell_mixture(group, rng, k=5):
+    """A Dirichlet mixture of up to k members whose KD tables are zero at
+    (0, 0): those whose element or character coset misses the identity."""
+    family = [m for m in enumerate_kd_positive_pure(group) if (m.g_rep.index, m.chi_rep.index) != (0, 0)]
+    weights = rng.dirichlet(np.ones(min(k, len(family))))
+    picks = rng.choice(len(family), size=weights.size, replace=False)
+    rho = Operator(group, sum(w * family[i].projector().kernel for w, i in zip(weights, picks)))
+    assert abs(_kd_table(group, rho.kernel)[0, 0]) <= 1e-15
+    return rho
 
 
 def test_kd_real_dimension_frozen():
@@ -218,12 +230,19 @@ def test_span_membership_requires_hermitian():
 
 def test_conv_membership_mixed_state_z2():
     z2 = parse_group("Z2")
-    result = conv_membership(Operator.identity(z2) * 0.5)
+    rho = Operator.identity(z2) * 0.5
+    result = conv_membership(rho)
     assert result.verdict == "inside"
     assert result.residual <= 1e-10
-    # the active-set optimum splits evenly over the two position states
-    assert result.weights[:2] == pytest.approx([0.5, 0.5], abs=1e-10)
-    assert result.weights[2:] == pytest.approx([0.0, 0.0], abs=1e-10)
+    # a strictly positive table: the span certificate weighs all four members
+    assert result.weights == pytest.approx([0.25] * 4, abs=1e-10)
+    # the active-set optimum on the same correlations splits evenly over
+    # the two position states
+    family = _family(z2)
+    lam, converged, _, _ = _simplex_nnls(family, family.pair(_kd_table(z2, rho.kernel).real))
+    assert converged
+    assert lam[:2] == pytest.approx([0.5, 0.5], abs=1e-10)
+    assert lam[2:] == pytest.approx([0.0, 0.0], abs=1e-10)
 
 
 def test_conv_membership_projectors(battery_group):
@@ -266,17 +285,23 @@ def test_conv_membership_reports_convergence():
 
 
 def test_conv_membership_reports_iterations(battery_group):
-    # the mixed state sits inside the hull; the active-set solve reaches it
-    # from the best vertex in a positive count below its iteration cap
+    # the mixed state's span certificate takes no active-set iteration; a
+    # sparse mixture with a zero KD cell is reached from the best vertex
+    # in a positive count below the iteration cap
     group = battery_group
     rho = Operator.identity(group) * (1.0 / group.order)
     result = conv_membership(rho)
+    assert result.verdict == "inside"
+    assert result.converged is True
+    assert result.iterations == 0
+    assert "iterations" not in result.to_json()
+    assert span_membership(rho).iterations is None
+    sparse = _zero_cell_mixture(group, np.random.default_rng(163))
+    result = conv_membership(sparse)
     n = len(enumerate_kd_positive_pure(group))
     assert result.verdict == "inside"
     assert result.converged is True
     assert 0 < result.iterations < 50 * n + 200
-    assert "iterations" not in result.to_json()
-    assert span_membership(rho).iterations is None
 
 
 def test_negative_membership_bound_leaves_inside_points_inconclusive(battery_group):
@@ -370,7 +395,7 @@ def test_each_decider_reads_only_its_own_levels(name, extreme):
 def test_one_lattice_and_one_family_per_group():
     # earlier tests may have built Z6 already, so count from empty caches
     group = parse_group("Z6")
-    for cached in (enumerate_subgroups, _family):
+    for cached in (enumerate_subgroups, _lattice_cosets, _family):
         cached.cache_clear()
     family = enumerate_kd_positive_pure(group)
     n, d = len(family), group.order
@@ -382,6 +407,7 @@ def test_one_lattice_and_one_family_per_group():
     assert recognize_kd_positive_pure(family[7].vector) == family[7]
     verify_group(group)
     assert enumerate_subgroups.cache_info().misses == 1
+    assert _lattice_cosets.cache_info().misses == 1
     assert _family.cache_info().misses == 1
     arrays = {name: v.shape for name, v in vars(_family(group)).items() if isinstance(v, np.ndarray)}
     # the span solve adds the subgroup counts N(g, chi), d x d, and the
@@ -392,12 +418,34 @@ def test_one_lattice_and_one_family_per_group():
     assert [a.shape for a in _family(group).geometry] == [(s, d), (n,), (n,), (s, d)]
 
 
+@pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2", "Z6xZ6"])
+def test_family_and_its_geometry_share_one_lattice_coset_pass(name, monkeypatch):
+    # the vectors and the hull geometry both read every subgroup's coset
+    # labels; one pass labels each subgroup once, and its arrays are read-only
+    calls = []
+    labels_of = coset_labels
+
+    def counted(*args):
+        calls.append(1)
+        return labels_of(*args)
+
+    monkeypatch.setattr("kdlab.classify.coset_labels", counted)
+    group = parse_group(name)
+    for cached in (enumerate_subgroups, annihilator, _lattice_cosets, _family):
+        cached.cache_clear()
+    enumerate_kd_positive_pure(group)
+    assert conv_membership(Operator.identity(group) * (1.0 / group.order)).verdict == "inside"
+    assert len(calls) == len(enumerate_subgroups(group))
+    _, dual, labels = _lattice_cosets(group)
+    assert not dual.flags.writeable and not labels.flags.writeable
+
+
 @pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z6xZ6"])
 def test_family_asks_annihilator_nothing_new_after_the_lattice(name):
     # every large H was reached as ann(K) of a small K, so the family pairs
     # each subgroup with its annihilator from what the lattice already asked
     group = parse_group(name)
-    for cached in (enumerate_subgroups, annihilator, _family):
+    for cached in (enumerate_subgroups, annihilator, _lattice_cosets, _family):
         cached.cache_clear()
     enumerate_subgroups(group)
     misses = annihilator.cache_info().misses
@@ -691,7 +739,8 @@ def test_membership_result_json_shapes():
     z2 = parse_group("Z2")
     inside = conv_membership(Operator.identity(z2) * 0.5).to_json()
     assert inside["verdict"] == "inside"
-    assert {entry["index"] for entry in inside["certificate"]["weights"]} == {0, 1}
+    assert [(entry["index"], entry["weight"]) for entry in inside["certificate"]["weights"]] == [
+        (i, pytest.approx(0.25, abs=1e-12)) for i in range(4)]
     outside = span_membership(_off_support_op(z2)).to_json()
     assert outside["verdict"] == "outside"
     assert "witness" in outside["certificate"]
@@ -855,7 +904,10 @@ def test_simplex_nnls_stops_unconverged_on_a_dependent_join(monkeypatch):
     assert 0 < stopped < 40
     monkeypatch.setattr(fragment, "PIVOT_FLOOR", 1.0)
     group = parse_group("Z6")
-    result = conv_membership(Operator.identity(group) * (1.0 / group.order))
+    family = enumerate_kd_positive_pure(group)
+    two = Operator(group, (family[1].projector().kernel + family[8].projector().kernel) / 2)
+    assert np.min(_kd_table(group, two.kernel).real) <= DEFAULT.exact   # no span certificate
+    result = conv_membership(two)
     assert result.converged is False
     assert result.verdict == "inconclusive"
     assert result.iterations == 1
@@ -884,16 +936,17 @@ def test_cold_hull_solve_calls_no_lstsq(monkeypatch):
     assert calls == []
 
 
-def _count_span_solves(monkeypatch):
-    """Count the calls of the minimum-norm span solve that span and hull share."""
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``fragment``'s function ``name``, such as the
+    minimum-norm span solve that span and hull share."""
     calls = []
-    solve = fragment._span_coefficients
+    solve = getattr(fragment, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(fragment, "_span_coefficients", counted)
+    monkeypatch.setattr(fragment, name, counted)
     return calls
 
 
@@ -915,18 +968,53 @@ def _assert_certifies(rho, result):
 @pytest.mark.parametrize("name", ["Z9", "Z12", "Z3xZ3", "Z64", "Z4xZ4", "Z6xZ6",
                                   "Z2xZ2xZ2xZ2", "Z3xZ3xZ3", "Z128"])
 def test_mixed_states_take_the_span_certificate(name, monkeypatch):
-    # the maximally mixed state needs |G| > SPAN_CHECK_AFTER joins; its
-    # span coefficients are all positive, so one span solve certifies it
-    calls = _count_span_solves(monkeypatch)
+    # the active set would need |G| joins for the maximally mixed state;
+    # its span coefficients are all positive, so one span solve certifies
+    # it before any active-set iteration
+    calls = _count_calls(monkeypatch, "_span_coefficients")
+    solves = _count_calls(monkeypatch, "_simplex_nnls")
     group = parse_group(name)
-    assert group.order > fragment.SPAN_CHECK_AFTER
     rho = _mixed(group)
     result = conv_membership(rho)
     assert calls == [1]
+    assert solves == []
     assert result.converged is True
-    assert result.iterations == fragment.SPAN_CHECK_AFTER
+    assert result.iterations == 0
     assert np.count_nonzero(result.weights) > group.order
     _assert_certifies(rho, result)
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z2xZ2", "Z6", "Z8", "Z9", "Z64"])
+def test_span_certified_states_make_no_active_set_solve(name, monkeypatch):
+    # on small groups the active set could solve the mixed state in a few
+    # joins, but a strictly positive table is offered the span first
+    solves = _count_calls(monkeypatch, "_simplex_nnls")
+    group = parse_group(name)
+    rho = _mixed(group)
+    result = conv_membership(rho)
+    assert solves == []
+    assert (result.verdict, result.converged, result.iterations) == ("inside", True, 0)
+    _assert_certifies(rho, result)
+
+
+@pytest.mark.parametrize("name", ["Z9", "Z12", "Z64", "Z6xZ6"])
+def test_span_certificates_are_the_renormalized_span_coefficients(name):
+    # the mixed state and full mixtures concentrated near the uniform one,
+    # whose span coefficients are all nonnegative: the hull weights are
+    # those coefficients over their sum, to the bit
+    group = parse_group(name)
+    family = _family(group)
+    rng = np.random.default_rng(257)
+    members = np.stack([m.projector().kernel for m in family.members])
+    states = [_mixed(group)]
+    states += [Operator(group, np.tensordot(rng.dirichlet(np.full(len(members), 20.0)), members, axes=1))
+               for _ in range(3)]
+    for rho in states:
+        coeffs = fragment._span_coefficients(family, char_fn(rho, "standard0").values)
+        assert coeffs.min() >= 0.0
+        result = conv_membership(rho)
+        assert result.iterations == 0
+        assert np.array_equal(result.weights, coeffs / coeffs.sum())
 
 
 @pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2", "Z6xZ6"])
@@ -949,7 +1037,7 @@ def _zero_cell_state(group):
 def test_states_the_span_cannot_certify_make_no_span_solve(name, monkeypatch):
     # a member, a sparse mixture and a table with a zero cell: no dense
     # positive weights rebuild them, and no span solve is made
-    calls = _count_span_solves(monkeypatch)
+    calls = _count_calls(monkeypatch, "_span_coefficients")
     group = parse_group(name)
     rng = np.random.default_rng(239)
     family = enumerate_kd_positive_pure(group)
@@ -960,7 +1048,8 @@ def test_states_the_span_cannot_certify_make_no_span_solve(name, monkeypatch):
         result = conv_membership(rho)
         assert result.verdict == "inside"
         assert calls == []
-    assert result.iterations > fragment.SPAN_CHECK_AFTER
+    # |G|^2 - 1 nonzero cells, |G| per member, one member joined per iteration
+    assert result.iterations >= group.order
 
 
 @pytest.mark.parametrize("name", ["Z6xZ6", "Z128"])
@@ -968,7 +1057,7 @@ def test_negative_span_coefficients_leave_the_solve_uninterrupted(name, monkeypa
     # a full Dirichlet mixture whose span coefficients dip below zero: the
     # span solve is made once, and the active set carries on to exactly
     # the weights, count and flag of a solve that never paused
-    calls = _count_span_solves(monkeypatch)
+    calls = _count_calls(monkeypatch, "_span_coefficients")
     group = parse_group(name)
     rho = _family_mixture(group, np.random.default_rng(241))
     family = _family(group)
@@ -978,7 +1067,7 @@ def test_negative_span_coefficients_leave_the_solve_uninterrupted(name, monkeypa
     result = conv_membership(rho)
     assert calls == [1]
     lam, converged, iterations, _ = _simplex_nnls(family, family.pair(_kd_table(group, rho.kernel).real))
-    assert iterations > fragment.SPAN_CHECK_AFTER
+    assert iterations >= group.order    # |G|^2 nonzero cells, |G| per member
     assert (result.converged, result.iterations) == (converged, iterations)
     assert np.array_equal(result.weights, lam)
     _assert_certifies(rho, result)
@@ -987,7 +1076,7 @@ def test_negative_span_coefficients_leave_the_solve_uninterrupted(name, monkeypa
 def test_a_negative_membership_bound_refuses_the_span_certificate(monkeypatch):
     # the span weights of the mixed state are positive but cannot meet a
     # negative bound, so the active set runs to its own end, inconclusive
-    calls = _count_span_solves(monkeypatch)
+    calls = _count_calls(monkeypatch, "_span_coefficients")
     group = parse_group("Z64")
     rho = _mixed(group)
     result = conv_membership(rho, DEFAULT.override(membership=-1.0))
